@@ -119,6 +119,23 @@ def expand_fleet(fleet: FleetSpec,
     sync-attacked* without reshuffling who is attacked, what anyone
     runs, or any all-zero-mix population.
     """
+    return (unit for _draw_key, unit in _expand_draws(fleet, host_range))
+
+
+def _expand_draws(fleet: FleetSpec,
+                  host_range: Optional[Tuple[int, int]]
+                  ) -> Iterator[Tuple[Tuple[str, str], FleetUnit]]:
+    """The walk behind :func:`expand_fleet`, yielding ``(draw key,
+    unit)``.
+
+    Every spec is built from its workload plus one per-host mapping of
+    the other spec arguments, and the draw key is the workload plus the
+    ``repr`` of that same mapping (the label aside, and ``program_kwargs``
+    is fixed per workload within one fleet).  So two slots with equal
+    keys have equal spec keys.  ``repr`` rather than equality, because
+    ``-0.0 == 0.0`` and ``1 == True``, yet each pair hashes to
+    different spec documents.
+    """
     from ..analysis.figures import paper_workload_params
     from ..faults import sweep_plan
     from ..timesync import sweep_timesync
@@ -144,31 +161,31 @@ def expand_fleet(fleet: FleetSpec,
             sync_offset = int(_draw(sync_rng, fleet.sync_mix))
         timesync = (sweep_timesync(sync_offset).to_dict()
                     if sync_offset > 0 else None)
+        if kind == "vm":
+            host_args = dict(
+                attack="vm-sched" if attacked else None,
+                attack_kwargs={"burn_fraction": burn} if attacked else {},
+                vm={}, faults=faults)
+        else:
+            host_args = dict(
+                attack=BARE_ATTACK if attacked else None,
+                attack_kwargs=({"nice": BARE_ATTACK_NICE, "forks": forks}
+                               if attacked else {}),
+                nproc=nproc, faults=faults, timesync=timesync)
+        host_key = repr(host_args)
         for guest in range(fleet.guests):
             workload = _draw(rng, fleet.workload_mix)
-            kwargs = dict(workload_params[workload])
             label = (f"fleet:h{host}:g{guest}:{kind}:{workload}"
                      f"{':attacked' if attacked else ''}"
                      f"{f':sync={sync_offset}' if sync_offset else ''}")
-            if kind == "vm":
-                spec = ExperimentSpec(
-                    program=workload, program_kwargs=kwargs,
-                    attack="vm-sched" if attacked else None,
-                    attack_kwargs=({"burn_fraction": burn}
-                                   if attacked else {}),
-                    vm={}, faults=faults, label=label)
-            else:
-                spec = ExperimentSpec(
-                    program=workload, program_kwargs=kwargs,
-                    attack=BARE_ATTACK if attacked else None,
-                    attack_kwargs=({"nice": BARE_ATTACK_NICE,
-                                    "forks": forks} if attacked else {}),
-                    nproc=nproc, faults=faults, timesync=timesync,
-                    label=label)
-            yield FleetUnit(host=host, guest=guest, kind=kind,
-                            workload=workload, attacked=attacked,
-                            intensity=intensity, spec=spec,
-                            sync_offset_ns=sync_offset)
+            spec = ExperimentSpec(
+                program=workload,
+                program_kwargs=dict(workload_params[workload]),
+                label=label, **host_args)
+            yield (host_key, workload), FleetUnit(
+                host=host, guest=guest, kind=kind, workload=workload,
+                attacked=attacked, intensity=intensity, spec=spec,
+                sync_offset_ns=sync_offset)
 
 
 @dataclass(frozen=True)
@@ -190,11 +207,17 @@ def distinct_units(fleet: FleetSpec,
     representative keeps the first unit's host/guest coordinates; its
     label is rewritten to carry the group's weight instead, since it now
     stands for many slots.
+
+    ``spec_key`` is hashed once per distinct draw, not once per slot: a
+    10k-slot fleet drawing from the default mixes has under a hundred.
     """
     groups: Dict[str, List[Any]] = {}
     order: List[str] = []
-    for unit in expand_fleet(fleet, host_range=host_range):
-        key = spec_key(unit.spec)
+    keys: Dict[Tuple[str, str], str] = {}
+    for draw_key, unit in _expand_draws(fleet, host_range):
+        key = keys.get(draw_key)
+        if key is None:
+            key = keys[draw_key] = spec_key(unit.spec)
         entry = groups.get(key)
         if entry is None:
             groups[key] = [unit, 1]

@@ -59,11 +59,15 @@ class DebugRegisters:
 
     def __init__(self) -> None:
         self._slots: List[Optional[Watchpoint]] = [None] * self.SLOTS
+        #: True while any slot holds a watchpoint.  A plain attribute kept
+        #: in step by every mutator: the engine reads it on each memory op.
+        self.armed = False
 
     def set_slot(self, index: int, wp: Optional[Watchpoint]) -> None:
         if not 0 <= index < self.SLOTS:
             raise ConfigError(f"debug register slot {index} out of range")
         self._slots[index] = wp
+        self.armed = any(s is not None for s in self._slots)
 
     def get_slot(self, index: int) -> Optional[Watchpoint]:
         if not 0 <= index < self.SLOTS:
@@ -72,10 +76,7 @@ class DebugRegisters:
 
     def clear(self) -> None:
         self._slots = [None] * self.SLOTS
-
-    @property
-    def armed(self) -> bool:
-        return any(s is not None for s in self._slots)
+        self.armed = False
 
     def hit(self, vaddr: int, write: bool) -> Optional[int]:
         """Return the index of the first matching slot, or None."""
@@ -87,6 +88,7 @@ class DebugRegisters:
     def copy(self) -> "DebugRegisters":
         clone = DebugRegisters()
         clone._slots = list(self._slots)
+        clone.armed = self.armed
         return clone
 
 

@@ -41,16 +41,28 @@ class Frame:
 
 
 class PhysicalMemory:
-    """All RAM frames plus a free list and a clock hand for reclaim."""
+    """All RAM frames plus a free list and a clock hand for reclaim.
+
+    Frames are created on first allocation: a machine that touches a few
+    hundred pages never builds the rest.  A counter hands
+    out never-used pfns in ascending order; released pfns queue behind
+    them and are reused first-in first-out.  That is exactly the order an
+    eagerly filled free deque would give, so which pfn backs which page —
+    and hence every reclaim decision — does not depend on the laziness.
+    """
 
     def __init__(self, total_frames: int, kernel_reserved_frames: int = 64) -> None:
         if total_frames <= kernel_reserved_frames:
             raise SimulationError("not enough frames for the kernel reservation")
-        self.frames: List[Frame] = list(map(Frame, range(total_frames)))
-        self._free: Deque[int] = deque(range(kernel_reserved_frames,
-                                             total_frames))
-        for frame in self.frames[:kernel_reserved_frames]:
+        #: pfn -> Frame; None until the pfn is first allocated.
+        self.frames: List[Optional[Frame]] = [None] * total_frames
+        for pfn in range(kernel_reserved_frames):
+            frame = self.frames[pfn] = Frame(pfn)
             frame.pinned = True
+        #: Lowest pfn never handed out yet.
+        self._next_fresh = kernel_reserved_frames
+        #: Released pfns, reused in release order once the fresh ones run out.
+        self._free: Deque[int] = deque()
         self._clock_hand = kernel_reserved_frames
         self.kernel_reserved = kernel_reserved_frames
 
@@ -60,7 +72,7 @@ class PhysicalMemory:
 
     @property
     def free_frames(self) -> int:
-        return len(self._free)
+        return len(self.frames) - self._next_fresh + len(self._free)
 
     @property
     def used_frames(self) -> int:
@@ -68,9 +80,14 @@ class PhysicalMemory:
 
     def alloc(self, asid: int, vpn: int) -> Optional[Frame]:
         """Take a free frame and bind it to (asid, vpn); None if exhausted."""
-        if not self._free:
+        pfn = self._next_fresh
+        if pfn < len(self.frames):
+            self._next_fresh = pfn + 1
+            frame = self.frames[pfn] = Frame(pfn)
+        elif self._free:
+            frame = self.frames[self._free.popleft()]
+        else:
             return None
-        frame = self.frames[self._free.popleft()]
         frame.owner_asid = asid
         frame.vpn = vpn
         frame.referenced = True
@@ -80,9 +97,9 @@ class PhysicalMemory:
     def release(self, pfn: int) -> None:
         """Return a frame to the free list."""
         frame = self.frames[pfn]
-        if frame.pinned:
+        if frame is not None and frame.pinned:
             raise SimulationError(f"cannot release pinned frame {pfn}")
-        if frame.free:
+        if frame is None or frame.free:
             raise SimulationError(f"double free of frame {pfn}")
         frame.owner_asid = None
         frame.vpn = None
@@ -98,13 +115,14 @@ class PhysicalMemory:
         unreferenced, unpinned, in-use frame.  The scan count lets the
         kernel charge direct-reclaim CPU time to the allocating task, which
         is a real (and billable) cost of memory pressure.  The frame is
-        None only if nothing is reclaimable (everything pinned/free).
+        None only if nothing is reclaimable (everything pinned/free).  A
+        never-allocated frame is free: the hand examines and passes it.
         """
         n = self.total_frames
         for scanned in range(1, 2 * n + 1):
             frame = self.frames[self._clock_hand]
             self._clock_hand = (self._clock_hand + 1) % n
-            if frame.pinned or frame.free:
+            if frame is None or frame.pinned or frame.free:
                 continue
             if frame.referenced:
                 frame.referenced = False
@@ -113,4 +131,5 @@ class PhysicalMemory:
         return None, 2 * n
 
     def frames_of(self, asid: int) -> List[Frame]:
-        return [f for f in self.frames if f.owner_asid == asid]
+        return [f for f in self.frames
+                if f is not None and f.owner_asid == asid]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .. import __version__
@@ -149,14 +149,31 @@ class ExperimentSpec:
         return cls(**dict(self.attack_kwargs))
 
 
+#: Leaf types ``_canonical`` returns untouched.  Exact types only: a
+#: subclass still goes through the checks below, as it always did.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _canonical(value: Any) -> Any:
     """Reduce spec fields to a canonical JSON-compatible form (tuples and
     lists collapse to lists; mapping keys are sorted by json.dumps)."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, Mapping):
         return {str(k): _canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     return value
+
+
+def _config_doc(cfg: Any) -> Any:
+    """The canonical document of a machine config: the same document
+    ``_canonical(dataclasses.asdict(cfg))`` gives, without asdict's deep
+    copy of every leaf."""
+    if is_dataclass(cfg):
+        return {f.name: _config_doc(getattr(cfg, f.name))
+                for f in fields(cfg)}
+    return _canonical(cfg)
 
 
 def spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
@@ -168,7 +185,7 @@ def spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
     ``check_invariants`` is deliberately excluded — the checker observes
     the run without altering it, so results are interchangeable.
     """
-    cfg_doc = _canonical(asdict(spec.resolved_config()))
+    cfg_doc = _config_doc(spec.resolved_config())
     if cfg_doc.get("nproc") == 1:
         # A single CPU is the pre-SMP machine: drop the field so the
         # document (and hence the cache key) is byte-identical to specs

@@ -76,6 +76,9 @@ def _timeout_from(body: Dict[str, Any]) -> Optional[float]:
 class _Handler(BaseHTTPRequestHandler):
     server: "ReproServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends; with Nagle on, the body waits
+    # for the client's delayed ACK (~40 ms per keep-alive reply).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

@@ -113,9 +113,12 @@ class TestCli:
 
         # Self-comparison never regresses... unless the tolerance is
         # impossible; --warn-only must keep the exit code at 0 anyway.
+        # It times real trace.emit calls twice, so it gets a tolerance
+        # (1000: flag only past 1001x the baseline) no noise can cross.
         assert main(["bench", "--quick", "--only", "trace",
                      "--json", str(tmp_path / "b2.json"),
-                     "--baseline", str(report)]) == 0
+                     "--baseline", str(report),
+                     "--tolerance", "1000"]) == 0
         assert main(["bench", "--quick", "--only", "trace",
                      "--json", str(tmp_path / "b3.json"),
                      "--baseline", str(report),

@@ -110,6 +110,17 @@ class TestDebugRegisters:
         regs.set_slot(0, None)
         assert not regs.armed
 
+    def test_armed_follows_every_slot(self):
+        regs = DebugRegisters()
+        regs.set_slot(1, Watchpoint(0x2000, 8))
+        regs.set_slot(3, Watchpoint(0x3000, 8))
+        regs.set_slot(1, None)
+        assert regs.armed  # slot 3 still holds a watchpoint
+        assert regs.copy().armed
+        regs.set_slot(3, None)
+        assert not regs.armed
+        assert not regs.copy().armed
+
     def test_out_of_range_slot(self):
         regs = DebugRegisters()
         with pytest.raises(ConfigError):

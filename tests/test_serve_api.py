@@ -9,8 +9,11 @@ also pins the ``/metrics`` exposition format line by line.
 
 import json
 import re
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -198,6 +201,26 @@ class TestEndpointSchemas:
         assert set(doc["job"]) == JOB_KEYS - {"invoice"}
         assert doc["job"]["state"] == "rejected"
         jpost(base, f"/v1/tenants/{tid}/quota", {"quota_ns": 10 ** 9})
+
+
+class TestKeepAlive:
+    def test_sequential_replies_on_one_connection_do_not_stall(self, served):
+        # Each reply is two sends (headers, then body).  With Nagle's
+        # algorithm on, the body waits for the client's delayed ACK, about
+        # 40 ms per reply; 20 replies would take the best part of a second.
+        url = urllib.parse.urlsplit(served["base"])
+        conn = HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read())["ok"] is True
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
 
 
 class TestPaperScenario:
