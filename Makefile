@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full figures figures-fast sweep examples calibrate clean
+.PHONY: install test bench figures figures-fast sweep examples calibrate clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -11,10 +11,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-full:
-	REPRO_BENCH_SCALE=1.0 $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	$(PYTHON) perfbench/run.py --workload all
 
 figures:
 	$(PYTHON) -m repro figures

@@ -279,6 +279,7 @@ def _cmd_vm(args: argparse.Namespace) -> int:
     from .metering.steal import audit_vm_result
     from .runner import ExperimentSpec
     from .runner.specs import run_spec
+    from .virt import HypervisorConfig
 
     _apply_invariants_flag(args)
     check_invariants = True if args.check_invariants else None
@@ -302,7 +303,7 @@ def _cmd_vm(args: argparse.Namespace) -> int:
     else:
         results = runner.run_results(specs)
 
-    tick_ns = 10_000_000  # HypervisorConfig default
+    tick_ns = HypervisorConfig().tick_ns
     checks = []
 
     def check(name: str, passed: bool, detail: str) -> None:
@@ -532,9 +533,9 @@ def _cmd_timesync(args: argparse.Namespace) -> int:
             label=f"timesync:{args.program}:{tag}")
 
     sync_on = sweep_timesync(offset_ns, defense=True,
-                             protocol=args.protocol)
+                             protocol=args.protocol, scale=args.scale)
     sync_off = sweep_timesync(offset_ns, defense=False,
-                              protocol=args.protocol)
+                              protocol=args.protocol, scale=args.scale)
     specs = [spec(None, "clean"),
              spec(sync_on.to_dict(), "defense-on"),
              spec(sync_off.to_dict(), "defense-off")]
@@ -823,43 +824,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from .bench import (compare_reports, format_table, load_report,
-                        run_suite, write_report)
-
-    results = run_suite(quick=args.quick, only=args.only,
-                        progress=lambda name: print(f"bench: {name} ...",
-                                                    flush=True))
-    print()
-    print(format_table(results))
-
-    path = args.json
-    if path is None:
-        stamp = _time.strftime("%Y%m%d_%H%M%S", _time.gmtime())
-        path = f"BENCH_{stamp}.json"
-    doc = write_report(path, results, quick=args.quick)
-    print(f"\nwrote {path}")
-
-    if args.baseline:
-        baseline = load_report(args.baseline)
-        regressions = compare_reports(doc, baseline,
-                                      tolerance=args.tolerance)
-        if regressions:
-            print(f"\n{len(regressions)} benchmark(s) regressed vs "
-                  f"{args.baseline} (tolerance {args.tolerance:.0%}):")
-            for reg in regressions:
-                print(f"  {reg}")
-            if not args.warn_only:
-                return 1
-            print("(--warn-only: not failing)")
-        else:
-            print(f"\nno regressions vs {args.baseline} "
-                  f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1087,26 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser("top", help="procfs snapshot of a loaded machine")
     top.add_argument("--seconds", type=float, default=0.5)
     top.set_defaults(func=_cmd_top)
-
-    bench = sub.add_parser(
-        "bench", help="run the performance benchmark suite")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced op counts / scales (CI smoke mode)")
-    bench.add_argument("--json", metavar="PATH", default=None,
-                       help="report path (default: BENCH_<stamp>.json)")
-    bench.add_argument("--baseline", metavar="PATH", default=None,
-                       help="compare against a previous report; regressions "
-                            "exit non-zero")
-    bench.add_argument("--warn-only", action="store_true",
-                       help="report baseline regressions without failing")
-    bench.add_argument("--tolerance", type=float, default=0.35,
-                       help="relative slowdown tolerated before a benchmark "
-                            "counts as regressed (default 0.35)")
-    bench.add_argument("--only", action="append", default=None,
-                       metavar="SUBSTRING",
-                       help="run only benchmarks whose name contains "
-                            "SUBSTRING (repeatable)")
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -761,19 +761,12 @@ def figure_timesync(scale: float = 1.0,
     offset — silently, with a TRUSTED invoice.
     """
     from ..timesync import sweep_timesync
-    from ..timesync.spec import DEFAULT_INTERVAL_NS
 
     wkw = paper_workload_params(scale)["W"]
-    # The workload shrinks with ``scale`` but a fixed 100ms sync cadence
-    # would starve the servo of rounds on short runs; shrink the exchange
-    # interval in step (floor 2ms) so the round count stays comparable.
-    # At scale >= 1 this is exactly the default interval.
-    interval_ns = max(2_000_000, int(DEFAULT_INTERVAL_NS * min(scale, 1.0)))
     specs: List[ExperimentSpec] = []
     for offset_ns in SYNC_OFFSETS:
         for defense in (True, False):
-            sync = sweep_timesync(offset_ns, defense=defense,
-                                  interval_ns=interval_ns)
+            sync = sweep_timesync(offset_ns, defense=defense, scale=scale)
             specs.append(ExperimentSpec(
                 program="W", program_kwargs=wkw, cfg=cfg,
                 timesync=sync.to_dict(),

@@ -1,7 +1,7 @@
 """Plain-text rendering of regenerated figures.
 
 The paper's figures are bar charts of utime/stime per program; we render
-the same data as fixed-width ASCII so the examples and benches can print a
+the same data as fixed-width ASCII so the examples and the CLI can print a
 faithful, diffable analogue without plotting dependencies.
 """
 

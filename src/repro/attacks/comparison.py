@@ -1,6 +1,6 @@
 """The §V-C comparison of the attacks: vulnerability, strength, side
 effects, privilege.  Regenerated as a data structure (and renderable table)
-so tests can assert the qualitative claims and the bench can print it."""
+so tests can assert the qualitative claims and the CLI can print it."""
 
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Drive a fleet sweep: expand, dedup, fan out, aggregate streamingly.
 
 :func:`run_fleet` is the one entry point everything above it (CLI, figure,
-serve endpoint, benches) shares.  It folds the population into distinct
+serve endpoint, perfbench) shares.  It folds the population into distinct
 spec identities (bounded by the mix cross-product, not the host count),
 runs them in fixed-size chunks through the ordinary
 :class:`~repro.runner.BatchRunner` — so fleet sweeps get the same result

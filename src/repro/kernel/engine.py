@@ -171,10 +171,6 @@ class ExecState:
     def push_frame(self, frame: Frame) -> None:
         self.frames.append(frame)
 
-    @property
-    def depth(self) -> int:
-        return len(self.frames)
-
 
 class ExecutionEngine:
     """Runs tasks' op streams against the kernel and hardware."""

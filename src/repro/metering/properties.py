@@ -2,8 +2,8 @@
 
 The paper argues three properties are necessary: source integrity,
 execution integrity, and fine-grained metering.  This table records the
-expected coverage — and the defense-ablation benchmark
-(`benchmarks/bench_ablation_defenses.py`) validates it empirically:
+expected coverage — and tier-1 tests validate it empirically
+(`tests/test_metering.py`, `tests/test_attacks_runtime.py`):
 
 * attestation (source integrity) flags the shell and both library attacks;
 * the execution-integrity monitor flags thrashing and the floods;

@@ -1,6 +1,6 @@
 """Batch experiment runner: declarative sweeps, process fan-out, caching.
 
-The figures, benchmarks and the ``sweep``/``figures`` CLI commands all
+The figures and the ``sweep``/``figures`` CLI commands all
 funnel their (program × attack × config) points through this package:
 
 * :mod:`~repro.runner.specs` — picklable :class:`ExperimentSpec` points and

@@ -111,14 +111,19 @@ def normalize_timesync(timesync) -> Optional[TimeSyncSpec]:
 
 def sweep_timesync(offset_ns: int, defense: bool = True,
                    protocol: str = "ptp",
-                   interval_ns: int = DEFAULT_INTERVAL_NS) -> TimeSyncSpec:
+                   scale: float = 1.0) -> TimeSyncSpec:
     """Canonical one-knob spec for the ``timesync`` figure and CLI: a
     delay-asymmetry attack targeting ``offset_ns`` of clock skew against
     a victim with an ordinary 40 ppm crystal and a jitterless link (so
-    the figure's strict inequalities are deterministic).  ``interval_ns``
-    sets the exchange cadence; short scaled-down runs pass a smaller
-    interval so the servo sees enough rounds to converge."""
+    the figure's strict inequalities are deterministic).
+
+    ``scale`` is the workload scale of the run.  The workload shrinks
+    with it, but a fixed 100ms sync cadence would starve the servo of
+    rounds on short runs; the exchange interval shrinks in step (floor
+    2ms) so the round count stays comparable.  At scale >= 1 this is
+    exactly :data:`DEFAULT_INTERVAL_NS`."""
     attack = sweep_sync_plan(offset_ns) if offset_ns else None
+    interval_ns = max(2_000_000, int(DEFAULT_INTERVAL_NS * min(scale, 1.0)))
     return TimeSyncSpec(attack=normalize_sync_plan(attack),
                         protocol=protocol,
                         drift_ppb=SWEEP_DRIFT_PPB,

@@ -50,6 +50,12 @@ class TestCommands:
         assert "Shell attack" in out
         assert "[FAIL]" not in out
 
+    def test_timesync_below_scale_one(self, capsys):
+        # The sync interval shrinks with the workload, so the servo still
+        # sees exchange rounds and every check holds.
+        assert main(["timesync", "--scale", "0.1"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
     def test_top(self, capsys):
         assert main(["top", "--seconds", "0.1"]) == 0
         out = capsys.readouterr().out

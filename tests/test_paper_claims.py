@@ -4,6 +4,7 @@ import pytest
 
 from repro import Machine, default_config
 from repro.attacks import LibraryConstructorAttack, ShellAttack
+from repro.config import SchedulerConfig
 from repro.metering.attestation import (
     TrustedPlatformModule,
     compare_to_golden,
@@ -11,6 +12,7 @@ from repro.metering.attestation import (
 )
 from repro.programs.stdlib import install_standard_libraries
 from repro.programs.workloads import make_ourprogram, make_pi
+from repro.runner import ExperimentSpec, run_spec
 
 PAYLOAD = 253_000_000  # 0.1 s
 
@@ -171,3 +173,59 @@ class TestAccountingResolutionClaim:
         machine.run_until_exit([task], max_ns=10**10)
         usage = machine.kernel.accounting.usage(task)
         assert usage.total_ns in (0, machine.cfg.tick_ns)
+
+
+def _inflation(program, program_kwargs, attack, attack_kwargs, cfg=None):
+    """Victim's attacked bill over its clean bill, same machine config."""
+    def billed_s(name, kwargs):
+        return run_spec(ExperimentSpec(
+            program=program, program_kwargs=program_kwargs,
+            attack=name, attack_kwargs=kwargs, cfg=cfg)).total_s
+
+    return billed_s(attack, attack_kwargs) / billed_s(None, {})
+
+
+#: The scheduling attack on W at the figures' default 0.4 scale.  The
+#: ablation shapes below need this size: much smaller runs lose them.
+SCHED_W = ({"loops": 1_600}, "scheduling", {"nice": -20, "forks": 3_200})
+
+
+class TestTickGranularityAblation:
+    """§III-A / §VI-B: a tick is 'usually 1 to 10 milliseconds'.  Finer
+    ticks shrink the per-jiffy headroom the fork chain hides in, but the
+    bursts fire once per jiffy, so the scheduling attack's inflation is
+    roughly HZ-invariant: sampling at any granularity is the flaw."""
+
+    def test_scheduling_attack_inflates_alike_at_every_hz(self):
+        inflation = [_inflation("W", *SCHED_W, cfg=default_config(hz=hz))
+                     for hz in (100, 250, 1000)]
+        assert min(inflation) > 1.08
+        assert max(inflation) <= 1.10 * min(inflation)
+
+
+class TestSchedulerAblation:
+    """DESIGN §5: CFS's START_DEBIT + child_runs_first fork placement
+    paces the chain into tick-aligned bursts; under O(1) (no
+    interactivity bonus) and round-robin the attack collapses."""
+
+    def test_scheduling_attack_rides_cfs_fork_placement(self):
+        inflation = {
+            kind: _inflation("W", *SCHED_W, cfg=default_config(
+                scheduler=SchedulerConfig(kind=kind)))
+            for kind in ("cfs", "o1", "rr")}
+        assert inflation["cfs"] > 1.10
+        assert inflation["cfs"] > inflation["o1"]
+        assert inflation["cfs"] > inflation["rr"]
+
+
+class TestAttackStrengthLadder:
+    """§V-C: launch attacks inflate arbitrarily, thrashing is tunable and
+    the interrupt flood is bounded; measured on the same O workload."""
+
+    def test_shell_beats_thrashing_beats_irq_flood(self):
+        o = {"iterations": 800}
+        shell = _inflation("O", o, "shell", {"payload_cycles": 506_000_000})
+        thrashing = _inflation("O", o, "thrashing", {"watch_symbol": "i"})
+        irq_flood = _inflation("O", o, "irq-flood", {"rate_pps": 20_000})
+        assert shell > thrashing > 1.0
+        assert thrashing > irq_flood
