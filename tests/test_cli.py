@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -214,3 +216,47 @@ class TestExitCodes:
         assert main(["serve", "--selftest", "--db", "unused.db"]) == 1
         err = capsys.readouterr().err
         assert "repro serve: store is on fire" in err
+
+
+# (argv, sha256 of the --json report, sha256 of stdout minus the
+# "wrote <path>" line). The reports and the printed scenario output are the
+# contract of the vm/faults/timesync commands: a refactor of the command
+# plumbing must keep both byte-identical, serially and through the runner.
+REPORT_GOLDENS = [
+    (["vm", "--attack", "sched", "--scale", "0.1"],
+     "3067b13d7be15534dd39c92586ce1d9fb39d9a0fd9afed89358f22f23dd9b564",
+     "3009852a8c306415e662969e3282b30836c5217c1850d5e8674fb01d49fcd485"),
+    (["vm", "--attack", "none", "--scale", "0.1"],
+     "a46f9d62ac9a0cb22e23614fdd2fb43749b88d901cbdd3e064d6ef97385f736f",
+     "5a669ac00a461d8b7193067c83afd0bff2b7d246c70c923458da3b838d9444b5"),
+    (["faults", "--intensity", "0.2", "--scale", "0.05"],
+     "570dc72d8b2bce6e3f79ffb544437b3479f87ce75d3fc0b543c3d5f0e18bfbf0",
+     "7d62fec7b1d0b9416edd08123ff1169a982b902153b065af965a90703a6c5725"),
+    (["faults", "--intensity", "0", "--scale", "0.05"],
+     "37f93919c14fde84803f834deca5a5afaba43768a55d1a120588d6bf919a0607",
+     "6a736d9d39cb9ec0b716ee33598ab0de7e5cc71692d06db9e575f963e01b5b15"),
+    (["timesync", "--offset-ns", "5000000", "--scale", "1.0"],
+     "74b33576197798051d8712eba7f17f9b7fa6c53d2f000270f9049d1fd6a36f2b",
+     "5fa172a5b3203249cda6079a5533b3a09bc2e2a243f2f14b3236d53080620780"),
+    (["timesync", "--scale", "0.1"],
+     "e4ab3266bffad1ea42264aa0def6290fa39672847e53cc179758130561849ded",
+     "1505b6988cd124c8171bdd8b6e79c7c436ed56c2c7dbcebb954b183ecc704ed8"),
+    (["timesync", "--offset-ns", "0", "--scale", "0.1"],
+     "01e739e32fca6857732dbdd19d5ea340941884e9f3e07a89eee683735b847161",
+     "c85a0ba83a19edb779289da00d0281aea6ff23bf491d769f05e3d895f709f4bf"),
+]
+
+
+class TestReportGoldens:
+    @pytest.mark.parametrize(
+        "argv,report_sha,stdout_sha", REPORT_GOLDENS,
+        ids=["-".join(g[0]) for g in REPORT_GOLDENS])
+    def test_report_and_stdout_bytes(self, argv, report_sha, stdout_sha,
+                                     tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        out = "".join(line for line
+                      in capsys.readouterr().out.splitlines(True)
+                      if not line.startswith("wrote "))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == report_sha
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
