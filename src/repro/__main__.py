@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 
 def _make_runner(args: argparse.Namespace, quiet: bool = False):
@@ -272,392 +272,327 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_vm(args: argparse.Namespace) -> int:
-    import json as _json
+def _run_scenario(args: argparse.Namespace, command: str,
+                  legs: Dict[str, Dict[str, Any]], evaluate) -> int:
+    """Run one scenario command (``vm``, ``faults``, ``timesync``).
 
+    ``legs`` maps each leg's tag to the :class:`ExperimentSpec` fields
+    that set it apart (attack, vm, faults, timesync); every leg meters
+    ``--program`` at ``--scale``.  ``evaluate(results, checks, spec)``
+    gets the results by tag, prints the scenario's own lines, adds its
+    checks and returns the command's extra report keys; ``spec(tag,
+    **fields)`` builds a leg spec for identity checks.
+    """
     from .analysis.figures import paper_workload_params
-    from .metering.steal import audit_vm_result
+    from .checks import CheckList, write_report
     from .runner import ExperimentSpec
-    from .runner.specs import run_spec
-    from .virt import HypervisorConfig
+    from .runner import specs as specs_mod
 
     _apply_invariants_flag(args)
-    check_invariants = True if args.check_invariants else None
     program_kwargs = paper_workload_params(args.scale)[args.program]
-    specs = [ExperimentSpec(program=args.program,
-                            program_kwargs=program_kwargs,
-                            attack=None, vm={},
-                            check_invariants=check_invariants,
-                            label=f"vm:{args.program}:none")]
-    attacked = args.attack != "none"
-    if attacked:
-        specs.append(ExperimentSpec(
+
+    def spec(tag: str, **fields: Any) -> ExperimentSpec:
+        return ExperimentSpec(
             program=args.program, program_kwargs=program_kwargs,
-            attack="vm-sched",
-            attack_kwargs={"burn_fraction": args.burn_fraction}, vm={},
-            check_invariants=check_invariants,
-            label=f"vm:{args.program}:sched"))
+            check_invariants=True if args.check_invariants else None,
+            label=f"{command}:{args.program}:{tag}", **fields)
+
+    specs = [spec(tag, **fields) for tag, fields in legs.items()]
     runner = _make_runner(args, quiet=True)
     if runner is None:
-        results = [run_spec(spec) for spec in specs]
+        # Looked up at call time, so a patched run_spec takes effect.
+        results = [specs_mod.run_spec(s) for s in specs]
     else:
         results = runner.run_results(specs)
-
-    tick_ns = HypervisorConfig().tick_ns
-    checks = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-
-    def describe(tag: str, res) -> None:
-        s = res.stats
-        print(f"{tag}: victim billed {res.total_s:.3f}s "
-              f"(ran {s['victim_ran_ns'] / 1e9:.3f}s, "
-              f"steal {s['victim_steal_ns'] / 1e9:.3f}s, "
-              f"idle {s['victim_idle_ns'] / 1e9:.3f}s) "
-              f"wall {res.wall_s:.3f}s "
-              f"hv_ticks={s['hv_ticks']} switches={s['vcpu_switches']}")
-        if res.attacker_usage is not None:
-            print(f"  attacker billed {res.attacker_usage.total_seconds:.3f}s"
-                  f" for {s['attacker_ran_ns'] / 1e9:.3f}s actually burned "
-                  f"({s['attacker_iterations']} tick-dodging iterations)")
-        print(f"  guest estimator: est steal "
-              f"{s['est_steal_ns'] / 1e9:.3f}s vs reported "
-              f"{s['reported_steal_ns'] / 1e9:.3f}s "
-              f"({s['steal_samples']} samples)")
-
-    baseline = results[0]
-    describe("baseline", baseline)
-    for res in results:
-        check("per-vCPU conservation ran+idle+steal == host wall",
-              res.stats["conservation_gap_ns"] == 0,
-              f"gap={res.stats['conservation_gap_ns']}ns")
-    audit_doc = None
-    if attacked:
-        res = results[1]
-        describe("attacked", res)
-        audit = audit_vm_result(res)
-        print()
-        print(audit.render())
-        audit_doc = {"verdict": audit.verdict.value,
-                     "est_steal_ns": audit.est_steal_ns,
-                     "reported_steal_ns": audit.reported_steal_ns,
-                     "overbilling_ns": audit.overbilling_ns}
-        check("co-resident victim's bill inflates",
-              res.usage.total_ns > baseline.usage.total_ns,
-              f"attacked={res.total_s:.3f}s baseline={baseline.total_s:.3f}s")
-        check("attacker billed ~nothing",
-              res.attacker_usage.total_ns
-              <= max(2 * tick_ns, 0.05 * res.usage.total_ns),
-              f"attacker billed={res.attacker_usage.total_seconds:.3f}s")
-        est = res.stats["est_steal_ns"]
-        rep = res.stats["reported_steal_ns"]
-        check("guest steal estimate within 5% of reported",
-              abs(est - rep) <= max(4_000_000, 0.05 * rep),
-              f"est={est / 1e9:.3f}s reported={rep / 1e9:.3f}s")
+    checks = CheckList()
+    extra = evaluate(dict(zip(legs, results)), checks, spec)
     print()
-    ok = True
-    for entry in checks:
-        status = "PASS" if entry["passed"] else "FAIL"
-        ok = ok and entry["passed"]
-        print(f"  [{status}] {entry['name']} ({entry['detail']})")
-
+    print(checks.render())
     if args.json:
-        doc = {
-            "command": "vm",
+        write_report(args.json, {
+            "command": command,
             "program": args.program,
-            "attack": "vm-sched" if attacked else "none",
-            "burn_fraction": args.burn_fraction if attacked else None,
             "scale": args.scale,
             "check_invariants": bool(args.check_invariants),
-            "passed": ok,
-            "checks": checks,
-            "audit": audit_doc,
-            "results": {spec.name: res.to_dict()
-                        for spec, res in zip(specs, results)},
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    return 0 if ok else 1
+            "passed": checks.passed,
+            "checks": checks.to_dicts(),
+            "results": {s.name: res.to_dict()
+                        for s, res in zip(specs, results)},
+            **extra,
+        })
+    return 0 if checks.passed else 1
+
+
+def _describe_vm_leg(tag: str, res) -> None:
+    s = res.stats
+    print(f"{tag}: victim billed {res.total_s:.3f}s "
+          f"(ran {s['victim_ran_ns'] / 1e9:.3f}s, "
+          f"steal {s['victim_steal_ns'] / 1e9:.3f}s, "
+          f"idle {s['victim_idle_ns'] / 1e9:.3f}s) "
+          f"wall {res.wall_s:.3f}s "
+          f"hv_ticks={s['hv_ticks']} switches={s['vcpu_switches']}")
+    if res.attacker_usage is not None:
+        print(f"  attacker billed {res.attacker_usage.total_seconds:.3f}s"
+              f" for {s['attacker_ran_ns'] / 1e9:.3f}s actually burned "
+              f"({s['attacker_iterations']} tick-dodging iterations)")
+    print(f"  guest estimator: est steal "
+          f"{s['est_steal_ns'] / 1e9:.3f}s vs reported "
+          f"{s['reported_steal_ns'] / 1e9:.3f}s "
+          f"({s['steal_samples']} samples)")
+
+
+def _cmd_vm(args: argparse.Namespace) -> int:
+    from .metering.steal import audit_vm_result
+    from .virt import HypervisorConfig
+
+    attacked = args.attack != "none"
+    legs: Dict[str, Dict[str, Any]] = {"none": {"vm": {}}}
+    if attacked:
+        legs["sched"] = {"vm": {}, "attack": "vm-sched",
+                         "attack_kwargs": {"burn_fraction":
+                                           args.burn_fraction}}
+
+    def evaluate(results, checks, spec):
+        baseline = results["none"]
+        _describe_vm_leg("baseline", baseline)
+        for res in results.values():
+            checks.add("per-vCPU conservation ran+idle+steal == host wall",
+                       res.stats["conservation_gap_ns"] == 0,
+                       f"gap={res.stats['conservation_gap_ns']}ns")
+        audit_doc = None
+        if attacked:
+            res = results["sched"]
+            _describe_vm_leg("attacked", res)
+            audit = audit_vm_result(res)
+            print()
+            print(audit.render())
+            audit_doc = {"verdict": audit.verdict.value,
+                         "est_steal_ns": audit.est_steal_ns,
+                         "reported_steal_ns": audit.reported_steal_ns,
+                         "overbilling_ns": audit.overbilling_ns}
+            checks.add("co-resident victim's bill inflates",
+                       res.usage.total_ns > baseline.usage.total_ns,
+                       f"attacked={res.total_s:.3f}s "
+                       f"baseline={baseline.total_s:.3f}s")
+            tick_ns = HypervisorConfig().tick_ns
+            checks.add("attacker billed ~nothing",
+                       res.attacker_usage.total_ns
+                       <= max(2 * tick_ns, 0.05 * res.usage.total_ns),
+                       f"attacker billed="
+                       f"{res.attacker_usage.total_seconds:.3f}s")
+            est = res.stats["est_steal_ns"]
+            rep = res.stats["reported_steal_ns"]
+            checks.add("guest steal estimate within 5% of reported",
+                       abs(est - rep) <= max(4_000_000, 0.05 * rep),
+                       f"est={est / 1e9:.3f}s reported={rep / 1e9:.3f}s")
+        return {"attack": "vm-sched" if attacked else "none",
+                "burn_fraction": args.burn_fraction if attacked else None,
+                "audit": audit_doc}
+
+    return _run_scenario(args, "vm", legs, evaluate)
+
+
+def _run_defense_scenario(args: argparse.Namespace, command: str,
+                          tags: Tuple[str, str, str], defended, undefended,
+                          header: str, leg_format: str, leg_details,
+                          add_checks, extra: Dict[str, Any]) -> int:
+    """The clean / defended / undefended triple of ``faults`` and
+    ``timesync``: the spec field named after the command carries the
+    defended and undefended plans on the last two legs.  Each leg prints its bill against the oracle
+    (``leg_format`` gets ``billed``, ``oracle``, ``err`` and ``err_ms``)
+    plus ``leg_details(stats)``; the defended leg's trust report annotates
+    the invoice, and ``add_checks(checks, spec, errors, trust, results)``
+    adds the command's checks."""
+    from .metering.billing import TrustReport, invoice_for
+
+    clean, on, off = tags
+    legs = {clean: {command: None}, on: {command: defended.to_dict()},
+            off: {command: undefended.to_dict()}}
+    width = max(map(len, tags)) + 1
+
+    def evaluate(results, checks, spec):
+        print(header)
+        errors = {}
+        for tag, res in results.items():
+            skew_ns = res.stats.get("timesync_billed_skew_ns", 0)
+            billed = res.total_s + skew_ns / 1e9
+            oracle = res.oracle_own_s()
+            errors[tag] = err = abs(billed - oracle)
+            print(f"{tag:<{width}} " + leg_format.format(
+                billed=billed, oracle=oracle, err=err, err_ms=err * 1e3))
+            for line in leg_details(res.stats):
+                print(" " * (width + 1) + line)
+        trust = TrustReport.from_stats(results[on].stats)
+        print()
+        print(invoice_for(args.program, results[on].usage,
+                          trust=trust).render())
+        add_checks(checks, spec, errors, trust, results)
+        return {**extra, "errors_s": errors, "trust": {
+            "level": trust.level.value,
+            "uncertainty_ns": trust.uncertainty_ns,
+            "intervals_trusted": trust.intervals_trusted,
+            "intervals_degraded": trust.intervals_degraded,
+            "intervals_untrusted": trust.intervals_untrusted,
+        }}
+
+    return _run_scenario(args, command, legs, evaluate)
+
+
+def _fault_leg_details(stats) -> List[str]:
+    lines = []
+    if stats.get("fault_ticks_lost") is not None:
+        lines.append(f"ticks lost={stats['fault_ticks_lost']} "
+                     f"delayed={stats.get('fault_ticks_delayed', 0)} "
+                     f"caught up={stats.get('fault_jiffies_caught_up', 0)}")
+    if "watchdog_checks" in stats:
+        lines.append(f"watchdog: checks={stats['watchdog_checks']} "
+                     f"unstable={stats['watchdog_unstable']} "
+                     f"intervals T/D/U="
+                     f"{stats['watchdog_intervals_trusted']}/"
+                     f"{stats['watchdog_intervals_degraded']}/"
+                     f"{stats['watchdog_intervals_untrusted']} "
+                     f"uncertainty="
+                     f"{stats['watchdog_uncertainty_ns'] / 1e9:.3f}s")
+    return lines
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .analysis.figures import paper_workload_params
     from .faults import sweep_plan
-    from .metering.billing import TrustReport, invoice_for
-    from .runner import ExperimentSpec
-    from .runner.specs import run_spec, spec_key
+    from .runner.specs import spec_key
 
-    _apply_invariants_flag(args)
-    check_invariants = True if args.check_invariants else None
-    program_kwargs = paper_workload_params(args.scale)[args.program]
     plan_on = sweep_plan(args.intensity, watchdog=True)
-    plan_off = sweep_plan(args.intensity, watchdog=False)
 
-    def spec(faults, tag):
-        return ExperimentSpec(
-            program=args.program, program_kwargs=program_kwargs,
-            faults=faults, check_invariants=check_invariants,
-            label=f"faults:{args.program}:{tag}")
+    def add_checks(checks, spec, errors, trust, results):
+        wd_on = results["wd-on"].stats
+        checks.add("empty fault plan hashes identically to no plan",
+                   spec_key(spec("a", faults=None))
+                   == spec_key(spec("b", faults={})),
+                   "cache identity preserved for zero-fault runs")
+        if args.intensity > 0:
+            checks.add("watchdog reduces metering error",
+                       errors["wd-on"] < errors["wd-off"],
+                       f"wd-on={errors['wd-on']:.3f}s "
+                       f"wd-off={errors['wd-off']:.3f}s")
+            checks.add("lost jiffies caught up by the watchdog",
+                       wd_on.get("fault_jiffies_caught_up", 0) > 0
+                       or wd_on.get("fault_ticks_lost", 0) == 0,
+                       f"lost={wd_on.get('fault_ticks_lost', 0)} "
+                       f"caught_up={wd_on.get('fault_jiffies_caught_up', 0)}")
+            checks.add("billed time within the declared uncertainty of the "
+                       "oracle",
+                       errors["wd-on"] <= trust.uncertainty_s
+                       + max(2 * errors["clean"], 0.02),
+                       f"error={errors['wd-on']:.3f}s "
+                       f"bound={trust.uncertainty_s:.3f}s")
+        if args.intensity >= 0.05:
+            checks.add("watchdog degrades trust under faults",
+                       not trust.is_trusted and trust.uncertainty_ns > 0,
+                       f"trust={trust.level.value} "
+                       f"uncertainty={trust.uncertainty_s:.3f}s")
+        if args.intensity >= 0.1:
+            checks.add("heavy TSC drift marks the clocksource unstable",
+                       wd_on.get("watchdog_unstable", 0) == 1,
+                       f"unstable={wd_on.get('watchdog_unstable', 0)} "
+                       f"flagged_at_jiffy="
+                       f"{wd_on.get('watchdog_flagged_at_jiffy')}")
 
-    specs = [spec(None, "clean"),
-             spec(plan_on.to_dict(), "wd-on"),
-             spec(plan_off.to_dict(), "wd-off")]
-    runner = _make_runner(args, quiet=True)
-    if runner is None:
-        results = [run_spec(s) for s in specs]
-    else:
-        results = runner.run_results(specs)
-    clean, wd_on, wd_off = results
+    return _run_defense_scenario(
+        args, "faults", ("clean", "wd-on", "wd-off"),
+        plan_on, sweep_plan(args.intensity, watchdog=False),
+        f"fault plan (intensity {args.intensity}): {plan_on.describe()}",
+        "billed {billed:.3f}s (oracle {oracle:.3f}s, error {err:.3f}s)",
+        _fault_leg_details, add_checks,
+        {"intensity": args.intensity, "plan": plan_on.to_dict()})
 
-    print(f"fault plan (intensity {args.intensity}): {plan_on.describe()}")
-    errors = {}
-    for tag, res in zip(("clean", "wd-on", "wd-off"), results):
-        err = abs(res.total_s - res.oracle_own_s())
-        errors[tag] = err
-        print(f"{tag:<7} billed {res.total_s:.3f}s "
-              f"(oracle {res.oracle_own_s():.3f}s, error {err:.3f}s)")
-        lost = res.stats.get("fault_ticks_lost")
-        if lost is not None:
-            print(f"        ticks lost={lost} "
-                  f"delayed={res.stats.get('fault_ticks_delayed', 0)} "
-                  f"caught up={res.stats.get('fault_jiffies_caught_up', 0)}")
-        if "watchdog_checks" in res.stats:
-            print(f"        watchdog: checks={res.stats['watchdog_checks']} "
-                  f"unstable={res.stats['watchdog_unstable']} "
-                  f"intervals T/D/U="
-                  f"{res.stats['watchdog_intervals_trusted']}/"
-                  f"{res.stats['watchdog_intervals_degraded']}/"
-                  f"{res.stats['watchdog_intervals_untrusted']} "
-                  f"uncertainty="
-                  f"{res.stats['watchdog_uncertainty_ns'] / 1e9:.3f}s")
 
-    trust = TrustReport.from_stats(wd_on.stats)
-    invoice = invoice_for(args.program, wd_on.usage, trust=trust)
-    print()
-    print(invoice.render())
-
-    checks = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-
-    check("empty fault plan hashes identically to no plan",
-          spec_key(spec(None, "a")) == spec_key(spec({}, "b")),
-          "cache identity preserved for zero-fault runs")
-    if args.intensity > 0:
-        check("watchdog reduces metering error",
-              errors["wd-on"] < errors["wd-off"],
-              f"wd-on={errors['wd-on']:.3f}s wd-off={errors['wd-off']:.3f}s")
-        check("lost jiffies caught up by the watchdog",
-              wd_on.stats.get("fault_jiffies_caught_up", 0) > 0
-              or wd_on.stats.get("fault_ticks_lost", 0) == 0,
-              f"lost={wd_on.stats.get('fault_ticks_lost', 0)} "
-              f"caught_up={wd_on.stats.get('fault_jiffies_caught_up', 0)}")
-        check("billed time within the declared uncertainty of the oracle",
-              errors["wd-on"] <= trust.uncertainty_s
-              + max(2 * errors["clean"], 0.02),
-              f"error={errors['wd-on']:.3f}s "
-              f"bound={trust.uncertainty_s:.3f}s")
-    if args.intensity >= 0.05:
-        check("watchdog degrades trust under faults",
-              not trust.is_trusted and trust.uncertainty_ns > 0,
-              f"trust={trust.level.value} "
-              f"uncertainty={trust.uncertainty_s:.3f}s")
-    if args.intensity >= 0.1:
-        check("heavy TSC drift marks the clocksource unstable",
-              wd_on.stats.get("watchdog_unstable", 0) == 1,
-              f"unstable={wd_on.stats.get('watchdog_unstable', 0)} "
-              f"flagged_at_jiffy="
-              f"{wd_on.stats.get('watchdog_flagged_at_jiffy')}")
-
-    print()
-    ok = True
-    for entry in checks:
-        status = "PASS" if entry["passed"] else "FAIL"
-        ok = ok and entry["passed"]
-        print(f"  [{status}] {entry['name']} ({entry['detail']})")
-
-    if args.json:
-        doc = {
-            "command": "faults",
-            "program": args.program,
-            "intensity": args.intensity,
-            "scale": args.scale,
-            "plan": plan_on.to_dict(),
-            "check_invariants": bool(args.check_invariants),
-            "passed": ok,
-            "checks": checks,
-            "errors_s": errors,
-            "trust": {
-                "level": trust.level.value,
-                "uncertainty_ns": trust.uncertainty_ns,
-                "intervals_trusted": trust.intervals_trusted,
-                "intervals_degraded": trust.intervals_degraded,
-                "intervals_untrusted": trust.intervals_untrusted,
-            },
-            "results": {spec_.name: res.to_dict()
-                        for spec_, res in zip(specs, results)},
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    return 0 if ok else 1
+def _timesync_leg_details(stats) -> List[str]:
+    lines = []
+    if "timesync_rounds" in stats:
+        lines.append(f"rounds={stats['timesync_rounds']} "
+                     f"lost={stats['timesync_lost_rounds']} "
+                     f"terminal offset="
+                     f"{stats['timesync_offset_ns'] / 1e3:.1f}us")
+    if "timesync_est_offset_ns" in stats:
+        lines.append(f"estimator: est="
+                     f"{stats['timesync_est_offset_ns'] / 1e3:.1f}us "
+                     f"correction="
+                     f"{stats['timesync_correction_ns'] / 1e3:.1f}us "
+                     f"uncertainty="
+                     f"{stats['timesync_uncertainty_ns'] / 1e3:.1f}us "
+                     f"rounds T/D/U={stats['timesync_trusted']}/"
+                     f"{stats['timesync_degraded']}/"
+                     f"{stats['timesync_untrusted']}")
+    return lines
 
 
 def _cmd_timesync(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .analysis.figures import paper_workload_params
-    from .metering.billing import TrustReport, invoice_for
-    from .runner import ExperimentSpec
-    from .runner.specs import run_spec, spec_key
+    from .metering.billing import TrustReport
+    from .runner.specs import spec_key
     from .timesync import sweep_timesync
 
-    _apply_invariants_flag(args)
-    check_invariants = True if args.check_invariants else None
-    program_kwargs = paper_workload_params(args.scale)[args.program]
     offset_ns = args.offset_ns
-
-    def spec(timesync, tag):
-        return ExperimentSpec(
-            program=args.program, program_kwargs=program_kwargs,
-            timesync=timesync, check_invariants=check_invariants,
-            label=f"timesync:{args.program}:{tag}")
-
     sync_on = sweep_timesync(offset_ns, defense=True,
                              protocol=args.protocol, scale=args.scale)
-    sync_off = sweep_timesync(offset_ns, defense=False,
-                              protocol=args.protocol, scale=args.scale)
-    specs = [spec(None, "clean"),
-             spec(sync_on.to_dict(), "defense-on"),
-             spec(sync_off.to_dict(), "defense-off")]
-    runner = _make_runner(args, quiet=True)
-    if runner is None:
-        results = [run_spec(s) for s in specs]
-    else:
-        results = runner.run_results(specs)
-    clean, def_on, def_off = results
 
-    print(f"sync attack (target offset {offset_ns}ns, "
-          f"{args.protocol}): {sync_on.describe()}")
-    errors = {}
-    for tag, res in zip(("clean", "defense-on", "defense-off"), results):
-        skew_ns = res.stats.get("timesync_billed_skew_ns", 0)
-        err = abs(res.total_s + skew_ns / 1e9 - res.oracle_own_s())
-        errors[tag] = err
-        print(f"{tag:<12} billed {res.total_s + skew_ns / 1e9:.6f}s "
-              f"(oracle {res.oracle_own_s():.6f}s, error {err * 1e3:.3f}ms)")
-        if "timesync_rounds" in res.stats:
-            print(f"             rounds={res.stats['timesync_rounds']} "
-                  f"lost={res.stats['timesync_lost_rounds']} "
-                  f"terminal offset="
-                  f"{res.stats['timesync_offset_ns'] / 1e3:.1f}us")
-        if "timesync_est_offset_ns" in res.stats:
-            print(f"             estimator: est="
-                  f"{res.stats['timesync_est_offset_ns'] / 1e3:.1f}us "
-                  f"correction="
-                  f"{res.stats['timesync_correction_ns'] / 1e3:.1f}us "
-                  f"uncertainty="
-                  f"{res.stats['timesync_uncertainty_ns'] / 1e3:.1f}us "
-                  f"rounds T/D/U={res.stats['timesync_trusted']}/"
-                  f"{res.stats['timesync_degraded']}/"
-                  f"{res.stats['timesync_untrusted']}")
+    def add_checks(checks, spec, errors, trust, results):
+        checks.add("inert timesync spec hashes identically to no spec",
+                   spec_key(spec("a", timesync=None))
+                   == spec_key(spec("b", timesync={"drift_ppb": 0})),
+                   "cache identity preserved for sync-free runs")
+        if offset_ns > 0:
+            checks.add("defense reduces cross-host billing error",
+                       errors["defense-on"] < errors["defense-off"],
+                       f"on={errors['defense-on'] * 1e3:.3f}ms "
+                       f"off={errors['defense-off'] * 1e3:.3f}ms")
+            checks.add("defended residual within the declared uncertainty",
+                       errors["defense-on"] <= trust.uncertainty_s
+                       + max(2 * errors["clean"], 0.02),
+                       f"err={errors['defense-on'] * 1e3:.3f}ms "
+                       f"bound={trust.uncertainty_s * 1e3:.3f}ms")
+            checks.add("estimator degrades trust under the sync attack",
+                       not trust.is_trusted and trust.uncertainty_ns > 0,
+                       f"trust={trust.level.value} "
+                       f"uncertainty={trust.uncertainty_s * 1e3:.3f}ms")
+            off_trust = TrustReport.from_stats(results["defense-off"].stats)
+            checks.add("undefended run silently stays TRUSTED (the lie)",
+                       off_trust.is_trusted,
+                       f"defense-off trust={off_trust.level.value}")
 
-    trust = TrustReport.from_stats(def_on.stats)
-    invoice = invoice_for(args.program, def_on.usage, trust=trust)
-    print()
-    print(invoice.render())
+    return _run_defense_scenario(
+        args, "timesync", ("clean", "defense-on", "defense-off"),
+        sync_on,
+        sweep_timesync(offset_ns, defense=False, protocol=args.protocol,
+                       scale=args.scale),
+        f"sync attack (target offset {offset_ns}ns, {args.protocol}): "
+        f"{sync_on.describe()}",
+        "billed {billed:.6f}s (oracle {oracle:.6f}s, "
+        "error {err_ms:.3f}ms)",
+        _timesync_leg_details, add_checks,
+        {"offset_ns": offset_ns, "protocol": args.protocol,
+         "spec": sync_on.to_dict()})
 
-    checks = []
 
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
+def _finish_check_report(report: Dict[str, Any],
+                         json_path: Optional[str]) -> int:
+    """Write a selftest/gauntlet report, print its tally, and exit 1 if
+    any check failed."""
+    from .checks import write_report
 
-    check("inert timesync spec hashes identically to no spec",
-          spec_key(spec(None, "a"))
-          == spec_key(spec({"drift_ppb": 0}, "b")),
-          "cache identity preserved for sync-free runs")
-    if offset_ns > 0:
-        check("defense reduces cross-host billing error",
-              errors["defense-on"] < errors["defense-off"],
-              f"on={errors['defense-on'] * 1e3:.3f}ms "
-              f"off={errors['defense-off'] * 1e3:.3f}ms")
-        check("defended residual within the declared uncertainty",
-              errors["defense-on"]
-              <= trust.uncertainty_s + max(2 * errors["clean"], 0.02),
-              f"err={errors['defense-on'] * 1e3:.3f}ms "
-              f"bound={trust.uncertainty_s * 1e3:.3f}ms")
-        check("estimator degrades trust under the sync attack",
-              not trust.is_trusted and trust.uncertainty_ns > 0,
-              f"trust={trust.level.value} "
-              f"uncertainty={trust.uncertainty_s * 1e3:.3f}ms")
-        off_trust = TrustReport.from_stats(def_off.stats)
-        check("undefended run silently stays TRUSTED (the lie)",
-              off_trust.is_trusted,
-              f"defense-off trust={off_trust.level.value}")
-
-    print()
-    ok = True
-    for entry in checks:
-        status = "PASS" if entry["passed"] else "FAIL"
-        ok = ok and entry["passed"]
-        print(f"  [{status}] {entry['name']} ({entry['detail']})")
-
-    if args.json:
-        doc = {
-            "command": "timesync",
-            "program": args.program,
-            "offset_ns": offset_ns,
-            "protocol": args.protocol,
-            "scale": args.scale,
-            "spec": sync_on.to_dict(),
-            "check_invariants": bool(args.check_invariants),
-            "passed": ok,
-            "checks": checks,
-            "errors_s": errors,
-            "trust": {
-                "level": trust.level.value,
-                "uncertainty_ns": trust.uncertainty_ns,
-                "intervals_trusted": trust.intervals_trusted,
-                "intervals_degraded": trust.intervals_degraded,
-                "intervals_untrusted": trust.intervals_untrusted,
-            },
-            "results": {spec_.name: res.to_dict()
-                        for spec_, res in zip(specs, results)},
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    return 0 if ok else 1
+    if json_path:
+        write_report(json_path, report)
+    n_ok = sum(1 for c in report["checks"] if c["passed"])
+    print(f"\n{n_ok}/{len(report['checks'])} checks passed")
+    return 0 if report["passed"] else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.selftest:
-        import json as _json
-
         from .serve import run_selftest
 
         print(f"repro serve selftest (store: {args.db}, "
               f"scale {args.scale}, {args.jobs} workers)")
         report = run_selftest(args.db, scale=args.scale, jobs=args.jobs)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"\nwrote {args.json}")
-        n_ok = sum(1 for c in report["checks"] if c["passed"])
-        print(f"\n{n_ok}/{len(report['checks'])} checks passed")
-        return 0 if report["passed"] else 1
+        return _finish_check_report(report, args.json)
 
     from .config import ServeConfig
     from .serve import serve_forever
@@ -670,7 +605,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json as _json
     import time as _time
 
     from .fleet import FleetSpec, run_fleet
@@ -759,17 +693,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                       f"FAILED: {entry['error']}")
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
+        from .checks import write_report
+
+        write_report(args.json, report)
     ok = report["failed_runs"] == 0 and (
         coverage is None or coverage["grade"] != "PARTIAL")
     return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json as _json
     import tempfile
 
     from .chaos.gauntlet import run_gauntlet
@@ -780,14 +712,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     report = run_gauntlet(db_dir, intensity=args.intensity,
                           shards=args.shards, seed=args.seed,
                           quick=args.quick)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    n_ok = sum(1 for c in report["checks"] if c["passed"])
-    print(f"\n{n_ok}/{len(report['checks'])} checks passed")
-    return 0 if report["passed"] else 1
+    return _finish_check_report(report, args.json)
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:

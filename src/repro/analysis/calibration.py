@@ -95,15 +95,19 @@ def calibrate(cfg: Optional[MachineConfig] = None,
             yield CallLib("sqrt", (2.0,))
 
     # Thrashing round-trip: victim-side cost per watchpoint hit, derived
-    # from a real traced run.
+    # from a real traced run.  The cost is divided by the hits, not by
+    # ``iterations``, so the victim only has to outlive the launch phase
+    # the tracer waits through before attaching: it runs at least 50 loop
+    # iterations.
     from ..analysis.experiment import run_experiment
     from ..attacks.thrashing import ThrashingAttack
     from ..programs.workloads import make_ourprogram
 
     tsc_cfg = (cfg or default_config()).with_(accounting="tsc")
-    baseline = run_experiment(make_ourprogram(iterations=iterations),
+    victim_iterations = max(iterations, 50)
+    baseline = run_experiment(make_ourprogram(iterations=victim_iterations),
                               cfg=tsc_cfg)
-    thrashed = run_experiment(make_ourprogram(iterations=iterations),
+    thrashed = run_experiment(make_ourprogram(iterations=victim_iterations),
                               ThrashingAttack("i"), cfg=tsc_cfg)
     hits = max(1, thrashed.stats["debug_exceptions"])
     thrash_us = (thrashed.usage.total_ns - baseline.usage.total_ns) / hits / 1e3

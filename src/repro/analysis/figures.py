@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..checks import Check, CheckList
 from ..config import MachineConfig, default_config
 from ..programs.base import Program
 from ..programs.workloads import make_paper_program, watched_variable
@@ -90,15 +91,6 @@ class Bar:
 
 
 @dataclass
-class Check:
-    """One shape assertion, with its observed evidence."""
-
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass
 class FigureResult:
     """A regenerated figure: bars/series plus shape checks."""
 
@@ -108,13 +100,13 @@ class FigureResult:
     pairs: Dict[str, Tuple[Bar, Bar]] = field(default_factory=dict)
     #: For the sweep figures: label → (victim bar, attacker bar).
     series: List[Tuple[str, Bar, Bar]] = field(default_factory=list)
-    checks: List[Check] = field(default_factory=list)
+    checks: CheckList = field(default_factory=CheckList)
     meta: Dict[str, object] = field(default_factory=dict)
     results: Dict[str, ExperimentResult] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.checks.passed
 
     def failed_checks(self) -> List[Check]:
         return [c for c in self.checks if not c.passed]

@@ -59,9 +59,8 @@ def series_chart(fig: FigureResult, width: int = 46) -> str:
 
 def checks_report(fig: FigureResult) -> str:
     lines = [f"checks for {fig.fig_id}:"]
-    for check in fig.checks:
-        status = "PASS" if check.passed else "FAIL"
-        lines.append(f"  [{status}] {check.name} — {check.detail}")
+    if fig.checks:
+        lines.append(fig.checks.render())
     return "\n".join(lines)
 
 

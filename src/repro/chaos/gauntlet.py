@@ -29,6 +29,7 @@ import socket
 import threading
 from typing import Any, Dict, List, Optional
 
+from ..checks import CheckList
 from ..fleet import FleetSpec, fleet_key, run_fleet
 from ..fleet.shard import ShardClient, ShardOutcome, merged_report, \
     shard_fleet_local, shard_ranges
@@ -91,13 +92,7 @@ def run_gauntlet(db_dir: str, intensity: float = 0.4, shards: int = 3,
                  quiet: bool = False) -> Dict[str, Any]:
     """Run the full gauntlet; return the report doc (``passed``,
     ``checks``, the plan, coverage and injected-fault counts)."""
-    checks: List[Dict[str, Any]] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-        if not quiet:
-            print(f"  [{'PASS' if passed else 'FAIL'}] {name} ({detail})")
+    checks = CheckList(echo=None if quiet else print)
 
     os.makedirs(db_dir, exist_ok=True)
     fleet = FleetSpec(**(QUICK_FLEET if quick else FULL_FLEET))
@@ -138,69 +133,72 @@ def run_gauntlet(db_dir: str, intensity: float = 0.4, shards: int = 3,
 
         live = [o for o in done if o.index not in plan.down_shards]
         dark = [o for o in done if o.index in plan.down_shards]
-        check("every live shard completes under chaos",
-              all(o.status == "ok" for o in live),
-              "; ".join(f"shard {o.index}: {o.status}"
-                        f" ({o.error or 'clean'})" for o in live))
-        check("the dark shard fails within its bounded budget",
-              all(o.status == "failed" for o in dark),
-              f"statuses={[o.status for o in dark]}")
+        checks.add("every live shard completes under chaos",
+                   all(o.status == "ok" for o in live),
+                   "; ".join(f"shard {o.index}: {o.status}"
+                             f" ({o.error or 'clean'})" for o in live))
+        checks.add("the dark shard fails within its bounded budget",
+                   all(o.status == "failed" for o in dark),
+                   f"statuses={[o.status for o in dark]}")
 
         injected = {f"shard{s.index}": s.injector.injected_by_site()
                     for s in servers if s is not None}
         injected_total = sum(sum(counts.values())
                              for counts in injected.values())
         absorbed = sum(o.faults_absorbed for o in live)
-        check("faults were actually injected",
-              injected_total > 0,
-              f"{injected_total} injected: {injected}")
-        check("client absorbed faults on the way",
-              absorbed > 0, f"{absorbed} absorbed across live shards")
+        checks.add("faults were actually injected",
+                   injected_total > 0,
+                   f"{injected_total} injected: {injected}")
+        checks.add("client absorbed faults on the way",
+                   absorbed > 0, f"{absorbed} absorbed across live shards")
 
         coverage = report["coverage"]
         dark_hosts = sum(hi - lo for i, (lo, hi) in enumerate(ranges)
                          if i in plan.down_shards)
-        check("report declares the coverage gap",
-              coverage["grade"] == "PARTIAL"
-              and coverage["hosts_covered"] == fleet.hosts - dark_hosts
-              and report.get("population_covered")
-              == coverage["population_covered"],
-              f"grade={coverage['grade']} "
-              f"hosts={coverage['hosts_covered']}/{coverage['hosts_total']}")
+        checks.add("report declares the coverage gap",
+                   coverage["grade"] == "PARTIAL"
+                   and coverage["hosts_covered"] == fleet.hosts - dark_hosts
+                   and report.get("population_covered")
+                   == coverage["population_covered"],
+                   f"grade={coverage['grade']} "
+                   f"hosts={coverage['hosts_covered']}/"
+                   f"{coverage['hosts_total']}")
         problems = check_chaos_report(report)
-        check("coverage arithmetic verifies", not problems,
-              f"problems={problems}" if problems else
-              "check_chaos_report found nothing")
+        checks.add("coverage arithmetic verifies", not problems,
+                   f"problems={problems}" if problems else
+                   "check_chaos_report found nothing")
 
         for server in servers:
             if server is None:
                 continue
             integrity = server.base_store.integrity_check()
-            check(f"shard {server.index} store: no double billing",
-                  integrity["ok"], f"problems={integrity['problems']}")
+            checks.add(f"shard {server.index} store: no double billing",
+                       integrity["ok"], f"problems={integrity['problems']}")
 
         for outcome in live:
             reference = run_fleet(fleet, host_range=outcome.host_range)
-            check(f"shard {outcome.index} state bit-identical to "
-                  f"chaos-free run",
-                  outcome.state is not None
-                  and _canon(outcome.state) == _canon(reference.to_state()),
-                  f"hosts {outcome.host_range[0]}-{outcome.host_range[1]}, "
-                  f"{outcome.faults_absorbed} faults absorbed on the way")
+            checks.add(f"shard {outcome.index} state bit-identical to "
+                       f"chaos-free run",
+                       outcome.state is not None
+                       and _canon(outcome.state)
+                       == _canon(reference.to_state()),
+                       f"hosts {outcome.host_range[0]}-"
+                       f"{outcome.host_range[1]}, "
+                       f"{outcome.faults_absorbed} faults absorbed on the way")
     finally:
         for server in servers:
             if server is not None:
                 server.close()
 
     # -- empty-plan identity (no servers involved) -------------------------
-    check("empty plan normalises to None (identity path)",
-          normalize_chaos(ChaosPlan(seed=seed)) is None
-          and normalize_chaos(None) is None
-          and normalize_chaos(plan) is plan,
-          "normalize_chaos keeps the chaos-free path wrapper-free")
-    check("unsharded fleet key unchanged by the sharding plumbing",
-          fleet_key(fleet) == fleet_key(fleet, host_range=None),
-          fleet_key(fleet)[:16])
+    checks.add("empty plan normalises to None (identity path)",
+               normalize_chaos(ChaosPlan(seed=seed)) is None
+               and normalize_chaos(None) is None
+               and normalize_chaos(plan) is plan,
+               "normalize_chaos keeps the chaos-free path wrapper-free")
+    checks.add("unsharded fleet key unchanged by the sharding plumbing",
+               fleet_key(fleet) == fleet_key(fleet, host_range=None),
+               fleet_key(fleet)[:16])
 
     serial = run_fleet(fleet).report()
     local = shard_fleet_local(fleet, shards)
@@ -213,13 +211,13 @@ def run_gauntlet(db_dir: str, intensity: float = 0.4, shards: int = 3,
                     if k not in execution_telemetry}
     local_stats = {k: v for k, v in local.items()
                    if k not in execution_telemetry}
-    check("fully-covered sharded statistics byte-identical to serial",
-          _canon(local_stats) == _canon(serial_stats)
-          and local_coverage["grade"] == "TRUSTED",
-          f"grade={local_coverage['grade']}, "
-          f"{len(_canon(serial_stats))} bytes compared")
+    checks.add("fully-covered sharded statistics byte-identical to serial",
+               _canon(local_stats) == _canon(serial_stats)
+               and local_coverage["grade"] == "TRUSTED",
+               f"grade={local_coverage['grade']}, "
+               f"{len(_canon(serial_stats))} bytes compared")
 
-    passed = all(entry["passed"] for entry in checks)
+    passed = checks.passed
     return {
         "command": "chaos",
         "quick": quick,
@@ -227,7 +225,7 @@ def run_gauntlet(db_dir: str, intensity: float = 0.4, shards: int = 3,
         "shards": shards,
         "plan": plan.to_dict(),
         "passed": passed,
-        "checks": checks,
+        "checks": checks.to_dicts(),
         "coverage": report["coverage"],
         "injected": injected,
     }

@@ -26,14 +26,15 @@ the same identity-neutrality contract the fault and timesync planes keep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..errors import ConfigError
+from ..plans import FrozenPlan
 
 
 @dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(FrozenPlan):
     """One serving run's worth of deliberate infrastructure faults.
 
     All-defaults (with any resilience-knob setting) is the *empty* plan:
@@ -86,19 +87,19 @@ class ChaosPlan:
     #: Per-request deadline for shard clients and the gauntlet.
     request_deadline_s: float = 60.0
 
-    def __post_init__(self) -> None:
-        for name in ("store_error_prob", "store_slow_prob",
-                     "worker_crash_prob", "worker_hang_prob",
-                     "http_error_prob", "http_reset_prob", "http_slow_prob",
-                     "jitter_fraction"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        for name in ("store_slow_ms", "worker_hang_ms", "http_slow_ms",
-                     "backoff_base_ms", "backoff_max_ms", "breaker_reset_s",
-                     "request_deadline_s"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+    KIND = "chaos plan"
+    UNIT_FIELDS = ("store_error_prob", "store_slow_prob",
+                   "worker_crash_prob", "worker_hang_prob",
+                   "http_error_prob", "http_reset_prob", "http_slow_prob",
+                   "jitter_fraction")
+    NONNEGATIVE_FIELDS = ("store_slow_ms", "worker_hang_ms", "http_slow_ms",
+                          "backoff_base_ms", "backoff_max_ms",
+                          "breaker_reset_s", "request_deadline_s")
+    NEEDS_POSITIVE = (("store_slow_prob", "store_slow_ms"),
+                      ("worker_hang_prob", "worker_hang_ms"),
+                      ("http_slow_prob", "http_slow_ms"))
+
+    def _validate(self) -> None:
         if not isinstance(self.retries, int) or self.retries < 0:
             raise ConfigError(f"retries must be a non-negative integer, "
                               f"got {self.retries!r}")
@@ -108,15 +109,6 @@ class ChaosPlan:
                 or self.breaker_threshold < 1):
             raise ConfigError(f"breaker_threshold must be a positive "
                               f"integer, got {self.breaker_threshold!r}")
-        if self.store_slow_prob > 0 and self.store_slow_ms <= 0:
-            raise ConfigError("store_slow_prob needs a positive "
-                              "store_slow_ms")
-        if self.worker_hang_prob > 0 and self.worker_hang_ms <= 0:
-            raise ConfigError("worker_hang_prob needs a positive "
-                              "worker_hang_ms")
-        if self.http_slow_prob > 0 and self.http_slow_ms <= 0:
-            raise ConfigError("http_slow_prob needs a positive "
-                              "http_slow_ms")
         if not isinstance(self.down_shards, tuple):
             object.__setattr__(self, "down_shards",
                                tuple(self.down_shards))
@@ -143,28 +135,6 @@ class ChaosPlan:
         is inert by construction)."""
         return not (self.has_store_faults() or self.has_worker_faults()
                     or self.has_http_faults())
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full plain-data form (every field, defaults included)."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["down_shards"] = list(self.down_shards)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "ChaosPlan":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly so a typo
-        in a plan never silently runs chaos-free."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown chaos plan field(s) "
-                              f"{sorted(unknown)}; have {sorted(known)}")
-        kwargs = dict(doc)
-        if "down_shards" in kwargs:
-            kwargs["down_shards"] = tuple(kwargs["down_shards"])
-        return cls(**kwargs)
 
     def describe(self) -> str:
         """Short human summary of the active injectors."""
@@ -196,16 +166,11 @@ class ChaosPlan:
                   f"{self.breaker_threshold}@{self.breaker_reset_s:g}s)")
 
 
-def normalize_chaos(chaos) -> "ChaosPlan | None":
-    """Coerce a chaos argument (None, mapping or plan) to an active
-    :class:`ChaosPlan`, collapsing empty plans to None so the zero-chaos
-    serving path stays byte-for-byte identical to a service without a
-    chaos layer."""
-    if chaos is None:
-        return None
-    plan = chaos if isinstance(chaos, ChaosPlan) \
-        else ChaosPlan.from_dict(dict(chaos))
-    return None if plan.is_empty() else plan
+#: Coerce a chaos argument (None, mapping or plan) to an active
+#: :class:`ChaosPlan`, collapsing empty plans to None so the zero-chaos
+#: serving path stays byte-for-byte identical to a service without a chaos
+#: layer.
+normalize_chaos = ChaosPlan.normalize
 
 
 def gauntlet_plan(intensity: float, seed: int = 0,

@@ -53,13 +53,6 @@ class NoChildProcesses(KernelError):
     errname = "ECHILD"
 
 
-class TryAgain(KernelError):
-    """EAGAIN: a resource limit prevented the operation (e.g. fork)."""
-
-    errno = 11
-    errname = "EAGAIN"
-
-
 class OutOfMemory(KernelError):
     """ENOMEM: the address space or physical memory is exhausted."""
 
@@ -86,23 +79,3 @@ class InvalidArgument(KernelError):
 
     errno = 22
     errname = "EINVAL"
-
-
-class ExecFormatError(KernelError):
-    """ENOEXEC: the image passed to execve was not executable."""
-
-    errno = 8
-    errname = "ENOEXEC"
-
-
-class GuestKilled(ReproError):
-    """Internal control-flow exception: the running task was killed.
-
-    Raised inside the execution engine to unwind a task's frame stack when a
-    fatal signal (SIGKILL, SIGSEGV, OOM kill) terminates it mid-instruction.
-    It never escapes the kernel.
-    """
-
-    def __init__(self, signal: int) -> None:
-        super().__init__(f"killed by signal {signal}")
-        self.signal = signal

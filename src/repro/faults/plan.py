@@ -22,14 +22,15 @@ point for point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Set
+from dataclasses import dataclass
+from typing import Optional, Set
 
 from ..errors import ConfigError
+from ..plans import FrozenPlan
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(FrozenPlan):
     """One run's worth of deliberate hardware/clock faults.
 
     All-defaults (with any ``watchdog`` setting) is the *empty* plan: no
@@ -94,31 +95,23 @@ class FaultPlan:
     #: defense).  Ignored by the empty plan.
     watchdog: bool = True
 
-    def __post_init__(self) -> None:
-        for name in ("tick_loss_prob", "tick_delay_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        for name in ("tick_delay_max_ns", "smi_period_ns", "smi_duration_ns",
-                     "tsc_drift_ppm", "tsc_step_cycles",
-                     "tsc_step_after_cycles", "tsc_freeze_duration_cycles",
-                     "tsc_freeze_period_cycles", "procfs_staleness_ns"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.irq_storm_pps < 0:
-            raise ConfigError("irq_storm_pps must be >= 0")
-        if self.steal_lie_factor < 0:
-            raise ConfigError("steal_lie_factor must be >= 0")
-        if self.smi_duration_ns > 0 and self.smi_period_ns <= 0:
-            raise ConfigError("smi_duration_ns needs a positive "
-                              "smi_period_ns")
-        if (self.tsc_freeze_duration_cycles > 0
-                and self.tsc_freeze_period_cycles <= 0):
-            raise ConfigError("tsc_freeze_duration_cycles needs a positive "
-                              "tsc_freeze_period_cycles")
-        if self.tick_delay_prob > 0 and self.tick_delay_max_ns <= 0:
-            raise ConfigError("tick_delay_prob needs a positive "
-                              "tick_delay_max_ns")
+    KIND = "fault plan"
+    UNIT_FIELDS = ("tick_loss_prob", "tick_delay_prob")
+    NONNEGATIVE_FIELDS = (
+        "tick_delay_max_ns", "smi_period_ns", "smi_duration_ns",
+        "tsc_drift_ppm", "tsc_step_cycles", "tsc_step_after_cycles",
+        "tsc_freeze_duration_cycles", "tsc_freeze_period_cycles",
+        "procfs_staleness_ns", "irq_storm_pps", "steal_lie_factor")
+    NEEDS_POSITIVE = (
+        ("smi_duration_ns", "smi_period_ns"),
+        ("tsc_freeze_duration_cycles", "tsc_freeze_period_cycles"),
+        ("tick_delay_prob", "tick_delay_max_ns"))
+    #: The CPU-targeting fields are omitted while None, so plan documents
+    #: and every identity derived from them predate SMP targeting
+    #: byte-identically.
+    OMIT_IF_NONE = ("tick_cpu", "tsc_cpu")
+
+    def _validate(self) -> None:
         for name in ("tick_cpu", "tsc_cpu"):
             cpu = getattr(self, name)
             if cpu is not None and (not isinstance(cpu, int) or cpu < 0):
@@ -158,30 +151,6 @@ class FaultPlan:
             out.add("steal-injection")
         return out
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full plain-data form (every field, defaults included — except
-        the CPU-targeting fields, omitted while None so plan documents
-        and every identity derived from them predate-SMP-targeting
-        byte-identically)."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in ("tick_cpu", "tsc_cpu"):
-            if doc[name] is None:
-                del doc[name]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly so a typo
-        in a spec never silently runs fault-free."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown fault plan field(s) "
-                              f"{sorted(unknown)}; have {sorted(known)}")
-        return cls(**dict(doc))
-
     def describe(self) -> str:
         """Short human summary of the active injectors."""
         parts = []
@@ -214,15 +183,10 @@ class FaultPlan:
         return ", ".join(parts) + f" (watchdog {wd})"
 
 
-def normalize_plan(faults) -> "FaultPlan | None":
-    """Coerce a faults argument (None, mapping or plan) to an active
-    :class:`FaultPlan`, collapsing empty plans to None so the zero-fault
-    path stays byte-for-byte identical to a machine without a fault layer."""
-    if faults is None:
-        return None
-    plan = faults if isinstance(faults, FaultPlan) \
-        else FaultPlan.from_dict(dict(faults))
-    return None if plan.is_empty() else plan
+#: Coerce a faults argument (None, mapping or plan) to an active
+#: :class:`FaultPlan`, collapsing empty plans to None so the zero-fault path
+#: stays byte-for-byte identical to a machine without a fault layer.
+normalize_plan = FaultPlan.normalize
 
 
 def sweep_plan(intensity: float, watchdog: bool = True) -> FaultPlan:

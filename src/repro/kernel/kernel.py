@@ -787,19 +787,6 @@ class Kernel:
         self.trace("task", lambda: f"spawn {name}", task.pid)
         return task
 
-    def spawn_program(self, program: Program, name: Optional[str] = None,
-                      uid: Optional[int] = None, nice: Optional[int] = None,
-                      env: Optional[Dict[str, str]] = None) -> Task:
-        """Create a task and exec ``program`` into it directly (no shell)."""
-
-        def body(ctx):
-            yield Syscall("execve", (program,))
-            return 0
-
-        fn = GuestFunction(f"exec:{program.name}", body, Provenance.USER)
-        return self.spawn(fn, name=name or program.name, uid=uid, nice=nice,
-                          env=env)
-
     def do_fork(self, parent: Task, child_fn: Optional[GuestFunction],
                 child_args: Tuple) -> Task:
         child = self.create_task(

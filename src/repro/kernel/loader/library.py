@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional
 
-from ...errors import SimulationError
 from ...programs.base import GuestFunction
 from ...programs.ops import Provenance
 
@@ -52,12 +51,6 @@ class SharedLibrary:
         self.destructor = destructor
         self.provenance = provenance
         self.version = version
-
-    def add_symbol(self, symbol: str, fn: GuestFunction) -> None:
-        if symbol in self.symbols:
-            raise SimulationError(
-                f"symbol {symbol!r} already defined in {self.name}")
-        self.symbols[symbol] = fn
 
     def provides(self, symbol: str) -> bool:
         return symbol in self.symbols

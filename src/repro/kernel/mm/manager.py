@@ -34,16 +34,6 @@ class FaultKind(enum.Enum):
     SEGV = "segv"
 
 
-class ReclaimResult:
-    """Outcome of making one frame available."""
-
-    __slots__ = ("frame", "wrote_back")
-
-    def __init__(self, frame: Frame, wrote_back: bool) -> None:
-        self.frame = frame
-        self.wrote_back = wrote_back
-
-
 class MemoryManager:
     """Owns physical memory and the swap device bookkeeping."""
 

@@ -164,10 +164,5 @@ class AddressSpace:
         if self.region_at(vaddr) is None:
             raise BadAddress(f"access to unmapped address 0x{vaddr:x}")
 
-    def resident_vpns(self) -> List[int]:
-        return [vpn for vpn, pte in self.ptes.items()
-                if pte.state is PteState.PRESENT]
-
-
 def _page_ceil(addr: int, page_size: int) -> int:
     return (addr + page_size - 1) // page_size * page_size

@@ -158,11 +158,6 @@ class Task:
         return state is TaskState.RUNNING or state is TaskState.READY
 
     @property
-    def is_thread(self) -> bool:
-        """True for secondary threads of a thread group."""
-        return self.pid != self.tgid
-
-    @property
     def static_prio(self) -> int:
         """Linux static priority: 120 + nice (100..139)."""
         return 120 + self.nice
@@ -183,9 +178,6 @@ class Task:
     def post_signal(self, sig: int, sender_pid: Optional[int] = None) -> None:
         """Queue a signal (delivery happens in the kernel's signal path)."""
         self.pending_signals.append((sig, sender_pid))
-
-    def has_pending_signal(self) -> bool:
-        return bool(self.pending_signals)
 
     def __repr__(self) -> str:
         return (f"Task(pid={self.pid}, name={self.name!r}, "

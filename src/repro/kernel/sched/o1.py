@@ -46,11 +46,6 @@ class _PrioArray:
         self.count -= 1
         return task
 
-    def best_prio(self) -> Optional[int]:
-        if not self.count:
-            return None
-        return min(prio for prio, q in self.queues.items() if q)
-
     def pids(self):
         return [task.pid for q in self.queues.values() for task in q]
 

@@ -45,11 +45,6 @@ class TrustLevel(enum.Enum):
     UNTRUSTED = "untrusted"
 
 
-#: Ordering for "worst trust level" aggregation.
-TRUST_SEVERITY = {TrustLevel.TRUSTED: 0, TrustLevel.DEGRADED: 1,
-                  TrustLevel.UNTRUSTED: 2}
-
-
 @dataclass(frozen=True)
 class ClockInterval:
     """One watchdog check window, graded."""
@@ -121,12 +116,6 @@ class TimeKeeper:
         #: attached, so pre-timesync machines are byte-identical.
         self.walltime_offset_ns = 0
         self.sync_steered = False
-
-    @property
-    def walltime_ns(self) -> int:
-        """The host's wall-clock view: uptime plus sync-plane steering.
-        Equals ``uptime_ns`` exactly on machines without a time plane."""
-        return self.uptime_ns + self.walltime_offset_ns
 
     def tick(self, running: bool, user_mode: bool, cpu: int = 0) -> None:
         if cpu == 0:
@@ -316,13 +305,6 @@ class ClocksourceWatchdog:
 
     def total_uncertainty_ns(self) -> int:
         return sum(i.uncertainty_ns for i in self.intervals)
-
-    def worst_trust(self) -> TrustLevel:
-        worst = TrustLevel.TRUSTED
-        for interval in self.intervals:
-            if TRUST_SEVERITY[interval.trust] > TRUST_SEVERITY[worst]:
-                worst = interval.trust
-        return worst
 
     def summary(self) -> Dict[str, Any]:
         return {

@@ -9,15 +9,12 @@ an invoice is only as trustworthy as the metering underneath it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..config import NS_PER_SEC
 from ..errors import ConfigError
 from ..kernel.accounting import CpuUsage
-from ..kernel.timekeeping import TRUST_SEVERITY, TrustLevel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..kernel.timekeeping import ClocksourceWatchdog
+from ..kernel.timekeeping import TrustLevel
 
 
 @dataclass(frozen=True)
@@ -90,15 +87,6 @@ class TrustReport:
     intervals_untrusted: int = 0
 
     @classmethod
-    def from_watchdog(cls, watchdog: "ClocksourceWatchdog") -> "TrustReport":
-        counts = watchdog.trust_counts()
-        return cls(level=watchdog.worst_trust(),
-                   uncertainty_ns=watchdog.total_uncertainty_ns(),
-                   intervals_trusted=counts["trusted"],
-                   intervals_degraded=counts["degraded"],
-                   intervals_untrusted=counts["untrusted"])
-
-    @classmethod
     def from_stats(cls, stats: "dict") -> "TrustReport":
         """Rebuild a trust report from an experiment result's counters —
         the stats travel through the result cache, the live watchdog and
@@ -143,9 +131,6 @@ class TrustReport:
     @property
     def is_trusted(self) -> bool:
         return self.level is TrustLevel.TRUSTED
-
-    def worse_than(self, other: "TrustReport") -> bool:
-        return TRUST_SEVERITY[self.level] > TRUST_SEVERITY[other.level]
 
     def render(self) -> str:
         return (f"{self.level.value} "

@@ -48,18 +48,6 @@ class UsageTimeline:
         cpu = window[-1].total_ns - window[0].total_ns
         return cpu / wall if wall > 0 else 0.0
 
-    def max_interval_share(self) -> float:
-        """The largest per-interval billed share (a value above 1.0 is
-        impossible on one CPU and proves misattribution outright)."""
-        best = 0.0
-        for before, after in zip(self.samples, self.samples[1:]):
-            wall = after.wall_ns - before.wall_ns
-            if wall <= 0:
-                continue
-            best = max(best, (after.total_ns - before.total_ns) / wall)
-        return best
-
-
 class UsageSampler:
     """Samples one task's billed usage every ``interval_ns`` of sim time."""
 

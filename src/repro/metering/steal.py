@@ -62,12 +62,6 @@ class StealReport:
         """Billed CPU beyond what the vCPU actually ran."""
         return self.billed_ns - self.ran_ns
 
-    @property
-    def steal_fraction(self) -> float:
-        """Estimated steal as a fraction of estimated wall time."""
-        wall = self.est_steal_ns + self.ran_ns
-        return self.est_steal_ns / wall if wall > 0 else 0.0
-
     def render(self) -> str:
         return (
             f"STEAL AUDIT: {self.verdict.value}\n"

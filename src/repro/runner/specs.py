@@ -17,10 +17,11 @@ the cache and re-runs the point.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type
 
 from .. import __version__
 from ..attacks import (
@@ -38,6 +39,7 @@ from ..attacks import (
 )
 from ..config import MachineConfig, default_config
 from ..errors import ReproError
+from ..plans import FrozenPlan
 from ..programs.attackers import make_busyloop, make_fork_attacker
 from ..programs.base import Program
 from ..programs.workloads import PAPER_PROGRAMS, make_paper_program
@@ -176,6 +178,17 @@ def _config_doc(cfg: Any) -> Any:
     return _canonical(cfg)
 
 
+@functools.lru_cache(maxsize=None)
+def plan_fields() -> Tuple[Tuple[str, Type[FrozenPlan]], ...]:
+    """The spec fields that carry a plan mapping, with the plan type each
+    one normalizes through (an empty plan is identical to None).  The
+    plane packages load on first use, not with the runner."""
+    from ..faults import FaultPlan
+    from ..timesync import TimeSyncSpec
+
+    return (("faults", FaultPlan), ("timesync", TimeSyncSpec))
+
+
 def spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
     """The JSON document hashed by :func:`spec_key`.
 
@@ -202,22 +215,12 @@ def spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
         "vm": _canonical(spec.vm) if spec.vm is not None else None,
         "repro_version": __version__,
     }
-    if spec.faults is not None:
-        from ..faults import normalize_plan
-
-        plan = normalize_plan(spec.faults)
+    for name, plan_type in plan_fields():
+        plan = plan_type.normalize(getattr(spec, name))
         if plan is not None:
-            # Only a non-empty plan joins the identity: empty plans hash
-            # exactly like the pre-fault-layer spec document.
-            doc["faults"] = _canonical(plan.to_dict())
-    if spec.timesync is not None:
-        from ..timesync import normalize_timesync
-
-        sync = normalize_timesync(spec.timesync)
-        if sync is not None:
-            # Same rule as faults: only an active time plane joins the
-            # identity; inert specs hash like the pre-timesync document.
-            doc["timesync"] = _canonical(sync.to_dict())
+            # Only an active plan joins the identity: empty plans hash
+            # exactly like the spec document from before the plane existed.
+            doc[name] = _canonical(plan.to_dict())
     return doc
 
 
@@ -304,26 +307,19 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
     max_ns = doc.get("max_ns")
     if max_ns is not None and (not isinstance(max_ns, int) or max_ns <= 0):
         raise SpecError(f"max_ns must be a positive integer, got {max_ns!r}")
-    faults = doc.get("faults")
-    if faults is not None:
-        if not isinstance(faults, Mapping):
-            raise SpecError("'faults' must be a FaultPlan mapping")
-        from ..faults import normalize_plan
-
-        try:
-            normalize_plan(faults)
-        except (ReproError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad fault plan: {exc}") from None
-    timesync = doc.get("timesync")
-    if timesync is not None:
-        if not isinstance(timesync, Mapping):
-            raise SpecError("'timesync' must be a TimeSyncSpec mapping")
-        from ..timesync import normalize_timesync
-
-        try:
-            normalize_timesync(timesync)
-        except (ReproError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad timesync spec: {exc}") from None
+    plans: Dict[str, Any] = {}
+    for name, plan_type in plan_fields():
+        value = doc.get(name)
+        if value is not None:
+            if not isinstance(value, Mapping):
+                raise SpecError(f"{name!r} must be a {plan_type.__name__} "
+                                f"mapping")
+            try:
+                plan_type.normalize(value)
+            except (ReproError, TypeError, ValueError) as exc:
+                raise SpecError(f"bad {plan_type.KIND}: {exc}") from None
+            value = dict(value)
+        plans[name] = value
     if vm is not None:
         if not isinstance(vm, Mapping):
             raise SpecError("'vm' must be a mapping of hypervisor knobs")
@@ -350,9 +346,8 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
         check_invariants=doc.get("check_invariants"),
         vm=dict(vm) if vm is not None else None,
         nproc=nproc,
-        faults=dict(faults) if faults is not None else None,
-        timesync=dict(timesync) if timesync is not None else None,
         label=str(doc.get("label", "")),
+        **plans,
     )
     # Fail fast on constructor-level garbage (bad program kwargs are only
     # caught at build time otherwise — deep inside a worker thread).

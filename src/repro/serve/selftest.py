@@ -26,8 +26,9 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from ..checks import CheckList
 from .api import ReproServer
 from .service import MeteringService
 from .store import UsageStore
@@ -95,13 +96,7 @@ def run_selftest(db: str, scale: float = 0.1, jobs: int = 2,
     (``passed``, ``checks``, endpoint samples)."""
     from ..analysis.figures import paper_workload_params
 
-    checks: List[Dict[str, Any]] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-        if not quiet:
-            print(f"  [{'PASS' if passed else 'FAIL'}] {name} ({detail})")
+    checks = CheckList(echo=None if quiet else print)
 
     params = dict(paper_workload_params(scale)["W"])
     honest_spec = {"program": "W", "program_kwargs": params,
@@ -119,52 +114,53 @@ def run_selftest(db: str, scale: float = 0.1, jobs: int = 2,
     client = _Client(server.address)
     try:
         status, health, _ = client.get("/healthz")
-        check("healthz answers", status == 200 and health.get("ok") is True,
-              f"status={status} doc={health}")
+        checks.add("healthz answers",
+                   status == 200 and health.get("ok") is True,
+                   f"status={status} doc={health}")
 
         _, honest, _ = client.post("/v1/tenants", {"name": "honest"})
         _, attacker, _ = client.post(
             "/v1/tenants", {"name": "attacker", "plan": "per-cpu-second"})
         status, bad, _ = client.post("/v1/tenants",
                                      {"name": "bad", "plan": "free-lunch"})
-        check("unknown plan rejected",
-              status == 400 and "plan" in bad.get("error", ""),
-              f"status={status} error={bad.get('error')!r}")
+        checks.add("unknown plan rejected",
+                   status == 400 and "plan" in bad.get("error", ""),
+                   f"status={status} error={bad.get('error')!r}")
 
         # Honest tenant: synchronous submit, audit must come back clean.
         status, hjob, _ = client.post(
             f"/v1/tenants/{honest['tenant_id']}/jobs",
             {"spec": honest_spec})
-        check("honest job completes synchronously",
-              status == 200 and hjob["state"] == "completed"
-              and hjob["invoice"] is not None,
-              f"status={status} state={hjob.get('state')}")
+        checks.add("honest job completes synchronously",
+                   status == 200 and hjob["state"] == "completed"
+                   and hjob["invoice"] is not None,
+                   f"status={status} state={hjob.get('state')}")
         _, haudit, _ = client.get(f"/v1/jobs/{hjob['job_id']}/audit")
-        check("honest tenant's audit is consistent",
-              haudit["verdict"] == "consistent" and not haudit["flagged"],
-              f"verdict={haudit['verdict']} "
-              f"overbilling={haudit['overbilling_ns'] / 1e9:+.3f}s")
+        checks.add("honest tenant's audit is consistent",
+                   haudit["verdict"] == "consistent" and not haudit["flagged"],
+                   f"verdict={haudit['verdict']} "
+                   f"overbilling={haudit['overbilling_ns'] / 1e9:+.3f}s")
 
         # Attacker tenant: §IV-B1 scheduling attack, asynchronous submit.
         status, ajob, _ = client.post(
             f"/v1/tenants/{attacker['tenant_id']}/jobs",
             {"spec": attack_spec, "wait": False})
-        check("async submit returns immediately with a pollable job",
-              status == 200 and ajob["job_id"].startswith("j-"),
-              f"status={status} state={ajob.get('state')}")
+        checks.add("async submit returns immediately with a pollable job",
+                   status == 200 and ajob["job_id"].startswith("j-"),
+                   f"status={status} state={ajob.get('state')}")
         ajob = client.poll_job(ajob["job_id"])
-        check("attacker job completes", ajob["state"] == "completed",
-              f"state={ajob['state']} error={ajob.get('error')}")
+        checks.add("attacker job completes", ajob["state"] == "completed",
+                   f"state={ajob['state']} error={ajob.get('error')}")
         _, aaudit, _ = client.get(f"/v1/jobs/{ajob['job_id']}/audit")
-        check("scheduling attack flagged by the tenant audit",
-              aaudit["flagged"]
-              and aaudit["verdict"] in ("overbilled", "misreported"),
-              f"verdict={aaudit['verdict']} "
-              f"overbilling={aaudit['overbilling_ns'] / 1e9:+.3f}s")
-        check("attack inflates the victim's bill",
-              ajob["invoice"]["billed_ns"] > hjob["invoice"]["billed_ns"],
-              f"attacked={ajob['invoice']['billed_ns'] / 1e9:.3f}s "
-              f"honest={hjob['invoice']['billed_ns'] / 1e9:.3f}s")
+        checks.add("scheduling attack flagged by the tenant audit",
+                   aaudit["flagged"]
+                   and aaudit["verdict"] in ("overbilled", "misreported"),
+                   f"verdict={aaudit['verdict']} "
+                   f"overbilling={aaudit['overbilling_ns'] / 1e9:+.3f}s")
+        checks.add("attack inflates the victim's bill",
+                   ajob["invoice"]["billed_ns"] > hjob["invoice"]["billed_ns"],
+                   f"attacked={ajob['invoice']['billed_ns'] / 1e9:.3f}s "
+                   f"honest={hjob['invoice']['billed_ns'] / 1e9:.3f}s")
 
         # Idempotency: same key returns the same job, no re-run.
         status, hjob2, _ = client.post(
@@ -173,15 +169,15 @@ def run_selftest(db: str, scale: float = 0.1, jobs: int = 2,
         status, hjob3, _ = client.post(
             f"/v1/tenants/{honest['tenant_id']}/jobs",
             {"spec": honest_spec, "idempotency_key": "retry-1"})
-        check("idempotency key dedups the resubmission",
-              hjob2["job_id"] == hjob3["job_id"],
-              f"{hjob2['job_id']} vs {hjob3['job_id']}")
-        check("resubmitted spec served from the ledger, not re-run",
-              hjob2["cached"] is True,
-              f"cached={hjob2['cached']}")
-        check("ledger-served invoice byte-identical to the original",
-              _canon(hjob2["invoice"]) == _canon(hjob["invoice"]),
-              f"{len(_canon(hjob2['invoice']))} bytes compared")
+        checks.add("idempotency key dedups the resubmission",
+                   hjob2["job_id"] == hjob3["job_id"],
+                   f"{hjob2['job_id']} vs {hjob3['job_id']}")
+        checks.add("resubmitted spec served from the ledger, not re-run",
+                   hjob2["cached"] is True,
+                   f"cached={hjob2['cached']}")
+        checks.add("ledger-served invoice byte-identical to the original",
+                   _canon(hjob2["invoice"]) == _canon(hjob["invoice"]),
+                   f"{len(_canon(hjob2['invoice']))} bytes compared")
 
         # Quota: capped tenant runs once, then hits its budget.
         _, capped, _ = client.post(
@@ -189,51 +185,51 @@ def run_selftest(db: str, scale: float = 0.1, jobs: int = 2,
         status, cjob, _ = client.post(
             f"/v1/tenants/{capped['tenant_id']}/jobs",
             {"spec": dict(honest_spec, label="serve:capped")})
-        check("capped tenant's first job runs (budget not yet consumed)",
-              status == 200 and cjob["state"] == "completed",
-              f"status={status} state={cjob.get('state')}")
+        checks.add("capped tenant's first job runs (budget not yet consumed)",
+                   status == 200 and cjob["state"] == "completed",
+                   f"status={status} state={cjob.get('state')}")
         status, rejected, _ = client.post(
             f"/v1/tenants/{capped['tenant_id']}/jobs",
             {"spec": dict(honest_spec, label="serve:capped2")})
-        check("over-budget submission rejected with 429",
-              status == 429 and rejected["job"]["state"] == "rejected",
-              f"status={status} error={rejected.get('error')!r}")
+        checks.add("over-budget submission rejected with 429",
+                   status == 429 and rejected["job"]["state"] == "rejected",
+                   f"status={status} error={rejected.get('error')!r}")
         status, queued, _ = client.post(
             f"/v1/tenants/{capped['tenant_id']}/jobs",
             {"spec": dict(honest_spec, label="serve:capped3"),
              "over_quota": "queue", "wait": False})
-        check("over-budget submission can queue instead",
-              status == 200 and queued["state"] == "queued",
-              f"status={status} state={queued.get('state')}")
+        checks.add("over-budget submission can queue instead",
+                   status == 200 and queued["state"] == "queued",
+                   f"status={status} state={queued.get('state')}")
         client.post(f"/v1/tenants/{capped['tenant_id']}/quota",
                     {"quota_ns": None})
         released = client.poll_job(queued["job_id"])
-        check("queued job released by the quota raise",
-              released["state"] == "completed",
-              f"state={released['state']}")
+        checks.add("queued job released by the quota raise",
+                   released["state"] == "completed",
+                   f"state={released['state']}")
 
         # Usage history and the conservation law.
         _, usage, _ = client.get(
             f"/v1/tenants/{honest['tenant_id']}/usage")
         ledger_sum = sum(entry["billed_ns"] for entry in usage["ledger"])
-        check("usage ledger sums to the reported total",
-              ledger_sum == usage["total_billed_ns"] and ledger_sum > 0,
-              f"{len(usage['ledger'])} entries, "
-              f"{ledger_sum / 1e9:.3f}s billed")
+        checks.add("usage ledger sums to the reported total",
+                   ledger_sum == usage["total_billed_ns"] and ledger_sum > 0,
+                   f"{len(usage['ledger'])} entries, "
+                   f"{ledger_sum / 1e9:.3f}s billed")
         integrity = store.integrity_check()
-        check("store integrity + conservation law hold",
-              integrity["ok"],
-              f"problems={integrity['problems']}")
+        checks.add("store integrity + conservation law hold",
+                   integrity["ok"],
+                   f"problems={integrity['problems']}")
 
         # Error surface.
         status, _, _ = client.get("/v1/jobs/j-999999")
-        check("unknown job is a 404", status == 404, f"status={status}")
+        checks.add("unknown job is a 404", status == 404, f"status={status}")
         status, badspec, _ = client.post(
             f"/v1/tenants/{honest['tenant_id']}/jobs",
             {"spec": {"program": "W", "bogus_field": 1}})
-        check("malformed spec is a 400",
-              status == 400 and "bogus_field" in badspec.get("error", ""),
-              f"status={status} error={badspec.get('error')!r}")
+        checks.add("malformed spec is a 400",
+                   status == 400 and "bogus_field" in badspec.get("error", ""),
+                   f"status={status} error={badspec.get('error')!r}")
 
         # Metrics exposition.
         status, _, metrics_text = client.get("/metrics")
@@ -247,25 +243,25 @@ def run_selftest(db: str, scale: float = 0.1, jobs: int = 2,
             'repro_serve_http_requests_total{code="429",method="POST"} 1',
         ]
         missing = [s for s in expected_series if s not in metrics_text]
-        check("/metrics exposes the expected series",
-              status == 200 and not missing,
-              f"missing={missing}" if missing
-              else f"{len(metrics_text.splitlines())} lines")
+        checks.add("/metrics exposes the expected series",
+                   status == 200 and not missing,
+                   f"missing={missing}" if missing
+                   else f"{len(metrics_text.splitlines())} lines")
         completed = service.store.job_state_counts()["completed"]
-        check("metrics job counts agree with the store",
-              f'repro_serve_jobs_total{{state="completed"}} {completed}'
-              in metrics_text,
-              f"completed={completed}")
+        checks.add("metrics job counts agree with the store",
+                   f'repro_serve_jobs_total{{state="completed"}} {completed}'
+                   in metrics_text,
+                   f"completed={completed}")
     finally:
         server.close()
 
-    passed = all(entry["passed"] for entry in checks)
+    passed = checks.passed
     return {
         "command": "serve-selftest",
         "db": db,
         "scale": scale,
         "jobs": jobs,
         "passed": passed,
-        "checks": checks,
+        "checks": checks.to_dicts(),
         "metrics": metrics_text if passed else None,
     }

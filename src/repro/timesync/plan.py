@@ -15,7 +15,7 @@ PTP deployments:
   protocol timestamps (t1/t4, the master-side pair that crosses the wire);
 * **sync-packet loss** — exchange rounds are dropped, starving the servo.
 
-The plan follows the :class:`~repro.faults.FaultPlan` conventions exactly:
+The plan is a :class:`~repro.plans.FrozenPlan` like every other plane's:
 plain frozen data, JSON round-trip with unknown-key rejection, an
 ``is_empty()`` notion collapsed by :func:`normalize_sync_plan` so the
 no-attack path (and every pre-timesync cache key) stays bit-identical, and
@@ -30,14 +30,14 @@ other subsystem sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping
+from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..plans import FrozenPlan
 
 
 @dataclass(frozen=True)
-class SyncAttackPlan:
+class SyncAttackPlan(FrozenPlan):
     """One run's worth of deliberate time-plane misbehaviour.
 
     All-defaults is the *empty* plan: no attack hook is armed and the sync
@@ -71,16 +71,10 @@ class SyncAttackPlan:
     #: draws come from ``timesync:loss``.
     loss_prob: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("tamper_prob", "loss_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        for name in ("delay_asymmetry_ns", "tamper_ns"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.tamper_prob > 0 and self.tamper_ns <= 0:
-            raise ConfigError("tamper_prob needs a positive tamper_ns")
+    KIND = "sync attack plan"
+    UNIT_FIELDS = ("tamper_prob", "loss_prob")
+    NONNEGATIVE_FIELDS = ("delay_asymmetry_ns", "tamper_ns")
+    NEEDS_POSITIVE = (("tamper_prob", "tamper_ns"),)
 
     # -- structure queries -------------------------------------------------
 
@@ -96,23 +90,6 @@ class SyncAttackPlan:
     #: bias.  Tampering and loss are noise, not bias, and contribute 0.
     def injected_offset_ns(self) -> int:
         return self.master_offset_ns - self.delay_asymmetry_ns // 2
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full plain-data form (every field, defaults included)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "SyncAttackPlan":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly so a typo
-        in a spec never silently runs attack-free."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown sync attack plan field(s) "
-                              f"{sorted(unknown)}; have {sorted(known)}")
-        return cls(**dict(doc))
 
     def describe(self) -> str:
         """Short human summary of the armed attack components."""
@@ -131,16 +108,10 @@ class SyncAttackPlan:
         return ", ".join(parts) if parts else "no sync attack"
 
 
-def normalize_sync_plan(attack) -> "SyncAttackPlan | None":
-    """Coerce an attack argument (None, mapping or plan) to an active
-    :class:`SyncAttackPlan`, collapsing empty plans to None so the
-    no-attack exchange stays byte-identical to one without an attack
-    layer."""
-    if attack is None:
-        return None
-    plan = attack if isinstance(attack, SyncAttackPlan) \
-        else SyncAttackPlan.from_dict(dict(attack))
-    return None if plan.is_empty() else plan
+#: Coerce an attack argument (None, mapping or plan) to an active
+#: :class:`SyncAttackPlan`, collapsing empty plans to None so the no-attack
+#: exchange stays byte-identical to one without an attack layer.
+normalize_sync_plan = SyncAttackPlan.normalize
 
 
 def sweep_sync_plan(offset_ns: int) -> SyncAttackPlan:

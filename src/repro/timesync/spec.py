@@ -4,17 +4,19 @@ A :class:`TimeSyncSpec` is the mapping carried by
 ``ExperimentSpec.timesync``: which protocol the victim host runs, how bad
 its oscillator is, what the link looks like, whether the guest-side
 defense estimator is armed, and the (optional) :class:`SyncAttackPlan`.
-Like fault plans, an *inert* spec — no attack, no drift, no jitter —
-normalizes to None so absent and do-nothing configurations share one
-identity and every pre-timesync cache key stays bit-identical.
+Like every :class:`~repro.plans.FrozenPlan`, an *inert* spec — no attack,
+no drift, no jitter — normalizes to None so absent and do-nothing
+configurations share one identity and every pre-timesync cache key stays
+bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import ConfigError
+from ..plans import FrozenPlan
 from .plan import SyncAttackPlan, normalize_sync_plan, sweep_sync_plan
 
 #: Default sync-exchange cadence (PTP syncs this often; NTP polls 8x
@@ -27,7 +29,7 @@ SWEEP_DRIFT_PPB = 40_000
 
 
 @dataclass(frozen=True)
-class TimeSyncSpec:
+class TimeSyncSpec(FrozenPlan):
     """Everything the time plane needs to know about one run."""
 
     #: The attack plan, or None for an honest network.
@@ -45,7 +47,9 @@ class TimeSyncSpec:
     #: Arm the guest-side offset estimator (the defense).
     defense: bool = True
 
-    def __post_init__(self) -> None:
+    KIND = "timesync spec"
+
+    def _validate(self) -> None:
         if self.protocol not in ("ptp", "ntp"):
             raise ConfigError(f"unknown sync protocol {self.protocol!r}")
         if self.interval_ns <= 0:
@@ -65,30 +69,6 @@ class TimeSyncSpec:
         return attack is None and self.drift_ppb == 0 \
             and self.link_jitter_ns == 0
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            f.name: getattr(self, f.name) for f in fields(self)
-            if f.name != "attack"
-        }
-        plan = normalize_sync_plan(self.attack)
-        doc["attack"] = plan.to_dict() if plan is not None else None
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "TimeSyncSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown timesync spec field(s) "
-                              f"{sorted(unknown)}; have {sorted(known)}")
-        kwargs = dict(doc)
-        attack = kwargs.get("attack")
-        if attack is not None and not isinstance(attack, SyncAttackPlan):
-            kwargs["attack"] = SyncAttackPlan.from_dict(dict(attack))
-        return cls(**kwargs)
-
     def describe(self) -> str:
         plan = normalize_sync_plan(self.attack)
         bits = [self.protocol,
@@ -98,15 +78,10 @@ class TimeSyncSpec:
         return ", ".join(bits)
 
 
-def normalize_timesync(timesync) -> Optional[TimeSyncSpec]:
-    """Coerce a timesync argument (None, mapping or spec) to an *active*
-    :class:`TimeSyncSpec`, collapsing inert specs to None — the
-    no-time-plane path constructs nothing and stays bit-identical."""
-    if timesync is None:
-        return None
-    spec = timesync if isinstance(timesync, TimeSyncSpec) \
-        else TimeSyncSpec.from_dict(dict(timesync))
-    return None if spec.is_empty() else spec
+#: Coerce a timesync argument (None, mapping or spec) to an *active*
+#: :class:`TimeSyncSpec`, collapsing inert specs to None — the
+#: no-time-plane path constructs nothing and stays bit-identical.
+normalize_timesync = TimeSyncSpec.normalize
 
 
 def sweep_timesync(offset_ns: int, defense: bool = True,

@@ -178,9 +178,6 @@ class VirtualMachine:
             if checker is not None:
                 checker.on_step()
 
-    def has_live_tasks(self) -> bool:
-        return not self.machine.kernel.all_finished()
-
     def __repr__(self) -> str:
         return (f"VirtualMachine({self.name!r}, {self.state.value}, "
                 f"ran={self.ran_ns}ns steal={self.steal_ns}ns)")

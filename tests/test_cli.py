@@ -69,6 +69,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fork_wait_exit_us" in out
 
+    def test_calibrate_few_iterations(self, capsys):
+        # The thrashing victim must outlive the tracer's launch phase even
+        # when the other primitives run only a handful of iterations.
+        assert main(["calibrate", "--iterations", "5"]) == 0
+        assert "thrash_roundtrip_us" in capsys.readouterr().out
+
     def test_gallery_small(self, capsys):
         assert main(["gallery", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out

@@ -207,6 +207,20 @@ def _double_tick_on_cpu1(machine):
     tk.tick = tick
 
 
+class TestIrqSteer:
+    def test_steered_flood_lands_in_victim_stime(self):
+        """§IV-B3 on SMP: the attacker steers the NIC line at the victim's
+        CPU and parks its own burner elsewhere, so the flood's handler
+        time is billed to the victim as system time."""
+        params = paper_workload_params(0.4)["W"]
+        clean = run_spec(ExperimentSpec(program="W", program_kwargs=params,
+                                        nproc=2))
+        steered = run_spec(ExperimentSpec(program="W", program_kwargs=params,
+                                          attack="irq-steer", nproc=2))
+        assert clean.usage.stime_ns == 0
+        assert steered.usage.stime_ns >= 20_000_000
+
+
 class TestPerCpuMutationDetection:
     def test_double_tick_on_one_cpu_detected(self):
         cfg = default_config(nproc=2)
