@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..config import MachineConfig, default_config
+from ..errors import SimulationError
 from ..hw.machine import Machine
 from ..programs.base import GuestFunction
 from ..programs.ops import CallLib, Compute, Mem, Provenance, Syscall
@@ -97,19 +98,24 @@ def calibrate(cfg: Optional[MachineConfig] = None,
     # Thrashing round-trip: victim-side cost per watchpoint hit, derived
     # from a real traced run.  The cost is divided by the hits, not by
     # ``iterations``, so the victim only has to outlive the launch phase
-    # the tracer waits through before attaching: it runs at least 50 loop
-    # iterations.
+    # the tracer waits through before it arms the watchpoint: below about
+    # 80 loop iterations it ends before the first hit, so it runs at
+    # least 100.
     from ..analysis.experiment import run_experiment
     from ..attacks.thrashing import ThrashingAttack
     from ..programs.workloads import make_ourprogram
 
     tsc_cfg = (cfg or default_config()).with_(accounting="tsc")
-    victim_iterations = max(iterations, 50)
+    victim_iterations = max(iterations, 100)
     baseline = run_experiment(make_ourprogram(iterations=victim_iterations),
                               cfg=tsc_cfg)
     thrashed = run_experiment(make_ourprogram(iterations=victim_iterations),
                               ThrashingAttack("i"), cfg=tsc_cfg)
-    hits = max(1, thrashed.stats["debug_exceptions"])
+    hits = thrashed.stats["debug_exceptions"]
+    if hits == 0:
+        raise SimulationError(
+            "thrashing calibration saw no watchpoint hits: the victim "
+            "ended before the tracer armed its watchpoint")
     thrash_us = (thrashed.usage.total_ns - baseline.usage.total_ns) / hits / 1e3
 
     # The fork measurement includes the child's cost as seen by the parent

@@ -224,19 +224,22 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _drain_due_events(self) -> None:
+        events = self.events
+        clock = self.clock
         while True:
-            next_time = self.events.next_time()
-            if next_time is None or next_time > self.clock.now:
+            next_time = events.next_time()
+            if next_time is None or next_time > clock._now:
                 return
-            self.events.run_due(self.clock.now)
+            events.run_due(clock._now)
 
     def step(self) -> bool:
         """One loop iteration.  Returns False when nothing can progress."""
         if self.cfg.nproc > 1:
             return self._step_smp()
-        if self.clock.now > self.cfg.max_time_ns:
+        clock = self.clock
+        if clock._now > self.cfg.max_time_ns:
             raise SimulationError(
-                f"simulation exceeded max_time_ns at {self.clock.now}ns")
+                f"simulation exceeded max_time_ns at {clock._now}ns")
         self._drain_due_events()
 
         kernel = self.kernel
@@ -257,7 +260,7 @@ class Machine:
                 checker.on_idle_advance(idle_ns)
             return True
 
-        budget = (next_time - self.clock.now
+        budget = (next_time - clock._now
                   if next_time is not None else _IDLE_SLICE_NS)
         if budget <= 0:
             return True  # events due right now; drained next iteration
@@ -384,10 +387,16 @@ class Machine:
                        max_ns: Optional[int] = None) -> None:
         """Run until every task in ``tasks`` has exited."""
         targets = list(tasks)
+        zombie = TaskState.ZOMBIE
+        dead = TaskState.DEAD
 
         def done() -> bool:
-            return all(t.state in (TaskState.ZOMBIE, TaskState.DEAD)
-                       for t in targets)
+            # Checked before every step: a plain loop, not all(genexpr).
+            for t in targets:
+                state = t.state
+                if state is not zombie and state is not dead:
+                    return False
+            return True
 
         self.run_until(done, max_ns=max_ns)
 

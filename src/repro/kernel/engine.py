@@ -10,7 +10,8 @@ here, at its natural architectural point:
 * ``Mem`` accesses consult the page table (minor/major faults) and the
   debug registers (watchpoint → debug exception → SIGTRAP), the thrashing
   and exception-flooding machinery;
-* ``Syscall`` pushes a kernel-mode frame whose cycles are charged as system
+* ``Syscall`` pushes a :class:`SyscallFrame` the engine advances through
+  its entry, cost, body and exit phases; the cycles are charged as system
   time attributed to the *calling code's provenance*, so injected code's
   syscalls are visible to the oracle;
 * signals are delivered at the return-to-user boundary, costing kernel time
@@ -21,11 +22,13 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from types import GeneratorType
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from ..config import NS_PER_SEC
 from ..errors import (
     FileNotFound,
+    KernelError,
     OutOfMemory,
     SimulationError,
 )
@@ -49,6 +52,7 @@ from .signals import SIGSEGV, SIGTRAP
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Kernel
     from .process import Task
+    from .syscalls import SyscallHandler
 
 #: Hoisted enum members — the engine loop references these on every op.
 _KIND_USER = ChargeKind.USER
@@ -122,6 +126,52 @@ class Frame:
         return f"Frame({self.name!r}, {self.provenance.value}, {mode})"
 
 
+#: SyscallFrame phases: what the engine does when it next advances the
+#: frame.  _START counts the call and starts its cost, _BODY runs the body
+#: (or its continuation), _EXIT starts the exit cost and _RETURN pops the
+#: frame, handing the result to the caller.
+_ENTER, _START, _BODY, _EXIT, _RETURN = range(5)
+
+
+class SyscallFrame(Frame):
+    """One system call in progress, advanced by the engine itself.
+
+    The phases run entry cost → handler cost → body → exit cost, each at
+    the simulated instant the previous one completes.  ``gen`` stays None
+    unless the body returned a continuation (a call that blocks or charges
+    in more than one phase); the engine then drives it like any kernel
+    frame until it returns the call's result.
+    """
+
+    __slots__ = ("handler", "args", "phase", "result")
+
+    # Fixed for every syscall frame; class attributes shadow Frame's slots
+    # so construction skips them.  Syscall frames are the only frames that
+    # run in kernel mode: the engine tells them apart by ``user_mode``.
+    lib = None
+    user_mode = False
+    started = True
+
+    def __init__(self, name: str, args: Tuple,
+                 handler: Optional["SyscallHandler"],
+                 provenance: Provenance) -> None:
+        self.gen = None
+        self.provenance = provenance
+        self.name = name
+        self.handler = handler
+        self.args = args
+        self.phase = _ENTER
+
+    def finish(self, result) -> None:
+        """The call's result is known: only the exit cost remains."""
+        self.gen = None
+        self.result = result
+        self.phase = _EXIT
+
+    def __repr__(self) -> str:
+        return f"SyscallFrame({self.name!r}, {self.provenance.value})"
+
+
 class Segment:
     """A chunk of pending timed work (divisible)."""
 
@@ -177,6 +227,19 @@ class ExecutionEngine:
 
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
+        costs = kernel.costs
+        freq = kernel.cpu.freq_hz  # every CPU runs at the configured clock
+        entry = costs.syscall_entry_cycles
+        exit_ = costs.syscall_exit_cycles
+        #: What every _run_loop call reads before its loop, in one tuple:
+        #: unpacking it is cheaper than a dozen attribute loads per run.
+        #: The syscall entry/exit costs come with their length in ns.
+        self._loop_constants = (
+            kernel.mm, costs.mem_access_cycles, costs.lib_call_cycles,
+            entry, (entry * NS_PER_SEC + freq - 1) // freq,
+            exit_, (exit_ * NS_PER_SEC + freq - 1) // freq,
+            kernel.syscalls.handlers, kernel.syscalls.invocations,
+            CPUMode.USER, CPUMode.KERNEL, TaskState.RUNNING, TaskState.READY)
 
     # -- public entry point ------------------------------------------------
 
@@ -203,9 +266,9 @@ class ExecutionEngine:
         kernel = self.kernel
         cpu = kernel.cpu
         freq = cpu.freq_hz
-        mm = kernel.mm
-        mem_cost = kernel.costs.mem_access_cycles
-        plt_cost = kernel.costs.lib_call_cycles
+        (mm, mem_cost, plt_cost, entry_cycles, entry_ns, exit_cycles, exit_ns,
+         handlers, invocations, mode_user, mode_kernel, running,
+         ready) = self._loop_constants
         st = task.exec_state
         if st is None:
             raise SimulationError(f"task {task.pid} has no exec state")
@@ -222,9 +285,10 @@ class ExecutionEngine:
         # kernel.consume per key at the next flush point.  A flush MUST
         # precede anything that could observe the clock, the TSC, the
         # accounts or the trace log mid-run: returning to the machine loop,
-        # sending into kernel-mode frames (syscall handlers read the clock),
-        # task exit, non-benign segment on_done callbacks (faults, signal
-        # actions), and the cold _dispatch paths (Block, ReplaceImage).
+        # running a syscall body or sending into its continuation (they read
+        # the clock), a syscall error trace, task exit, non-benign segment
+        # on_done callbacks (faults, signal actions), and the cold _dispatch
+        # paths (Block, ReplaceImage).
         b_ns = 0
         b_cycles = 0
         b_user = True
@@ -259,11 +323,6 @@ class ExecutionEngine:
                 b_ns = 0
                 b_cycles = 0
                 b_prov = None
-
-        mode_user = CPUMode.USER
-        mode_kernel = CPUMode.KERNEL
-        running = TaskState.RUNNING
-        ready = TaskState.READY
 
         while True:
             state = task.state
@@ -348,34 +407,44 @@ class ExecutionEngine:
                 kernel.do_exit(task, 0)
                 continue
             frame = frames[-1]
-            value, st.send_value = st.send_value, None
-            try:
-                if frame.started:
-                    if not frame.user_mode and (b_prov is not None
-                                                or b_more is not None):
-                        # Kernel frames (syscall handlers) may read the
-                        # clock/TSC.  An *unstarted* kernel frame is exempt:
-                        # it is always a syscall invocation body, and its
-                        # code before the first yield is just the entry-cost
-                        # op — it observes nothing.
+            if frame.user_mode:
+                value, st.send_value = st.send_value, None
+                try:
+                    if frame.started:
+                        op = frame.gen.send(value)
+                    else:
+                        frame.started = True
+                        op = frame.gen.send(None)
+                    op_cls = op.__class__
+                except StopIteration as stop:
+                    frames.pop()
+                    st.send_value = stop.value
+                    if not frames and task.alive:
+                        # Root frame finished without exit(): implicit
+                        # exit(status).
                         flush()
-                    op = frame.gen.send(value)
-                else:
-                    frame.started = True
-                    op = frame.gen.send(None)
-            except StopIteration as stop:
-                frames.pop()
-                st.send_value = stop.value
-                if not frames and task.alive:
-                    # Root frame finished without exit(): implicit
-                    # exit(status).
+                        code = stop.value if isinstance(stop.value, int) else 0
+                        kernel.do_exit(task, code)
+                    continue
+            elif frame.gen is None:
+                # A syscall frame between phases: advance it below.
+                op_cls = None
+            else:
+                # A syscall continuation; it may read the clock/TSC.
+                if b_prov is not None or b_more is not None:
                     flush()
-                    code = stop.value if isinstance(stop.value, int) else 0
-                    kernel.do_exit(task, code)
-                continue
+                value, st.send_value = st.send_value, None
+                try:
+                    op = frame.gen.send(value)
+                    op_cls = op.__class__
+                except StopIteration as stop:
+                    frame.finish(stop.value)
+                    op_cls = None
+                except KernelError as err:
+                    frame.finish(self._syscall_failed(task, frame, err))
+                    op_cls = None
 
             # -- dispatch: hot ops inline, everything else via _dispatch ---
-            op_cls = op.__class__
             if op_cls is Compute:
                 # Fully inlined: run the first slice now, materialising a
                 # Segment only for the part that does not fit in the
@@ -470,9 +539,6 @@ class ExecutionEngine:
                         continue
                 st.pending_mem = PendingMem(op)
                 continue
-            if op_cls is Syscall:
-                self._start_syscall(task, st, frame, op)
-                continue
             if op_cls is Invoke:
                 fn = op.fn
                 st.push_frame(Frame(
@@ -531,8 +597,127 @@ class ExecutionEngine:
                 self._call_lib(task, st, frame, op.symbol, op.args,
                                after=frame.lib, flush=flush)
                 continue
-            flush()
-            self._dispatch(task, st, frame, op)
+            if op_cls is Syscall:
+                frame = SyscallFrame(op.name, op.args, handlers.get(op.name),
+                                     frame.provenance)
+                frames.append(frame)
+            elif op_cls is not None:
+                flush()
+                self._dispatch(task, st, frame, op)
+                continue
+
+            # -- advance the syscall frame on top of the stack -------------
+            # Each pass runs one phase's step, then starts the next cost
+            # exactly as the Compute path above would.  While every
+            # loop-top check still holds once that cost is charged (no
+            # resched, nothing queued, no pending signal, task runnable,
+            # budget left) the next phase runs in the same pass; at the
+            # first check that could fail the frame stays on the stack and
+            # the loop top takes over, so preemption, signal delivery and
+            # every charge land at the same simulated nanosecond.
+            while True:
+                phase = frame.phase
+                if phase == _ENTER:
+                    frame.phase = _START
+                    cycles = entry_cycles
+                    ns = entry_ns
+                elif phase == _START:
+                    handler = frame.handler
+                    if handler is None:
+                        flush()
+                        kernel.trace("syscall", f"ENOSYS {frame.name}",
+                                     task.pid)
+                        frame.finish(-38)  # ENOSYS
+                        continue
+                    name = frame.name
+                    invocations[name] = invocations.get(name, 0) + 1
+                    cycles = handler.cost
+                    if cycles.__class__ is not int:
+                        try:
+                            cycles = cycles(kernel, task, *frame.args)
+                        except KernelError as err:
+                            flush()
+                            frame.finish(self._syscall_failed(task, frame,
+                                                              err))
+                            continue
+                    ns = (cycles * NS_PER_SEC + freq - 1) // freq
+                    frame.phase = _BODY
+                elif phase == _BODY:
+                    # The body runs at the instant its cost completed and
+                    # may read the clock, the TSC or the accounts.
+                    if b_prov is not None or b_more is not None:
+                        flush()
+                    try:
+                        result = frame.handler.body(kernel, task, *frame.args)
+                        if result.__class__ is not GeneratorType:
+                            frame.result = result  # finish(), inlined
+                            frame.phase = _EXIT
+                            continue
+                        frame.gen = result
+                        op = result.send(None)
+                    except StopIteration as stop:
+                        frame.finish(stop.value)
+                        continue
+                    except KernelError as err:
+                        frame.finish(self._syscall_failed(task, frame, err))
+                        continue
+                    if op.__class__ is not Compute:
+                        self._dispatch(task, st, frame, op)
+                        break
+                    cycles = op.cycles
+                    ns = (cycles * NS_PER_SEC + freq - 1) // freq
+                elif phase == _EXIT:
+                    frame.phase = _RETURN
+                    cycles = exit_cycles
+                    ns = exit_ns
+                else:  # _RETURN
+                    frames.pop()
+                    st.send_value = frame.result
+                    break
+
+                state = task.state
+                if (kernel.need_resched or segments
+                        or (state is not running and state is not ready)):
+                    segments.append(Segment(cycles, False, frame.provenance,
+                                            _KIND_SYSCALL))
+                    break
+                cpu.mode = mode_kernel
+                if cycles:
+                    prov = frame.provenance
+                    if b_prov is not None and (
+                            b_user is not False
+                            or b_prov is not prov
+                            or b_kind is not _KIND_SYSCALL):
+                        fold()
+                    if b_prov is None:
+                        b_user = False
+                        b_prov = prov
+                        b_kind = _KIND_SYSCALL
+                    # ``ns`` fits the budget exactly when ``cycles`` fits
+                    # the ``avail`` the Compute path computes.
+                    if budget_ns - consumed < ns:
+                        avail = (budget_ns - consumed) * freq // NS_PER_SEC
+                        if avail <= 0:
+                            # Sub-cycle remainder (see the segment loop).
+                            b_ns += budget_ns - consumed
+                            consumed = budget_ns
+                            segments.append(Segment(cycles, False, prov,
+                                                    _KIND_SYSCALL))
+                        else:
+                            segments.append(Segment(cycles - avail, False,
+                                                    prov, _KIND_SYSCALL))
+                            ns = (avail * NS_PER_SEC + freq - 1) // freq
+                            b_ns += ns
+                            b_cycles += avail
+                            consumed += ns
+                        break
+                    b_ns += ns
+                    b_cycles += cycles
+                    consumed += ns
+                if (consumed >= budget_ns or task.pending_signals
+                        or frame.gen is not None):
+                    # A continuation resumes through the generator path.
+                    break
 
     # -- op dispatch --------------------------------------------------------------
 
@@ -548,9 +733,6 @@ class ExecutionEngine:
             if not frame.user_mode:
                 raise SimulationError("kernel frames may not yield Mem ops")
             st.pending_mem = PendingMem(op)
-            return
-        if isinstance(op, Syscall):
-            self._start_syscall(task, st, frame, op)
             return
         if isinstance(op, Invoke):
             fn: GuestFunction = op.fn
@@ -610,12 +792,12 @@ class ExecutionEngine:
 
     # -- syscalls ------------------------------------------------------------------
 
-    def _start_syscall(self, task: "Task", st: ExecState, caller: Frame,
-                       op: Syscall) -> None:
-        kernel = self.kernel
-        gen = kernel.syscalls.frame(task, op.name, op.args, caller.provenance)
-        st.push_frame(Frame(gen, caller.provenance, f"sys_{op.name}",
-                            user_mode=False))
+    def _syscall_failed(self, task: "Task", frame: SyscallFrame,
+                        err: KernelError) -> int:
+        """A handler raised: trace it and return the negative errno."""
+        self.kernel.trace("syscall", f"{frame.name} -> -{err.errname}",
+                          task.pid)
+        return -err.errno
 
     # -- memory ---------------------------------------------------------------------
 

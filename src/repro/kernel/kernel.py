@@ -22,7 +22,7 @@ from ..hw.disk import Disk
 from ..hw.irq import IRQ_DISK, IRQ_NIC, IRQ_TIMER, InterruptController
 from ..hw.nic import NetworkCard
 from ..programs.base import GuestContext, GuestFunction, Program
-from ..programs.ops import Compute, Provenance, Syscall
+from ..programs.ops import Provenance, Syscall
 from ..sim.clock import Clock
 from ..sim.events import EventQueue
 from ..sim.rng import DeterministicRng
@@ -85,14 +85,15 @@ class CpuContext:
 def _close_frames(frames) -> None:
     """Close and drop every frame generator.
 
-    A generator that is *currently executing* (the syscall frame whose
-    handler invoked exit/execve) cannot be closed from within itself; it is
-    simply dropped — the engine never resumes a frame once the stack is
-    cleared, and GC finalises it.
+    A syscall frame between phases has no generator.  A generator that is
+    *currently executing* cannot be closed from within itself; it is simply
+    dropped — the engine never resumes a frame once the stack is cleared,
+    and GC finalises it.
     """
     for frame in frames:
-        if not getattr(frame.gen, "gi_running", False):
-            frame.gen.close()
+        gen = frame.gen
+        if gen is not None and not getattr(gen, "gi_running", False):
+            gen.close()
     frames.clear()
 
 
@@ -162,11 +163,8 @@ class Kernel:
         #: sample deferred ticks as system time (see _timer_irq).
         self._irq_window = (0, 0)
 
-        #: Hot-path precomputations.  Ops are immutable, so the fixed
-        #: entry/exit costs of every syscall share two Compute instances;
-        #: the context-switch charge is the same pair of numbers each time.
-        self.syscall_entry_op = Compute(self.costs.syscall_entry_cycles)
-        self.syscall_exit_op = Compute(self.costs.syscall_exit_cycles)
+        #: Hot-path precomputation: the context-switch charge is the same
+        #: pair of numbers each time.
         self._switch_cycles = (self.costs.context_switch_cycles
                                + self.costs.schedule_pick_cycles)
         self._switch_ns = cpu.cycles_to_ns(self._switch_cycles)
@@ -344,7 +342,7 @@ class Kernel:
               pid: Optional[int] = None, **data) -> None:
         """Emit a trace record.  ``message`` may be a zero-argument callable
         (evaluated only if the record is stored) for hot call sites."""
-        self.trace_log.emit(self.clock.now, category, message, pid, **data)
+        self.trace_log.emit(self.clock._now, category, message, pid, **data)
 
     # ------------------------------------------------------------------
     # time consumption (the single charging point)
@@ -522,7 +520,7 @@ class Kernel:
             self._charge_switch(prev, nxt)
         self.current = nxt
         nxt.state = TaskState.RUNNING
-        nxt.last_dispatch_ns = self.clock.now
+        nxt.last_dispatch_ns = self.clock._now
         self.scheduler.on_pick(nxt)
         # Load the task's debug registers (per-thread DR state).
         self.cpu.debug = nxt.debug

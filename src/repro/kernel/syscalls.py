@@ -1,85 +1,72 @@
 """The system-call table.
 
-Each handler is a *kernel coroutine*: a generator yielding ``Compute`` (its
-in-kernel cycle cost, charged as stime to the calling task under the
-provenance of the code that made the call) and ``Block`` (park the task on a
-wait channel).  The engine wraps every call in entry/exit cost segments.
+Each handler is a **cost** plus a **body**.  The cost is a cycle count, or
+a function of the call's arguments that returns one and may raise (argument
+validation that must fail before anything is charged).  The body is a plain
+function that runs at the simulated instant the cost completes and returns
+the call's result.  The engine wraps every call in entry/exit cost phases
+and charges all of it as stime to the calling task, under the provenance
+of the code that made the call (see :class:`repro.kernel.engine.SyscallFrame`).
+
+The few calls that block or charge in more than one phase (``waitpid``
+with nothing ready, ``nanosleep``, ``ptrace(CONT)``, ``execve``) return a
+*continuation*: a generator yielding ``Compute``, ``Block`` or
+``ReplaceImage`` whose return value is the result.
 
 Errors modelled after errno are raised as :class:`KernelError` subclasses;
-the wrapper converts them to negative return values, like the real ABI.
+the engine converts them to negative return values, like the real ABI.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from ..errors import (
     InvalidArgument,
-    KernelError,
     NoChildProcesses,
     NoSuchProcess,
     PermissionDenied,
 )
 from ..hw.cpu import Watchpoint
 from ..programs.base import GuestFunction
-from ..programs.ops import Compute, Provenance
+from ..programs.ops import Compute
 from .engine import Block, ReplaceImage
 from .process import Task, TaskState
 from .signals import SIGSTOP
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..config import CostModel
     from .kernel import Kernel
+
+#: A handler's cost: cycles, or ``cost(kernel, task, *args) -> cycles``.
+Cost = Union[int, Callable[..., int]]
+
+
+class SyscallHandler:
+    """One system call: its cost and its body."""
+
+    __slots__ = ("cost", "body")
+
+    def __init__(self, cost: Cost, body: Callable) -> None:
+        self.cost = cost
+        self.body = body
 
 
 class SyscallTable:
-    """name → handler registry plus the wrapping frame generator."""
+    """name → handler registry, plus per-name invocation counts."""
 
     def __init__(self, kernel: "Kernel") -> None:
-        self.kernel = kernel
-        self._handlers: Dict[str, Callable] = {}
+        self.handlers: Dict[str, SyscallHandler] = {}
+        #: Calls whose handler started, by name (ENOSYS calls excluded).
         self.invocations: Dict[str, int] = {}
-        self._register_defaults()
+        for name, (cost, body) in _default_handlers(kernel.costs).items():
+            self.register(name, cost, body)
 
-    def register(self, name: str, handler: Callable) -> None:
-        self._handlers[name] = handler
+    def register(self, name: str, cost: Cost, body: Callable) -> None:
+        self.handlers[name] = SyscallHandler(cost, body)
 
     def names(self):
-        return sorted(self._handlers)
-
-    def frame(self, task: Task, name: str, args: Tuple,
-              provenance: Provenance) -> Generator:
-        """Build the kernel-frame generator for one invocation."""
-        return _invocation_body(self, self.kernel, task, name, args,
-                                self._handlers.get(name))
-
-    def _register_defaults(self) -> None:
-        for name, handler in _DEFAULT_HANDLERS.items():
-            self.register(name, handler)
-
-
-def _invocation_body(table: "SyscallTable", kernel: "Kernel", task: Task,
-                     name: str, args: Tuple,
-                     handler: Optional[Callable]) -> Generator:
-    """The wrapping kernel coroutine for one syscall invocation.
-
-    A module-level generator function (rather than a closure built per
-    call) — syscall entry is hot enough that the per-call function object
-    shows up in profiles.
-    """
-    yield kernel.syscall_entry_op
-    if handler is None:
-        kernel.trace("syscall", f"ENOSYS {name}", task.pid)
-        result = -38  # ENOSYS
-    else:
-        table.invocations[name] = table.invocations.get(name, 0) + 1
-        try:
-            result = yield from handler(kernel, task, *args)
-        except KernelError as err:
-            kernel.trace("syscall",
-                         f"{name} -> -{err.errname}", task.pid)
-            result = -err.errno
-    yield kernel.syscall_exit_op
-    return result
+        return sorted(self.handlers)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +74,6 @@ def _invocation_body(table: "SyscallTable", kernel: "Kernel", task: Task,
 # ---------------------------------------------------------------------------
 
 def sys_exit(kernel: "Kernel", task: Task, code: int = 0):
-    yield Compute(kernel.costs.exit_cycles)
     kernel.do_exit(task, code)
     return 0
 
@@ -96,22 +82,18 @@ def sys_fork(kernel: "Kernel", task: Task,
              child_fn: Optional[GuestFunction] = None, child_args: Tuple = ()):
     """fork(): the child runs ``child_fn`` (see DESIGN.md on the generator
     model of fork); with no ``child_fn`` the child exits immediately."""
-    yield Compute(kernel.costs.fork_cycles)
-    child = kernel.do_fork(task, child_fn, child_args)
-    return child.pid
+    return kernel.do_fork(task, child_fn, child_args).pid
 
 
 def sys_clone_thread(kernel: "Kernel", task: Task, fn: GuestFunction,
                      args: Tuple = ()):
     """clone(CLONE_VM|CLONE_THREAD): spawn a thread sharing the mm."""
-    yield Compute(kernel.costs.fork_cycles)
-    child = kernel.do_clone_thread(task, fn, args)
-    return child.pid
+    return kernel.do_clone_thread(task, fn, args).pid
 
 
 def sys_execve(kernel: "Kernel", task: Task, program):
-    yield Compute(kernel.costs.execve_cycles)
-    # Point of no return: the engine replaces the whole frame stack.
+    """A continuation from the start: the point of no return, where the
+    engine replaces the whole frame stack."""
     yield ReplaceImage(program)
     return 0  # unreachable: the syscall frame is gone
 
@@ -123,32 +105,45 @@ def sys_waitpid(kernel: "Kernel", task: Task, pid: int = -1,
     Returns ``(pid, ("exited", code))``, ``(pid, ("stopped", sig))``, or 0
     when ``nohang`` is set and nothing is ready (WNOHANG).
     """
-    yield Compute(kernel.costs.wait_cycles)
+    report = _wait_report(kernel, task, pid)
+    if report is not None:
+        return report
+    if nohang:
+        return 0
+    return _wait_blocked(kernel, task, pid)
+
+
+def _wait_blocked(kernel: "Kernel", task: Task, pid: int):
     while True:
-        zombie = kernel.find_zombie_child(task, pid)
-        if zombie is not None:
-            code = zombie.exit_code
-            zpid = zombie.pid
-            kernel.reap(task, zombie)
-            return (zpid, ("exited", code))
-        stopped = kernel.find_stop_report(task, pid)
-        if stopped is not None:
-            stopped.stop_pending_report = False
-            return (stopped.pid, ("stopped", stopped.stop_signal))
-        if not kernel.has_waitable(task, pid):
-            raise NoChildProcesses("nothing to wait for")
-        if nohang:
-            return 0
         yield Block(f"wait:{task.pid}")
+        report = _wait_report(kernel, task, pid)
+        if report is not None:
+            return report
+
+
+def _wait_report(kernel: "Kernel", task: Task, pid: int):
+    """Reap or report the first waitable child, or None if none is ready
+    yet; raises ECHILD when nothing could ever be."""
+    zombie = kernel.find_zombie_child(task, pid)
+    if zombie is not None:
+        code = zombie.exit_code
+        zpid = zombie.pid
+        kernel.reap(task, zombie)
+        return (zpid, ("exited", code))
+    stopped = kernel.find_stop_report(task, pid)
+    if stopped is not None:
+        stopped.stop_pending_report = False
+        return (stopped.pid, ("stopped", stopped.stop_signal))
+    if not kernel.has_waitable(task, pid):
+        raise NoChildProcesses("nothing to wait for")
+    return None
 
 
 def sys_getpid(kernel: "Kernel", task: Task):
-    yield Compute(100)
     return task.tgid
 
 
 def sys_gettid(kernel: "Kernel", task: Task):
-    yield Compute(100)
     return task.pid
 
 
@@ -156,21 +151,27 @@ def sys_gettid(kernel: "Kernel", task: Task):
 # Scheduling
 # ---------------------------------------------------------------------------
 
-def sys_nanosleep(kernel: "Kernel", task: Task, duration_ns: int):
+def _nanosleep_cost(kernel: "Kernel", task: Task, duration_ns: int) -> int:
     if duration_ns < 0:
         raise InvalidArgument("negative sleep")
-    yield Compute(500)
+    return 500
+
+
+def sys_nanosleep(kernel: "Kernel", task: Task, duration_ns: int):
     deadline = kernel.clock.now + duration_ns
     channel = f"sleep:{task.pid}:{deadline}"
     kernel.events.schedule(deadline,
                            lambda: kernel.wake_channel(channel, None),
                            name="sleep-wake")
+    return _sleep(channel)
+
+
+def _sleep(channel: str):
     yield Block(channel)
     return 0
 
 
 def sys_sched_yield(kernel: "Kernel", task: Task):
-    yield Compute(300)
     kernel.request_resched()
     return 0
 
@@ -179,8 +180,13 @@ def sys_getcpu(kernel: "Kernel", task: Task):
     """getcpu(2): which CPU the caller is executing on right now.  The
     cross-CPU tick-dodging attacker pairs this with ``clock_gettime`` to
     predict the *local* tick grid (per-CPU ticks are staggered)."""
-    yield Compute(150)
     return kernel.cpu_index
+
+
+def _migrate_cost(kernel: "Kernel", task: Task, cpu: int) -> int:
+    if not 0 <= cpu < kernel.nproc:
+        raise InvalidArgument(f"cpu {cpu} out of range")
+    return 1_000
 
 
 def sys_migrate(kernel: "Kernel", task: Task, cpu: int):
@@ -188,18 +194,19 @@ def sys_migrate(kernel: "Kernel", task: Task, cpu: int):
     the calling task to ``cpu`` and move it there at the next slice
     barrier.  A uniprocessor accepts only cpu 0 (a no-op), mirroring a
     full-mask setaffinity call."""
-    if not 0 <= cpu < kernel.nproc:
-        raise InvalidArgument(f"cpu {cpu} out of range")
-    yield Compute(1_000)
     return kernel.migrate_current(cpu)
+
+
+def _setpriority_cost(kernel: "Kernel", task: Task, nice: int,
+                     pid: Optional[int] = None) -> int:
+    if not -20 <= nice <= 19:
+        raise InvalidArgument(f"nice {nice} out of range")
+    return 800
 
 
 def sys_setpriority(kernel: "Kernel", task: Task, nice: int,
                     pid: Optional[int] = None):
     """setpriority(PRIO_PROCESS): raising priority requires root."""
-    if not -20 <= nice <= 19:
-        raise InvalidArgument(f"nice {nice} out of range")
-    yield Compute(800)
     target = task if pid is None else kernel.task_by_pid(pid)
     if target is None:
         raise NoSuchProcess(f"pid {pid}")
@@ -213,7 +220,6 @@ def sys_setpriority(kernel: "Kernel", task: Task, nice: int,
 
 
 def sys_getpriority(kernel: "Kernel", task: Task, pid: Optional[int] = None):
-    yield Compute(300)
     target = task if pid is None else kernel.task_by_pid(pid)
     if target is None:
         raise NoSuchProcess(f"pid {pid}")
@@ -225,7 +231,6 @@ def sys_getpriority(kernel: "Kernel", task: Task, pid: Optional[int] = None):
 # ---------------------------------------------------------------------------
 
 def sys_kill(kernel: "Kernel", task: Task, pid: int, sig: int):
-    yield Compute(kernel.costs.signal_deliver_cycles // 2)
     target = kernel.task_by_pid(pid)
     if target is None or not target.alive:
         raise NoSuchProcess(f"pid {pid}")
@@ -240,17 +245,14 @@ def sys_kill(kernel: "Kernel", task: Task, pid: int, sig: int):
 # ---------------------------------------------------------------------------
 
 def sys_brk(kernel: "Kernel", task: Task, increment_bytes: int):
-    yield Compute(1_500)
     return task.mm.brk(increment_bytes)
 
 
 def sys_mmap(kernel: "Kernel", task: Task, npages: int, name: str = "mmap"):
-    yield Compute(2_500)
     return task.mm.mmap(npages, name)
 
 
 def sys_munmap(kernel: "Kernel", task: Task, start: int):
-    yield Compute(2_000)
     region = task.mm.munmap(start)
     kernel.mm.release_region_frames(task.mm, region.start, region.npages)
     return 0
@@ -258,13 +260,11 @@ def sys_munmap(kernel: "Kernel", task: Task, start: int):
 
 def sys_getrusage(kernel: "Kernel", task: Task):
     """RUSAGE_SELF for the whole thread group, like getrusage(2)."""
-    yield Compute(1_000)
     return kernel.rusage(task)
 
 
 def sys_rdtsc(kernel: "Kernel", task: Task):
     """Not a real syscall (rdtsc is unprivileged); kept here for symmetry."""
-    yield Compute(30)
     return kernel.cpu.read_tsc()
 
 
@@ -273,7 +273,6 @@ def sys_clock_gettime(kernel: "Kernel", task: Task):
     it tracks wall time; under a hypervisor it advances only while the vCPU
     runs (or idles), which is exactly the gap the steal-time estimator in
     :mod:`repro.metering.steal` measures."""
-    yield Compute(120)
     return kernel.clock.now
 
 
@@ -302,8 +301,6 @@ def sys_ptrace(kernel: "Kernel", task: Task, request: str, pid: int,
     an LSM-style policy — root always may; an ordinary user may trace only
     its own processes when the kernel's policy allows it.
     """
-    yield Compute(kernel.costs.ptrace_request_cycles)
-
     if request == "attach":
         target = kernel.task_by_pid(pid)
         if target is None or not target.alive:
@@ -331,10 +328,7 @@ def sys_ptrace(kernel: "Kernel", task: Task, request: str, pid: int,
         return 0
 
     if request == "cont":
-        target = _ptrace_target(kernel, task, pid)
-        yield Compute(kernel.costs.ptrace_stop_cycles)
-        kernel.resume_stopped(target)
-        return 0
+        return _ptrace_cont(kernel, _ptrace_target(kernel, task, pid))
 
     if request == "pokeuser_dr":
         target = _ptrace_target(kernel, task, pid)
@@ -352,12 +346,18 @@ def sys_ptrace(kernel: "Kernel", task: Task, request: str, pid: int,
     raise InvalidArgument(f"unknown ptrace request {request!r}")
 
 
+def _ptrace_cont(kernel: "Kernel", target: Task):
+    # Second phase: the tracer's half of the stop/resume round trip.
+    yield Compute(kernel.costs.ptrace_stop_cycles)
+    kernel.resume_stopped(target)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Dynamic loading support (called by the libc dlopen/dlclose wrappers)
 # ---------------------------------------------------------------------------
 
 def sys_dl_load(kernel: "Kernel", task: Task, name: str):
-    yield Compute(3_000)
     lib = kernel.libraries.lookup(name)
     link_map = task.guest_ctx.shared["_link_map"]
     link_map.append(lib)
@@ -365,7 +365,6 @@ def sys_dl_load(kernel: "Kernel", task: Task, name: str):
 
 
 def sys_dl_unload(kernel: "Kernel", task: Task, lib):
-    yield Compute(1_500)
     link_map = task.guest_ctx.shared["_link_map"]
     link_map.remove(lib)
     return 0
@@ -378,7 +377,6 @@ def sys_dl_unload(kernel: "Kernel", task: Task, lib):
 def sys_proc_threads(kernel: "Kernel", task: Task, pid: int):
     """List the alive thread ids of ``pid``'s thread group (like reading
     /proc/<pid>/task)."""
-    yield Compute(1_500)
     target = kernel.task_by_pid(pid)
     if target is None or not target.alive:
         raise NoSuchProcess(f"pid {pid}")
@@ -389,7 +387,6 @@ def sys_proc_threads(kernel: "Kernel", task: Task, pid: int):
 
 def sys_proc_stat(kernel: "Kernel", task: Task, pid: Optional[int] = None):
     """Read another task's accounting view (like /proc/<pid>/stat)."""
-    yield Compute(1_200)
     target = task if pid is None else kernel.task_by_pid(pid)
     if target is None:
         raise NoSuchProcess(f"pid {pid}")
@@ -406,30 +403,31 @@ def sys_proc_stat(kernel: "Kernel", task: Task, pid: Optional[int] = None):
     }
 
 
-_DEFAULT_HANDLERS = {
-    "exit": sys_exit,
-    "fork": sys_fork,
-    "clone_thread": sys_clone_thread,
-    "execve": sys_execve,
-    "waitpid": sys_waitpid,
-    "getpid": sys_getpid,
-    "gettid": sys_gettid,
-    "nanosleep": sys_nanosleep,
-    "sched_yield": sys_sched_yield,
-    "getcpu": sys_getcpu,
-    "migrate": sys_migrate,
-    "setpriority": sys_setpriority,
-    "getpriority": sys_getpriority,
-    "kill": sys_kill,
-    "brk": sys_brk,
-    "mmap": sys_mmap,
-    "munmap": sys_munmap,
-    "getrusage": sys_getrusage,
-    "rdtsc": sys_rdtsc,
-    "clock_gettime": sys_clock_gettime,
-    "ptrace": sys_ptrace,
-    "_dl_load": sys_dl_load,
-    "_dl_unload": sys_dl_unload,
-    "proc_stat": sys_proc_stat,
-    "proc_threads": sys_proc_threads,
-}
+def _default_handlers(costs: "CostModel") -> Dict[str, Tuple[Cost, Callable]]:
+    return {
+        "exit": (costs.exit_cycles, sys_exit),
+        "fork": (costs.fork_cycles, sys_fork),
+        "clone_thread": (costs.fork_cycles, sys_clone_thread),
+        "execve": (costs.execve_cycles, sys_execve),
+        "waitpid": (costs.wait_cycles, sys_waitpid),
+        "getpid": (100, sys_getpid),
+        "gettid": (100, sys_gettid),
+        "nanosleep": (_nanosleep_cost, sys_nanosleep),
+        "sched_yield": (300, sys_sched_yield),
+        "getcpu": (150, sys_getcpu),
+        "migrate": (_migrate_cost, sys_migrate),
+        "setpriority": (_setpriority_cost, sys_setpriority),
+        "getpriority": (300, sys_getpriority),
+        "kill": (costs.signal_deliver_cycles // 2, sys_kill),
+        "brk": (1_500, sys_brk),
+        "mmap": (2_500, sys_mmap),
+        "munmap": (2_000, sys_munmap),
+        "getrusage": (1_000, sys_getrusage),
+        "rdtsc": (30, sys_rdtsc),
+        "clock_gettime": (120, sys_clock_gettime),
+        "ptrace": (costs.ptrace_request_cycles, sys_ptrace),
+        "_dl_load": (3_000, sys_dl_load),
+        "_dl_unload": (1_500, sys_dl_unload),
+        "proc_stat": (1_200, sys_proc_stat),
+        "proc_threads": (1_500, sys_proc_threads),
+    }

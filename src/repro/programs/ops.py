@@ -100,7 +100,7 @@ class Syscall(Op):
 
     def __init__(self, name: str, args: Tuple = ()) -> None:
         self.name = name
-        self.args = tuple(args)
+        self.args = args if args.__class__ is tuple else tuple(args)
 
     def __repr__(self) -> str:
         return f"Syscall({self.name!r}, {self.args!r})"

@@ -44,7 +44,6 @@ from ..errors import DeadlockError, SimulationError
 from ..hw.cpu import CPUMode
 from ..hw.machine import Machine
 from ..kernel.process import Task, TaskState
-from ..programs.ops import Compute
 from ..sim.clock import Clock
 from .credit import PRI_UNDER, CreditScheduler
 
@@ -279,18 +278,16 @@ class Hypervisor:
         hypervisor-reported steal counter."""
 
         def sys_pv_host_time(kernel, task):
-            yield Compute(_PV_CALL_CYCLES)
             return vm.host_now_estimate()
 
         def sys_pv_steal(kernel, task):
-            yield Compute(_PV_CALL_CYCLES)
             # The guest-visible steal counter: identical to the host ledger
             # unless the steal clock is lying (fault layer).
             return vm.machine.kernel.timekeeper.steal_ns
 
         table = vm.machine.kernel.syscalls
-        table.register("pv_host_time", sys_pv_host_time)
-        table.register("pv_steal", sys_pv_steal)
+        table.register("pv_host_time", _PV_CALL_CYCLES, sys_pv_host_time)
+        table.register("pv_steal", _PV_CALL_CYCLES, sys_pv_steal)
 
     # -- ledger maintenance --------------------------------------------------
 

@@ -129,6 +129,11 @@ class TestCalibration:
         assert 0.01 <= calib.lib_call_us <= 0.5
         assert 2.0 <= calib.thrash_roundtrip_us <= 40.0
 
+    def test_thrash_roundtrip_measured_below_100_iterations(self):
+        # The thrashing victim outlives the tracer's launch phase however
+        # few iterations the other primitives run: hits, not a 0.000 cost.
+        assert calibrate(iterations=50).thrash_roundtrip_us > 0
+
     def test_render_and_dict(self, calib):
         text = calib.render()
         assert "fork_wait_exit_us" in text
