@@ -97,6 +97,21 @@ def _close_frames(frames) -> None:
     frames.clear()
 
 
+class _GuestRngStreams:
+    """One process's ``GuestContext.rng`` factory: streams named
+    ``guest:<pid>:<name>``.  A slotted callable, where a closure would
+    cost a function, two cells and a tuple per task."""
+
+    __slots__ = ("rng", "pid")
+
+    def __init__(self, rng: DeterministicRng, pid: int) -> None:
+        self.rng = rng
+        self.pid = pid
+
+    def __call__(self, name: str):
+        return self.rng.stream(f"guest:{self.pid}:{name}")
+
+
 class Kernel:
     """The simulated operating system."""
 
@@ -728,10 +743,8 @@ class Kernel:
         return pid
 
     def _make_guest_ctx(self, argv: Tuple, pid: int) -> GuestContext:
-        def stream_factory(name: str):
-            return self.rng.stream(f"guest:{pid}:{name}")
-
-        return GuestContext(argv=tuple(argv), rng_stream_factory=stream_factory)
+        return GuestContext(argv=tuple(argv),
+                            rng_stream_factory=_GuestRngStreams(self.rng, pid))
 
     def _root_frame(self, ctx: GuestContext, fn: Optional[GuestFunction],
                     args: Tuple) -> Frame:
@@ -923,20 +936,35 @@ class Kernel:
         usage = self.accounting.usage(zombie)
         parent.acct_cutime_ns += usage.utime_ns + zombie.acct_cutime_ns
         parent.acct_cstime_ns += usage.stime_ns + zombie.acct_cstime_ns
+        # A dead task keeps only its books: identity, tree links, exit
+        # status, accounting and rusage fields, the oracle, the scheduler
+        # scalars and its CPU placement.  It stays in self.tasks because
+        # these read dead tasks:
+        #   * procfs stat() and stat_all(include_dead=True);
+        #   * sys_proc_threads and thread_group() (rusage, oracle reports,
+        #     a run's group usage);
+        #   * the invariant checker's per-task, billing-gap and run-queue
+        #     walks over self.tasks;
+        #   * run_experiment's SMP migrations sum;
+        #   * run_vm_experiment's guest_ctx scan, which skips None.
+        # None of them touches what only a runnable task uses, so that is
+        # released here: the frame stack and segment queue (with the exit
+        # cost queued after do_exit, which never runs), the guest view,
+        # env, debug registers, child list, tracee set, signal queue and
+        # CPU affinity mask.  Fork-heavy runs reap thousands of children,
+        # and every full garbage collection rescans what each one keeps.
+        zombie.exec_state = None
+        zombie.guest_ctx = None
+        zombie.env = None
+        zombie.debug = None
+        zombie.children = None
+        zombie.tracees = None
+        zombie.pending_signals = None
+        zombie.cpus_allowed = None
 
     # ------------------------------------------------------------------
     # wait() support
     # ------------------------------------------------------------------
-
-    def _wait_candidates(self, task: Task, pid: int) -> List[Task]:
-        out = list(task.children)
-        for tracee_pid in task.tracees:
-            tracee = self.tasks.get(tracee_pid)
-            if tracee is not None and tracee not in out:
-                out.append(tracee)
-        if pid != -1:
-            out = [t for t in out if t.pid == pid]
-        return out
 
     def find_zombie_child(self, task: Task, pid: int = -1) -> Optional[Task]:
         candidates = task.children if pid == -1 else \
@@ -949,8 +977,7 @@ class Kernel:
     def find_stop_report(self, task: Task, pid: int = -1) -> Optional[Task]:
         """Stops are reported only to the *tracer* (waitpid without
         WUNTRACED does not report stopped children)."""
-        # Scans children then non-child tracees directly — the same
-        # candidate order as _wait_candidates without building the list
+        # Scans children, then tracees, without building a candidate list
         # (waitpid polls this on every wake).
         for cand in task.children:
             if ((pid == -1 or cand.pid == pid)

@@ -39,7 +39,12 @@ class TaskState(enum.Enum):
 
 
 class Task:
-    """One schedulable entity (process or thread)."""
+    """One schedulable entity (process or thread).
+
+    A reaped (DEAD) task keeps only its books: :meth:`Kernel.reap` sets
+    ``exec_state``, ``guest_ctx``, ``env``, ``debug``, ``children``,
+    ``tracees``, ``pending_signals`` and ``cpus_allowed`` to None.
+    """
 
     #: Slotted: task attributes are read on every charge, schedule and
     #: signal delivery, and a run touches them hundreds of millions of

@@ -1,13 +1,18 @@
 """Process lifecycle tests: fork, wait, exit, threads, OOM, reparenting."""
 
+import gc
+
 import pytest
 
 from repro import Machine, default_config
 from repro.config import MemoryConfig
+from repro.kernel import procfs
 from repro.kernel.process import TaskState
 from repro.kernel.signals import SIGKILL
 from repro.programs.base import GuestFunction
+from repro.programs.attackers import make_fork_attacker
 from repro.programs.ops import Compute, Mem, Provenance, Syscall
+from repro.programs.stdlib import install_standard_libraries
 
 from .guest_helpers import run_all, spawn_fn
 
@@ -109,17 +114,24 @@ class TestForkWait:
         assert child_pids["state_after_reap"] is TaskState.DEAD
 
     def test_children_rusage_accumulates(self, m):
+        seen = {}
+
         def busy_child(ctx):
             yield Compute(50_000_000)  # ~20 ms: several ticks
 
         def body(ctx):
             pid = yield Syscall(
                 "fork", (GuestFunction("c", busy_child, Provenance.USER),))
+            seen["pid"] = pid
             yield Syscall("waitpid", (pid,))
 
         task = spawn_fn(m, body)
         run_all(m, [task])
         assert task.acct_cutime_ns > 0
+        # Reaping released the child's execution state, not its books.
+        child = m.kernel.task_by_pid(seen["pid"])
+        assert child.exec_state is None
+        assert task.acct_cutime_ns == child.acct_utime_ns
 
 
 class TestThreads:
@@ -283,3 +295,52 @@ class TestExitCleanup:
         run_all(m, [victim_task, killer_task])
         assert seen["r"] == -1  # EPERM
         assert victim_task.exit_signal is None
+
+
+def _run_fork_program(forks):
+    machine = Machine(default_config())
+    install_standard_libraries(machine.kernel.libraries)
+    task = machine.new_shell().run_command(make_fork_attacker(forks=forks))
+    machine.run_until_exit([task], max_ns=300 * 10**9)
+    return machine, task
+
+
+class TestReapedTasksKeepOnlyTheirBooks:
+    """A reaped child stays in ``kernel.tasks`` for procfs, the invariant
+    walks and the group sums, but frees what only a runnable task uses."""
+
+    RELEASED = ("exec_state", "guest_ctx", "env", "debug", "children",
+                "tracees", "pending_signals", "cpus_allowed")
+
+    def test_fork_churn_retains_few_objects_per_reaped_child(self):
+        _run_fork_program(10)  # warm-up: first-use imports and caches
+        machine, parent = _run_fork_program(100)
+        gc.collect()
+        small = len(gc.get_objects())
+        del machine, parent
+        machine, parent = _run_fork_program(300)
+        gc.collect()
+        large = len(gc.get_objects())
+        # 20 per child when reaped tasks kept their execution state.
+        assert (large - small) / 200 <= 5
+
+        children = [t for t in machine.kernel.tasks.values()
+                    if t.parent is parent]
+        assert len(children) == 300
+        for child in children:
+            assert child.state is TaskState.DEAD
+            for name in self.RELEASED:
+                assert getattr(child, name) is None, name
+        child = children[0]
+        row = procfs.stat(machine.kernel, child.pid)
+        assert row["pid"] == child.pid and row["state"] == "X"
+        assert row["ppid"] == parent.pid
+        assert row in procfs.stat_all(machine.kernel, include_dead=True)
+        assert row not in procfs.stat_all(machine.kernel)
+        # RUSAGE_CHILDREN still reads each child's books at reap time.
+        usage = machine.kernel.accounting.usage
+        assert parent.acct_cutime_ns == sum(usage(c).utime_ns
+                                            for c in children)
+        assert parent.acct_cstime_ns == sum(usage(c).stime_ns
+                                            for c in children)
+        assert parent.acct_cutime_ns + parent.acct_cstime_ns > 0

@@ -371,6 +371,13 @@ class TestTimesyncExperiments:
         # the steering leaves its mark in the cached snapshot stats
         assert result.stats["timesync_offset_ns"] != 0
 
+    def test_timesync_figure_passes_its_shape_checks(self):
+        from repro.analysis.figures import run_figure
+
+        fig = run_figure("timesync", scale=0.1)
+        assert fig.checks
+        assert fig.passed, fig.failed_checks()
+
 
 # ---------------------------------------------------------------------------
 # fleet sync mix
