@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..errors import SimulationError
 from ..hw.irq import IRQ_NIC
 from ..hw.nic import PacketFlood
 from ..programs.attackers import make_pinned_burner, make_smp_dodger
@@ -112,6 +113,11 @@ class IrqSteerAttack(Attack):
 
     def install(self, machine: "Machine", shell: "Shell") -> None:
         self._shell = shell
+        nproc = machine.cfg.nproc
+        if not 0 <= self.target_cpu < nproc:
+            raise SimulationError(
+                f"irq-steer targets cpu{self.target_cpu} but the machine "
+                f"has nproc={nproc}")
         # Steer the NIC line before the victim launches (echo mask >
         # /proc/irq/11/smp_affinity, as root).
         machine.pic.set_affinity(IRQ_NIC, self.target_cpu)

@@ -14,6 +14,7 @@ does on real hardware, free of host-interpreter jitter.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..config import MachineConfig, default_config
@@ -64,6 +65,7 @@ class Machine:
         """
         from ..faults import normalize_plan
         from ..timesync import normalize_timesync
+        from ..verify.invariants import InvariantChecker
 
         self.cfg = cfg or default_config()
         self.cfg.validate()
@@ -73,36 +75,34 @@ class Machine:
         self.events = EventQueue()
         self.rng = DeterministicRng(self.cfg.seed)
         self.trace_log = TraceLog(enabled=trace)
-        self.cpu = CPU(self.cfg.cpu_freq_hz)
-        self.cpus = [self.cpu] + [CPU(self.cfg.cpu_freq_hz)
-                                  for _ in range(self.cfg.nproc - 1)]
+        nproc = self.cfg.nproc
+        tick_ns = self.cfg.tick_ns
+        self.cpus = [CPU(self.cfg.cpu_freq_hz) for _ in range(nproc)]
+        self.cpu = self.cpus[0]
         self.pic = InterruptController()
-        self.timer = TimerDevice(self.cfg.tick_ns, self.clock, self.events,
-                                 self.pic)
-        self.timers = [self.timer]
         self.nic = NetworkCard(self.pic)
         self.disk = Disk(self.cfg.disk, self.clock, self.events, self.pic)
         self.kernel = Kernel(self.cfg, self.clock, self.events, self.cpu,
                              self.pic, self.disk, self.nic, self.rng,
                              self.trace_log)
-        if self.cfg.nproc > 1:
-            # Per-CPU local timers, staggered across the jiffy the way
-            # Linux spreads its per-CPU ticks, delivered straight to the
-            # kernel's per-CPU tick path (local-APIC style) instead of
-            # through the shared PIC line.  CPU 0 keeps offset 0 so the
-            # timekeeping jiffy grid is unchanged.
-            self.timer._handler = lambda: self.kernel.timer_interrupt(0)
-            for i in range(1, self.cfg.nproc):
-                self.timers.append(TimerDevice(
-                    self.cfg.tick_ns, self.clock, self.events, self.pic,
-                    offset_ns=i * self.cfg.tick_ns // self.cfg.nproc,
-                    handler=(lambda i=i: self.kernel.timer_interrupt(i))))
-            self.kernel.init_smp(self.cpus, self.timers)
+        # Per-CPU local timers, staggered across the jiffy the way Linux
+        # spreads its per-CPU ticks, delivered straight to the kernel's
+        # per-CPU tick path (local-APIC style) instead of through the
+        # shared PIC line.  CPU 0 has offset 0, so the timekeeping jiffy
+        # grid is the same at every nproc.
+        self.timers = [
+            TimerDevice(tick_ns, self.clock, self.events, self.pic,
+                        offset_ns=i * tick_ns // nproc,
+                        handler=partial(self.kernel.timer_interrupt, i))
+            for i in range(nproc)]
+        self.timer = self.timers[0]
+        self.kernel.init_smp(self.cpus, self.timers)
         self.watchdog = None
         self.irq_storm = None
         tolerated = (self.fault_plan.tolerated_categories()
                      if self.fault_plan is not None else ())
-        self.invariant_checker = self._make_checker(invariants, tolerated)
+        self.invariant_checker = InvariantChecker.resolve(invariants,
+                                                          tolerated)
         if self.invariant_checker is not None:
             self.invariant_checker.attach(self.kernel)
         if self.fault_plan is not None:
@@ -114,20 +114,6 @@ class Machine:
             self.timesync = MachineTimeSync(self.timesync_spec, self)
         for timer in self.timers:
             timer.start()
-
-    @staticmethod
-    def _make_checker(invariants, tolerated=()):
-        if not invariants:
-            return None
-        from ..verify.invariants import InvariantChecker
-
-        if isinstance(invariants, InvariantChecker):
-            if tolerated:
-                invariants.tolerate(*tolerated)
-            return invariants
-        if invariants == "collect":
-            return InvariantChecker(mode="collect", tolerated=tolerated)
-        return InvariantChecker(tolerated=tolerated)
 
     def _install_faults(self, plan) -> None:
         from ..faults import IrqStorm, StaleProcfs, TickFaultInjector, TscFault

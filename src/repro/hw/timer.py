@@ -1,6 +1,7 @@
 """Programmable interval timer: the source of the accounting jiffy.
 
-Fires IRQ 0 every ``tick_ns`` of virtual time.  Ticks are anchored to
+Fires every ``tick_ns`` of virtual time, through a direct per-CPU
+handler or as IRQ 0 on the PIC.  Ticks are anchored to
 absolute multiples of the period (boot-relative), so even if a handler runs
 late the schedule never drifts — exactly the property the tick-sampling
 accounting scheme depends on, and the one the scheduling attack games.
@@ -23,8 +24,9 @@ class TimerDevice:
     per-CPU timers by ``i * tick_ns / nproc`` the way Linux spreads its
     per-CPU ticks, which is also what makes cross-CPU tick dodging a
     physically meaningful attack.  ``handler`` bypasses the PIC and invokes
-    the callback directly (used for per-CPU local-APIC-style delivery on
-    SMP machines); when None the timer raises IRQ 0 as before.
+    the callback directly: every :class:`~repro.hw.machine.Machine` wires
+    its per-CPU timers this way (local-APIC style).  When None the timer
+    raises IRQ 0 on the PIC.
     """
 
     def __init__(self, tick_ns: int, clock: Clock, events: EventQueue,

@@ -33,7 +33,6 @@ from ..errors import (
     SimulationError,
 )
 from ..hw.cpu import CPUMode
-from ..programs.base import GuestFunction
 from ..programs.ops import (
     CallLib,
     CallNext,
@@ -723,33 +722,10 @@ class ExecutionEngine:
 
     def _dispatch(self, task: "Task", st: ExecState, frame: Frame,
                   op: Op) -> None:
+        """The cold ops: everything the run loop does not handle inline.
+        A syscall continuation's ``Compute`` is charged by the loop too,
+        so only ``Block`` and ``ReplaceImage`` land here."""
         kernel = self.kernel
-        if isinstance(op, Compute):
-            kind = ChargeKind.USER if frame.user_mode else ChargeKind.SYSCALL
-            st.segments.append(Segment(op.cycles, frame.user_mode,
-                                       frame.provenance, kind))
-            return
-        if isinstance(op, Mem):
-            if not frame.user_mode:
-                raise SimulationError("kernel frames may not yield Mem ops")
-            st.pending_mem = PendingMem(op)
-            return
-        if isinstance(op, Invoke):
-            fn: GuestFunction = op.fn
-            gen = fn.instantiate(task.guest_ctx, *op.args)
-            st.push_frame(Frame(gen, fn.provenance, fn.name,
-                                user_mode=frame.user_mode))
-            return
-        if isinstance(op, CallLib):
-            self._call_lib(task, st, frame, op.symbol, op.args, after=None)
-            return
-        if isinstance(op, CallNext):
-            if frame.lib is None:
-                raise SimulationError(
-                    "CallNext outside a library function frame")
-            self._call_lib(task, st, frame, op.symbol, op.args,
-                           after=frame.lib)
-            return
         if isinstance(op, Block):
             if frame.user_mode:
                 raise SimulationError("user frames may not yield Block ops")
@@ -763,7 +739,7 @@ class ExecutionEngine:
 
     def _call_lib(self, task: "Task", st: ExecState, frame: Frame,
                   symbol: str, args, after,
-                  flush: Optional[Callable[[], None]] = None) -> None:
+                  flush: Callable[[], None]) -> None:
         kernel = self.kernel
         link_map = task.guest_ctx.shared.get("_link_map") if task.guest_ctx else None
         if link_map is None:
@@ -777,8 +753,7 @@ class ExecutionEngine:
         except FileNotFound:
             # Undefined symbol at call time: the process dies like a
             # lazy-binding failure would.
-            if flush is not None:
-                flush()
+            flush()
             kernel.trace("link", f"undefined symbol {symbol}", task.pid)
             kernel.do_exit(task, 127)
             return
@@ -802,7 +777,7 @@ class ExecutionEngine:
     # -- memory ---------------------------------------------------------------------
 
     def _continue_mem(self, task: "Task", st: ExecState,
-                      flush: Optional[Callable[[], None]] = None) -> None:
+                      flush: Callable[[], None]) -> None:
         kernel = self.kernel
         pending = st.pending_mem
         op = pending.op
@@ -814,8 +789,7 @@ class ExecutionEngine:
         kind = mm.classify(space, op.vaddr)
         if kind is FaultKind.SEGV:
             st.pending_mem = None
-            if flush is not None:
-                flush()
+            flush()
             kernel.trace("fault", f"SIGSEGV at 0x{op.vaddr:x}", task.pid)
             kernel.post_signal(task, SIGSEGV)
             return

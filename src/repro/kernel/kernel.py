@@ -59,23 +59,23 @@ _KEY_SWITCH = (False, Provenance.SYSTEM)
 
 
 class CpuContext:
-    """Saved per-CPU kernel state (SMP register bank).
+    """Saved per-CPU kernel state (one register bank per CPU).
 
     ``Kernel.current``/``need_resched``/``scheduler``/``cpu`` always describe
     the *active* CPU; :meth:`Kernel.set_active_cpu` swaps them through these
-    banks.  On a uniprocessor no switch ever happens, so every pre-SMP code
-    path is untouched.  The scheduler and CPU references are fixed at boot;
-    only the mutable fields are written back on a switch.
+    banks.  Every machine has one bank per CPU, a uniprocessor included: its
+    single bank is always active, so no switch ever happens there.  The
+    scheduler and CPU references are fixed at boot; only the mutable fields
+    are written back on a switch.
     """
 
-    __slots__ = ("index", "cpu", "scheduler", "timer", "current",
+    __slots__ = ("index", "cpu", "scheduler", "current",
                  "need_resched", "irq_window", "tick_offset_ns")
 
-    def __init__(self, index, cpu, scheduler, timer, tick_offset_ns):
+    def __init__(self, index, cpu, scheduler, tick_offset_ns):
         self.index = index
         self.cpu = cpu
         self.scheduler = scheduler
-        self.timer = timer
         self.current = None
         self.need_resched = False
         self.irq_window = (0, 0)
@@ -143,10 +143,9 @@ class Kernel:
         self.current: Optional[Task] = None
         self.need_resched = False
 
-        #: SMP state.  ``current``/``need_resched``/``scheduler``/``cpu``
+        #: Per-CPU state.  ``current``/``need_resched``/``scheduler``/``cpu``
         #: above are the *active* CPU's bank; set_active_cpu swaps them.
         self.nproc = cfg.nproc
-        self._smp = cfg.nproc > 1
         self.cpu_index = 0
         self._active_tick_offset = 0
         self._cpu_contexts: List[CpuContext] = []
@@ -185,28 +184,25 @@ class Kernel:
         self._switch_ns = cpu.cycles_to_ns(self._switch_cycles)
         self._charge_switch_to_prev = self.cfg.charge_switch_to == "prev"
 
-        pic.register(IRQ_TIMER, self._timer_irq)
         pic.register(IRQ_NIC, self._nic_irq)
         pic.register(IRQ_DISK, self._disk_irq)
 
     # ------------------------------------------------------------------
-    # SMP: per-CPU banks, migration, load balancing
+    # per-CPU banks, migration, load balancing
     # ------------------------------------------------------------------
 
     def init_smp(self, cpus: List[CPU], timers) -> None:
-        """Wire the per-CPU contexts (called by the machine when nproc > 1).
+        """Wire one context per CPU (called by the machine at boot).
 
         CPU 0 keeps the kernel's boot-time scheduler and CPU objects so the
         active bank is context 0's from the start; the other CPUs get their
         own run queue each.
         """
         self._cpu_contexts = [
-            CpuContext(0, self.cpu, self.scheduler, timers[0],
-                       timers[0].offset_ns)]
-        for i in range(1, self.nproc):
-            self._cpu_contexts.append(CpuContext(
-                i, cpus[i], make_scheduler(self.cfg), timers[i],
-                timers[i].offset_ns))
+            CpuContext(i, cpus[i],
+                       self.scheduler if i == 0 else make_scheduler(self.cfg),
+                       timers[i].offset_ns)
+            for i in range(self.nproc)]
 
     def set_active_cpu(self, index: int) -> None:
         """Bank-switch the kernel onto CPU ``index``."""
@@ -226,19 +222,16 @@ class Kernel:
         self._active_tick_offset = new.tick_offset_ns
 
     def timer_interrupt(self, cpu_index: int) -> None:
-        """Per-CPU local-timer entry point (SMP machines only): the CPU's
-        staggered TimerDevice calls this instead of raising IRQ 0."""
+        """Per-CPU local-timer entry point: each CPU's staggered
+        TimerDevice calls this (local-APIC style) instead of raising IRQ 0
+        on the shared PIC."""
         self.set_active_cpu(cpu_index)
         self.pic.counts[IRQ_TIMER] = self.pic.counts.get(IRQ_TIMER, 0) + 1
         self._timer_irq(IRQ_TIMER)
 
     def per_cpu_state(self) -> List[Tuple["CpuContext", Optional[Task]]]:
         """(context, current) per CPU with the active bank synced — for the
-        invariant checker, procfs and the load balancer.  Single-CPU
-        kernels report one pseudo-context."""
-        if not self._smp:
-            ctx = CpuContext(0, self.cpu, self.scheduler, None, 0)
-            return [(ctx, self.current)]
+        invariant checker and the load balancer."""
         return [(ctx, self.current if ctx.index == self.cpu_index
                  else ctx.current)
                 for ctx in self._cpu_contexts]
@@ -251,8 +244,6 @@ class Kernel:
         enqueues it on the target's run queue (IPI semantics — a task
         never sits in two run queues, and never hops mid-slice)."""
         task = self.current
-        if not self._smp:
-            return 0
         target = int(target) % self.nproc
         task.cpus_allowed = {target}
         if target != self.cpu_index:
@@ -281,8 +272,6 @@ class Kernel:
         busiest run queue leads the idlest by 2+ runnable tasks, pull one
         task across, respecting affinity."""
         ctxs = self._cpu_contexts
-        if not ctxs:
-            return 0
         moves = 0
         while True:
             loads = []
@@ -320,33 +309,29 @@ class Kernel:
     def _dequeue_anywhere(self, task: Task) -> None:
         """Remove a READY task from whichever run queue holds it (or from
         the pending-migration list)."""
-        if self._smp:
-            for i, (t, _src) in enumerate(self._pending_migrations):
-                if t is task:
-                    del self._pending_migrations[i]
-                    return
-            self._cpu_contexts[task.cpu].scheduler.dequeue(task)
-        else:
-            self.scheduler.dequeue(task)
+        for i, (t, _src) in enumerate(self._pending_migrations):
+            if t is task:
+                del self._pending_migrations[i]
+                return
+        self._cpu_contexts[task.cpu].scheduler.dequeue(task)
 
     def _enqueue_runnable(self, task: Task, wakeup: bool) -> None:
         """Enqueue a newly-runnable task, honoring SMP placement: wake to
         the waking CPU (cheap wake balancing) unless the task is pinned
         elsewhere, in which case enqueue straight on the pinned queue."""
-        if self._smp:
-            allowed = task.cpus_allowed
-            if allowed is not None and self.cpu_index not in allowed:
-                dst = min(c for c in allowed if 0 <= c < self.nproc)
-                if task.cpu != dst:
-                    task.migrations += 1
-                task.cpu = dst
-                ctx = self._cpu_contexts[dst]
-                ctx.scheduler.enqueue(task, wakeup=wakeup)
-                ctx.need_resched = True
-                return
-            if task.cpu != self.cpu_index:
-                task.cpu = self.cpu_index
+        allowed = task.cpus_allowed
+        if allowed is not None and self.cpu_index not in allowed:
+            dst = min(c for c in allowed if 0 <= c < self.nproc)
+            if task.cpu != dst:
                 task.migrations += 1
+            task.cpu = dst
+            ctx = self._cpu_contexts[dst]
+            ctx.scheduler.enqueue(task, wakeup=wakeup)
+            ctx.need_resched = True
+            return
+        if task.cpu != self.cpu_index:
+            task.cpu = self.cpu_index
+            task.migrations += 1
         self.scheduler.enqueue(task, wakeup=wakeup)
 
     # ------------------------------------------------------------------
@@ -473,15 +458,13 @@ class Kernel:
                    current.pid if current is not None else None)
 
     def _nic_irq(self, line: int) -> None:
-        if self._smp:
-            # Device interrupts land on the line's affine CPU: whoever runs
-            # there eats the handler time (the IRQ-steering attack surface).
-            self.set_active_cpu(self.pic.affinity(line))
+        # Device interrupts land on the line's affine CPU: whoever runs
+        # there eats the handler time (the IRQ-steering attack surface).
+        self.set_active_cpu(self.pic.affinity(line))
         self.consume_irq(self.costs.nic_handler_cycles, Provenance.IRQ)
 
     def _disk_irq(self, line: int) -> None:
-        if self._smp:
-            self.set_active_cpu(self.pic.affinity(line))
+        self.set_active_cpu(self.pic.affinity(line))
         self.consume_irq(self.costs.disk_handler_cycles, Provenance.IRQ)
         completion = self.disk.take_completion()
         if completion is not None:
@@ -510,7 +493,7 @@ class Kernel:
                 prev.state = TaskState.READY
             if prev.state is TaskState.READY:
                 prev.involuntary_switches += 1
-                if self._smp and prev.cpu != self.cpu_index:
+                if prev.cpu != self.cpu_index:
                     # The task asked to run elsewhere (sys_migrate): park
                     # it for the slice barrier instead of requeueing here.
                     self._pending_migrations.append((prev, self.cpu_index))
@@ -620,7 +603,7 @@ class Kernel:
         return woken
 
     def _maybe_preempt(self, woken: Task) -> None:
-        if self._smp and woken.cpu != self.cpu_index:
+        if woken.cpu != self.cpu_index:
             return  # remote enqueue; that CPU reschedules at its slice
         if self.current is None:
             return

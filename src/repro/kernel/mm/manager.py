@@ -156,8 +156,16 @@ class MemoryManager:
         return dirty
 
     def complete_minor_fault(self, space: AddressSpace, vaddr: int) -> bool:
-        """Map a zero page at ``vaddr``.  Returns wrote_back (dirty evict)."""
+        """Map a zero page at ``vaddr``.  Returns wrote_back (dirty evict).
+
+        Two threads racing a page's first touch both take the minor fault;
+        the later completion finds the page already PRESENT and maps
+        nothing (the trapping thread still paid for its fault, as on
+        Linux), so no frame leaks and RSS counts the page once."""
         vpn = space.vpn_of(vaddr)
+        mapped = space.ptes.get(vpn)
+        if mapped is not None and mapped.state is PteState.PRESENT:
+            return False
         frame, wrote_back = self.allocate_frame(space, vpn)
         pte = space.pte(vpn)
         pte.state = PteState.PRESENT

@@ -121,8 +121,9 @@ def _uptime_fresh(kernel: "Kernel") -> Dict[str, float]:
 def cpu_stat(kernel: "Kernel") -> Dict[str, Dict[str, int]]:
     """The /proc/stat cpu-line analogue: the aggregate ``cpu`` row plus
     one ``cpuN`` row per CPU, each holding user/system/idle tick counts.
-    Like the real file, a uniprocessor still shows ``cpu0`` (identical to
-    the aggregate).  Subject to StaleProcfs, like stat/uptime."""
+    Like the real file, a uniprocessor still shows ``cpu0`` (equal to the
+    aggregate, since CPU 0 takes every tick).  Subject to StaleProcfs,
+    like stat/uptime."""
     fault = kernel.procfs_fault
     if fault is not None:
         return fault.cached(("cpu_stat",), kernel.clock.now,
@@ -134,13 +135,10 @@ def _cpu_stat_fresh(kernel: "Kernel") -> Dict[str, Dict[str, int]]:
     tk = kernel.timekeeper
     rows = {"cpu": {"user": tk.ticks_user, "system": tk.ticks_kernel,
                     "idle": tk.ticks_idle}}
-    if kernel.nproc > 1:
-        for c in range(kernel.nproc):
-            rows[f"cpu{c}"] = {"user": tk.cpu_ticks_user[c],
-                               "system": tk.cpu_ticks_kernel[c],
-                               "idle": tk.cpu_ticks_idle[c]}
-    else:
-        rows["cpu0"] = dict(rows["cpu"])
+    for c in range(kernel.nproc):
+        rows[f"cpu{c}"] = {"user": tk.cpu_ticks_user[c],
+                           "system": tk.cpu_ticks_kernel[c],
+                           "idle": tk.cpu_ticks_idle[c]}
     return rows
 
 

@@ -400,7 +400,7 @@ def run_spec(spec: ExperimentSpec):
     return run_experiment(
         spec.build_program(),
         attack=spec.build_attack(),
-        cfg=spec.cfg if spec.nproc == 1 else spec.resolved_config(),
+        cfg=spec.resolved_config(),
         run_attacker_to_completion=spec.run_attacker_to_completion,
         check_invariants=spec.check_invariants,
         **kwargs)

@@ -87,7 +87,7 @@ class MachineTimeSync:
             try:
                 self.network.check_conservation(self._finalized_at)
             except Exception as exc:  # reported, not raised: checker policy
-                checker._report("timesync-conservation", str(exc))
+                checker.report("timesync-conservation", str(exc))
         else:
             self.network.check_conservation(self._finalized_at)
 

@@ -430,6 +430,12 @@ def _check_cross_scheduler(scenario: Scenario, report: ScenarioReport,
     cycles→ns conversion rounds once, so totals may drift by ~1 ns per
     boundary; where the boundaries fall *does* depend on the scheduler.
     The tolerance is therefore one ns per observed tick/context switch.
+
+    Threads racing a page's first touch each take the minor fault, and
+    each fault is real kernel work billed to the program's provenance;
+    how many threads race depends on the schedule.  So the tolerance also
+    admits the spread of minor faults across schedulers, at the cost of
+    one minor fault (rounded up to whole ns) each.
     """
     if scenario.attack not in SCHEDULE_INDEPENDENT_ATTACKS:
         return
@@ -444,12 +450,14 @@ def _check_cross_scheduler(scenario: Scenario, report: ScenarioReport,
     if len(results) < 2:
         return
     own: Dict[str, int] = {}
+    minor_faults: List[int] = []
     tolerance_ns = 64
     for scheduler, result in results.items():
         oracle = result.oracle_seconds
         own[scheduler] = round(
             (oracle.get("user", 0.0) + oracle.get("lib", 0.0)) * 1e9)
         stats = result.stats
+        minor_faults.append(stats.get("minor_faults", 0))
         tolerance_ns = max(
             tolerance_ns,
             64 + stats.get("ticks", 0)
@@ -458,6 +466,10 @@ def _check_cross_scheduler(scenario: Scenario, report: ScenarioReport,
             + stats.get("migrations_total", 0))
     reference_sched = next(iter(own))
     reference = own[reference_sched]
+    cfg = scenario.config(reference_sched)
+    fault_cycles = cfg.costs.minor_fault_cycles + cfg.costs.page_zero_cycles
+    fault_ns = -(-fault_cycles * 1_000_000_000 // cfg.cpu_freq_hz)
+    tolerance_ns += (max(minor_faults) - min(minor_faults)) * fault_ns
     for scheduler, value in own.items():
         if abs(value - reference) > tolerance_ns:
             report.failures.append(

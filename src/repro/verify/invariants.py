@@ -11,8 +11,8 @@ books:
   exactly one account (a task, idle interrupt time, or the idle loop);
   per-task attribution equals the oracle's provenance ledger; the engine
   never consumes more than the clock moved.
-* **tick-conservation** — each jiffy is charged to exactly one account:
-  ``timekeeper.jiffies`` equals the observed tick count, per-task
+* **tick-conservation** — each tick is charged to exactly one account:
+  ``timekeeper.ticks_total`` equals the observed tick count, per-task
   ``acct_ticks`` equals the ticks the checker saw land on that task, and
   idle ticks balance.
 * **billing-conservation** — scheme-specific closed-form identities: under
@@ -27,16 +27,17 @@ books:
   dead in neither; ``nr_runnable`` agrees with queue contents.
 * **clock-monotonic** — simulated time and jiffies never move backwards.
 
-On SMP machines (``cfg.nproc > 1``) the conservation laws generalise
-per CPU: every nanosecond of a CPU's capacity is claimed by exactly one
-account *on that CPU* (task charge, idle-IRQ, or idle loop), per-CPU
-tick counters close against the per-CPU ticks the checker observed, and
-the runqueue discipline holds across all per-CPU queues plus the
-in-flight migration list (a migrating task is queued exactly once —
-there).  The machine's SMP loop notifies the checker of its silent
-slice rewinds via :meth:`on_cpu_slice`; the wall-vs-capacity identity
-is then per-CPU (total clock advance equals the *sum* of per-CPU
-capacity, not the wall window).
+The conservation laws also hold per CPU, at every ``cfg.nproc``: every
+nanosecond of a CPU's capacity is claimed by exactly one account *on that
+CPU* (task charge, idle-IRQ, or idle loop), per-CPU tick counters close
+against the per-CPU ticks the checker observed, and the runqueue
+discipline holds across all per-CPU queues plus the in-flight migration
+list (a migrating task is queued exactly once — there).  The machine's
+SMP loop notifies the checker of its silent slice rewinds via
+:meth:`on_cpu_slice`, so total clock advance is the *sum* of per-CPU
+capacity, not the wall window.  The one law that holds only on a
+uniprocessor is the wall-clock law: there, and only there, the clock's
+wall reading equals the capacity that passed through ``advance()``.
 
 Checks are two-tier: O(1) hooks run on every event, and a full O(tasks)
 sweep runs every ``full_check_every_ticks`` jiffies, at every task exit
@@ -135,13 +136,12 @@ class _TaskShadow:
         return self.ticks_user + self.ticks_kernel
 
 
-class InvariantChecker:
-    """Shadow-ledger invariant checker wired into a running machine."""
+class _Checker:
+    """What both shadow-ledger checkers share: the raise/collect mode, the
+    fault-declared tolerated categories, and how a violation is recorded."""
 
-    def __init__(self, mode: str = "raise",
-                 full_check_every_ticks: int = 16,
-                 max_recorded: int = 200,
-                 tolerated: Iterable[str] = ()) -> None:
+    def __init__(self, mode: str, full_check_every_ticks: int,
+                 max_recorded: int, tolerated: Iterable[str]) -> None:
         if mode not in ("raise", "collect"):
             raise SimulationError(f"unknown invariant mode {mode!r}")
         self.mode = mode
@@ -153,10 +153,57 @@ class InvariantChecker:
         #: instead of raising — graceful degradation, not failure.
         self.tolerated: Set[str] = set(tolerated)
         self.tolerated_violations: List[Violation] = []
-        #: (category, pid) pairs already recorded (collect-mode dedup).
-        self._seen: Set[Tuple[str, Optional[int]]] = set()
+        #: (category, subject) pairs already recorded (collect-mode dedup).
+        self._seen: Set[Tuple[str, object]] = set()
         self.suppressed = 0
 
+    @classmethod
+    def resolve(cls, invariants, tolerated: Iterable[str] = ()):
+        """The checker an ``invariants=`` argument asks for: None when
+        falsy, a pre-built checker as is, ``"collect"`` for a collecting
+        one, anything else truthy for a raising one.  ``tolerated``
+        categories are declared on whichever checker results."""
+        if not invariants:
+            return None
+        if isinstance(invariants, cls):
+            if tolerated:
+                invariants.tolerate(*tolerated)
+            return invariants
+        if invariants == "collect":
+            return cls(mode="collect", tolerated=tolerated)
+        return cls(tolerated=tolerated)
+
+    def tolerate(self, *categories: str) -> None:
+        """Declare ``categories`` as expected under the active fault plan."""
+        self.tolerated.update(categories)
+
+    def _record(self, violation: Violation, subject: object) -> None:
+        """Tolerate, raise or collect ``violation``; collect mode keeps one
+        per (category, ``subject``) and at most ``max_recorded``."""
+        category = violation.category
+        if category in self.tolerated:
+            if len(self.tolerated_violations) < self.max_recorded:
+                self.tolerated_violations.append(violation)
+            return
+        if self.mode == "raise":
+            raise InvariantViolation(violation)
+        key = (category, subject)
+        if key in self._seen or len(self.violations) >= self.max_recorded:
+            self.suppressed += 1
+            return
+        self._seen.add(key)
+        self.violations.append(violation)
+
+
+class InvariantChecker(_Checker):
+    """Shadow-ledger invariant checker wired into a running machine."""
+
+    def __init__(self, mode: str = "raise",
+                 full_check_every_ticks: int = 16,
+                 max_recorded: int = 200,
+                 tolerated: Iterable[str] = ()) -> None:
+        super().__init__(mode, full_check_every_ticks, max_recorded,
+                         tolerated)
         self.kernel: Optional["Kernel"] = None
         self._tick_ns = 0
         self._attach_now = 0
@@ -177,8 +224,7 @@ class InvariantChecker:
         self._last_jiffies = 0
         self.full_checks = 0
 
-        # Per-CPU shadow ledgers (SMP only; empty on nproc == 1).
-        self._smp = False
+        # Per-CPU shadow ledgers, sized at attach.
         self._nproc = 1
         self._cpu_cap: List[int] = []
         self._cpu_attr: List[int] = []
@@ -198,15 +244,13 @@ class InvariantChecker:
         self._attach_jiffies = kernel.timekeeper.jiffies
         self._last_now = kernel.clock.now
         self._last_jiffies = kernel.timekeeper.jiffies
-        self._nproc = getattr(kernel, "nproc", 1)
-        self._smp = self._nproc > 1
-        if self._smp:
-            self._cpu_cap = [0] * self._nproc
-            self._cpu_attr = [0] * self._nproc
-            self._cpu_idle_irq = [0] * self._nproc
-            self._cpu_idle = [0] * self._nproc
-            self._ticks_cpu = [0] * self._nproc
-            self._attach_ticks_total = kernel.timekeeper.ticks_total
+        self._nproc = kernel.nproc
+        self._cpu_cap = [0] * self._nproc
+        self._cpu_attr = [0] * self._nproc
+        self._cpu_idle_irq = [0] * self._nproc
+        self._cpu_idle = [0] * self._nproc
+        self._ticks_cpu = [0] * self._nproc
+        self._attach_ticks_total = kernel.timekeeper.ticks_total
         kernel.invariants = self
         kernel.clock.on_advance = self.on_clock_advance
 
@@ -216,12 +260,11 @@ class InvariantChecker:
             shadow = self._tasks[pid] = _TaskShadow()
         return shadow
 
-    def tolerate(self, *categories: str) -> None:
-        """Declare ``categories`` as expected under the active fault plan."""
-        self.tolerated.update(categories)
-
-    def _report(self, category: str, message: str,
-                pid: Optional[int] = None) -> None:
+    def report(self, category: str, message: str,
+               pid: Optional[int] = None) -> None:
+        """Record a breach of ``category`` (traced under
+        :data:`~repro.sim.tracing.INVARIANT_CATEGORY`); also the entry
+        point for checks that live outside this class."""
         kernel = self.kernel
         tick = kernel.timekeeper.jiffies if kernel is not None else 0
         now = kernel.clock.now if kernel is not None else 0
@@ -229,18 +272,7 @@ class InvariantChecker:
                               tick=tick, time_ns=now)
         if kernel is not None:
             kernel.trace(INVARIANT_CATEGORY, f"{category}: {message}", pid)
-        if category in self.tolerated:
-            if len(self.tolerated_violations) < self.max_recorded:
-                self.tolerated_violations.append(violation)
-            return
-        if self.mode == "raise":
-            raise InvariantViolation(violation)
-        key = (category, pid)
-        if key in self._seen or len(self.violations) >= self.max_recorded:
-            self.suppressed += 1
-            return
-        self._seen.add(key)
-        self.violations.append(violation)
+        self._record(violation, pid)
 
     # ------------------------------------------------------------------
     # hooks (called by clock/kernel/engine/machine)
@@ -255,32 +287,26 @@ class InvariantChecker:
 
     def on_clock_advance(self, delta_ns: int) -> None:
         if delta_ns < 0:
-            self._report("clock-monotonic",
-                         f"clock advanced by negative delta {delta_ns}")
+            self.report("clock-monotonic",
+                        f"clock advanced by negative delta {delta_ns}")
             return
         self._clock_total += delta_ns
         self._pending_ns += delta_ns
-        if self._smp:
-            self._cpu_cap[self.kernel.cpu_index] += delta_ns
+        self._cpu_cap[self.kernel.cpu_index] += delta_ns
 
     def on_charge(self, task: Optional["Task"], ns: int, user_mode: bool,
                   kind: "ChargeKind") -> None:
         """Every charged slice: consume, IRQ handlers, switch cost."""
         self._pending_ns -= ns
         if self._pending_ns < 0:
-            self._report(
+            self.report(
                 "time-conservation",
                 f"charged {ns}ns exceeding clock advance (pending "
                 f"{self._pending_ns + ns}ns)",
                 task.pid if task is not None else None)
             self._pending_ns = 0
-        if self._smp:
-            cpu = self.kernel.cpu_index
-            if task is None:
-                self._cpu_idle_irq[cpu] += ns
-            else:
-                self._cpu_attr[cpu] += ns
         if task is None:
+            self._cpu_idle_irq[self.kernel.cpu_index] += ns
             self._idle_irq_ns += ns
             # Idle-period IRQ time is still diverted to the scheme's
             # system account under process-aware accounting; keep the
@@ -290,10 +316,11 @@ class InvariantChecker:
                     and self.kernel.accounting.process_aware_irq):
                 self._system_ns += ns
             return
+        kernel = self.kernel
+        self._cpu_attr[kernel.cpu_index] += ns
         shadow = self._shadow(task.pid)
         shadow.attributed_ns += ns
         self._attributed_total += ns
-        kernel = self.kernel
         if (kind.value == "irq"
                 and kernel.accounting.process_aware_irq):
             self._system_ns += ns
@@ -307,18 +334,16 @@ class InvariantChecker:
         """The machine advanced the clock with no task to charge."""
         self._pending_ns -= delta_ns
         if self._pending_ns < 0:
-            self._report("time-conservation",
-                         f"idle advance of {delta_ns}ns exceeds clock delta")
+            self.report("time-conservation",
+                        f"idle advance of {delta_ns}ns exceeds clock delta")
             self._pending_ns = 0
         self._idle_ns += delta_ns
-        if self._smp:
-            self._cpu_idle[self.kernel.cpu_index] += delta_ns
+        self._cpu_idle[self.kernel.cpu_index] += delta_ns
 
     def on_tick(self, task: Optional["Task"], user_mode: bool) -> None:
         """After the accounting scheme sampled this jiffy."""
         self._ticks_total += 1
-        if self._smp:
-            self._ticks_cpu[self.kernel.cpu_index] += 1
+        self._ticks_cpu[self.kernel.cpu_index] += 1
         if task is None:
             self._idle_ticks += 1
         else:
@@ -337,12 +362,12 @@ class InvariantChecker:
     def on_engine_stop(self, task: "Task", consumed_ns: int,
                        clock_delta_ns: int, budget_ns: int) -> None:
         if consumed_ns != clock_delta_ns:
-            self._report(
+            self.report(
                 "time-conservation",
                 f"engine consumed {consumed_ns}ns but the clock moved "
                 f"{clock_delta_ns}ns", task.pid)
         if consumed_ns > budget_ns:
-            self._report(
+            self.report(
                 "engine-budget",
                 f"engine consumed {consumed_ns}ns of a {budget_ns}ns budget",
                 task.pid)
@@ -350,13 +375,13 @@ class InvariantChecker:
     def on_step(self) -> None:
         """Cheap per-iteration check from the machine loop."""
         if self._pending_ns != 0:
-            self._report(
+            self.report(
                 "time-conservation",
                 f"{self._pending_ns}ns advanced without attribution")
         kernel = self.kernel
         if kernel.clock.now < self._last_now:
-            self._report("clock-monotonic",
-                         f"clock moved backwards to {kernel.clock.now}ns")
+            self.report("clock-monotonic",
+                        f"clock moved backwards to {kernel.clock.now}ns")
         self._last_now = kernel.clock.now
 
     # ------------------------------------------------------------------
@@ -379,39 +404,39 @@ class InvariantChecker:
     def _check_time_conservation(self) -> None:
         kernel = self.kernel
         if self._pending_ns != 0:
-            self._report(
+            self.report(
                 "time-conservation",
                 f"{self._pending_ns}ns advanced without attribution")
-        if not self._smp:
-            # On SMP the wall clock and the capacity total diverge by
-            # design: N CPUs each account the same wall window, so
-            # _clock_total is the *sum* of per-CPU capacity (checked per
-            # CPU below) while clock.now only tracks the wall.
+        if self._nproc == 1:
+            # The wall-clock law holds on one CPU only: N CPUs each
+            # account the same wall window, so _clock_total is the *sum*
+            # of per-CPU capacity (checked per CPU below) while clock.now
+            # only tracks the wall.
             observed = kernel.clock.now - self._attach_now
             if observed != self._clock_total:
-                self._report(
+                self.report(
                     "clock-monotonic",
                     f"clock moved {observed}ns but only {self._clock_total}"
                     f"ns passed through advance()")
         if kernel.idle_irq_ns != self._idle_irq_ns:
-            self._report(
+            self.report(
                 "time-conservation",
                 f"kernel idle IRQ time {kernel.idle_irq_ns}ns != shadow "
                 f"{self._idle_irq_ns}ns")
         accounted = (self._attributed_total + self._idle_irq_ns
                      + self._idle_ns + self._pending_ns)
         if accounted != self._clock_total:
-            self._report(
+            self.report(
                 "time-conservation",
                 f"{self._clock_total}ns elapsed but {accounted}ns accounted")
-        if self._smp and self._pending_ns == 0:
+        if self._pending_ns == 0:
             # Per-CPU conservation: every nanosecond of a CPU's capacity
             # is claimed by exactly one account *on that CPU*.
             for c in range(self._nproc):
                 cpu_accounted = (self._cpu_attr[c] + self._cpu_idle_irq[c]
                                  + self._cpu_idle[c])
                 if cpu_accounted != self._cpu_cap[c]:
-                    self._report(
+                    self.report(
                         "time-conservation",
                         f"cpu{c}: {self._cpu_cap[c]}ns of capacity but "
                         f"{cpu_accounted}ns accounted")
@@ -421,45 +446,38 @@ class InvariantChecker:
         tk = kernel.timekeeper
         jiffies = tk.jiffies - self._attach_jiffies
         if jiffies < self._last_jiffies - self._attach_jiffies:
-            self._report("clock-monotonic", "jiffies moved backwards")
+            self.report("clock-monotonic", "jiffies moved backwards")
         self._last_jiffies = tk.jiffies
-        if self._smp:
-            # Jiffies advance on the timekeeping CPU only; the checker's
-            # global tick count closes against ticks_total instead.
-            ticks = tk.ticks_total - self._attach_ticks_total
-            if ticks != self._ticks_total:
-                self._report(
-                    "tick-conservation",
-                    f"timekeeper counted {ticks} ticks, checker saw "
-                    f"{self._ticks_total}")
-            if jiffies != self._ticks_cpu[0]:
-                self._report(
-                    "tick-conservation",
-                    f"jiffies advanced {jiffies} but cpu0 fired "
-                    f"{self._ticks_cpu[0]} ticks")
-            for c in range(self._nproc):
-                per_mode = (tk.cpu_ticks_user[c] + tk.cpu_ticks_kernel[c]
-                            + tk.cpu_ticks_idle[c])
-                if per_mode != self._ticks_cpu[c]:
-                    self._report(
-                        "tick-conservation",
-                        f"cpu{c} per-mode ticks sum to {per_mode}, checker "
-                        f"saw {self._ticks_cpu[c]}")
-        elif jiffies != self._ticks_total:
-            self._report(
+        # Jiffies advance on the timekeeping CPU only; the checker's
+        # global tick count closes against ticks_total instead.
+        ticks = tk.ticks_total - self._attach_ticks_total
+        if ticks != self._ticks_total:
+            self.report(
                 "tick-conservation",
-                f"timekeeper counted {jiffies} jiffies, checker saw "
-                f"{self._ticks_total} ticks")
+                f"timekeeper counted {ticks} ticks, checker saw "
+                f"{self._ticks_total}")
+        if jiffies != self._ticks_cpu[0]:
+            self.report(
+                "tick-conservation",
+                f"jiffies advanced {jiffies} but cpu0 fired "
+                f"{self._ticks_cpu[0]} ticks")
+        for c in range(self._nproc):
+            per_mode = (tk.cpu_ticks_user[c] + tk.cpu_ticks_kernel[c]
+                        + tk.cpu_ticks_idle[c])
+            if per_mode != self._ticks_cpu[c]:
+                self.report(
+                    "tick-conservation",
+                    f"cpu{c} per-mode ticks sum to {per_mode}, checker "
+                    f"saw {self._ticks_cpu[c]}")
         if kernel.accounting.idle_ticks != self._idle_ticks:
-            self._report(
+            self.report(
                 "tick-conservation",
                 f"scheme idle_ticks {kernel.accounting.idle_ticks} != "
                 f"shadow {self._idle_ticks}")
-        reference = tk.ticks_total if self._smp else tk.jiffies
-        if tk.ticks_user + tk.ticks_kernel + tk.ticks_idle != reference:
-            self._report(
+        if tk.ticks_user + tk.ticks_kernel + tk.ticks_idle != tk.ticks_total:
+            self.report(
                 "tick-conservation",
-                "per-mode tick counters do not sum to jiffies")
+                "per-mode tick counters do not sum to ticks_total")
 
     def _check_billing_global(self) -> None:
         kernel = self.kernel
@@ -467,7 +485,7 @@ class InvariantChecker:
         gap = kernel.accounting.billing_gap_ns(
             kernel.tasks.values(), busy_ticks)
         if gap is not None and gap != 0:
-            self._report(
+            self.report(
                 "billing-conservation",
                 f"billed time off by {gap}ns against "
                 f"{busy_ticks} busy ticks")
@@ -476,7 +494,7 @@ class InvariantChecker:
             # TSC-style diversion: the system account must equal exactly
             # the IRQ nanoseconds the checker watched being diverted.
             if scheme.system_ns != self._system_ns:
-                self._report(
+                self.report(
                     "billing-conservation",
                     f"system account {scheme.system_ns}ns != diverted IRQ "
                     f"shadow {self._system_ns}ns")
@@ -488,12 +506,12 @@ class InvariantChecker:
             shadow = _TaskShadow()
         oracle_total = sum(task.oracle_ns.values())
         if oracle_total != shadow.attributed_ns:
-            self._report(
+            self.report(
                 "oracle-reconciliation",
                 f"oracle recorded {oracle_total}ns but {shadow.attributed_ns}"
                 f"ns were charged", task.pid)
         if task.acct_ticks != shadow.ticks:
-            self._report(
+            self.report(
                 "tick-conservation",
                 f"task sampled {task.acct_ticks} ticks, checker saw "
                 f"{shadow.ticks}", task.pid)
@@ -504,13 +522,13 @@ class InvariantChecker:
                 expect_u = shadow.ticks_user * self._tick_ns
                 expect_k = shadow.ticks_kernel * self._tick_ns
                 if (usage.utime_ns, usage.stime_ns) != (expect_u, expect_k):
-                    self._report(
+                    self.report(
                         "billing-conservation",
                         f"billed {usage.utime_ns}u+{usage.stime_ns}s ns, "
                         f"tick identity expects {expect_u}u+{expect_k}s ns",
                         task.pid)
             elif usage.total_ns > shadow.ticks * self._tick_ns:
-                self._report(
+                self.report(
                     "billing-conservation",
                     f"billed {usage.total_ns}ns exceeds {shadow.ticks} "
                     f"sampled jiffies", task.pid)
@@ -518,7 +536,7 @@ class InvariantChecker:
         if audit is not None:
             if (audit.utime_ns != shadow.billable_user_ns
                     or audit.stime_ns != shadow.billable_kernel_ns):
-                self._report(
+                self.report(
                     "billing-conservation",
                     f"precise view {audit.utime_ns}u+{audit.stime_ns}s ns "
                     f"!= shadow {shadow.billable_user_ns}u+"
@@ -528,62 +546,50 @@ class InvariantChecker:
         from ..kernel.process import TaskState
 
         kernel = self.kernel
-        if self._smp:
-            queued: List[int] = []
-            currents = []
-            for ctx, cpu_current in kernel.per_cpu_state():
-                pids = ctx.scheduler.queued_pids()
-                if pids is None:
-                    return
-                if ctx.scheduler.nr_runnable != len(pids):
-                    self._report(
-                        "runqueue",
-                        f"cpu{ctx.index} nr_runnable "
-                        f"{ctx.scheduler.nr_runnable} != {len(pids)} "
-                        f"queued tasks")
-                queued.extend(pids)
-                if cpu_current is not None:
-                    currents.append(cpu_current)
-            # An in-flight migration holds its task out of every runqueue
-            # until the slice barrier; it still counts as queued exactly
-            # once — there.
-            queued.extend(
-                task.pid for task, _src in kernel._pending_migrations)
-        else:
-            queued = kernel.scheduler.queued_pids()
-            if queued is None:
+        queued: List[int] = []
+        currents = []
+        for ctx, cpu_current in kernel.per_cpu_state():
+            pids = ctx.scheduler.queued_pids()
+            if pids is None:
                 return
-            if kernel.scheduler.nr_runnable != len(queued):
-                self._report(
+            if ctx.scheduler.nr_runnable != len(pids):
+                self.report(
                     "runqueue",
-                    f"nr_runnable {kernel.scheduler.nr_runnable} != "
-                    f"{len(queued)} queued tasks")
-            currents = [kernel.current] if kernel.current is not None else []
+                    f"cpu{ctx.index} nr_runnable "
+                    f"{ctx.scheduler.nr_runnable} != {len(pids)} "
+                    f"queued tasks")
+            queued.extend(pids)
+            if cpu_current is not None:
+                currents.append(cpu_current)
+        # An in-flight migration holds its task out of every runqueue
+        # until the slice barrier; it still counts as queued exactly
+        # once — there.
+        queued.extend(task.pid for task, _src in kernel._pending_migrations)
         if len(queued) != len(set(queued)):
             dupes = sorted({p for p in queued if queued.count(p) > 1})
-            self._report("runqueue",
-                         f"pids queued more than once: {dupes}",
-                         dupes[0] if dupes else None)
+            self.report("runqueue",
+                        f"pids queued more than once: {dupes}",
+                        dupes[0] if dupes else None)
         queued_set = set(queued)
         for current in currents:
             if current.pid in queued_set:
-                self._report("runqueue", "current task is on the run queue",
-                             current.pid)
+                self.report("runqueue", "current task is on the run queue",
+                            current.pid)
         waiting_members: Dict[int, str] = {}
         for channel, tasks in kernel._wait_queues.items():
             for task in tasks:
                 if task.pid in waiting_members:
-                    self._report("runqueue",
-                                 "task parked on two wait channels",
-                                 task.pid)
+                    self.report("runqueue",
+                                "task parked on two wait channels",
+                                task.pid)
                 waiting_members[task.pid] = channel
                 if task.state not in (TaskState.WAITING, TaskState.STOPPED):
-                    self._report(
+                    self.report(
                         "runqueue",
                         f"{task.state.value} task parked on {channel!r}",
                         task.pid)
                 if task.wait_channel != channel:
-                    self._report(
+                    self.report(
                         "runqueue",
                         f"task parked on {channel!r} but wait_channel is "
                         f"{task.wait_channel!r}", task.pid)
@@ -591,27 +597,27 @@ class InvariantChecker:
             state = task.state
             if state is TaskState.READY:
                 if task.pid not in queued_set:
-                    self._report("runqueue",
-                                 "READY task missing from the run queue",
-                                 task.pid)
+                    self.report("runqueue",
+                                "READY task missing from the run queue",
+                                task.pid)
             elif task.pid in queued_set:
-                self._report("runqueue",
-                             f"{state.value} task sitting on the run queue",
-                             task.pid)
+                self.report("runqueue",
+                            f"{state.value} task sitting on the run queue",
+                            task.pid)
             if state is TaskState.WAITING:
                 if task.wait_channel is None:
-                    self._report("runqueue",
-                                 "WAITING task has no wait channel", task.pid)
+                    self.report("runqueue",
+                                "WAITING task has no wait channel", task.pid)
                 elif waiting_members.get(task.pid) != task.wait_channel:
-                    self._report(
+                    self.report(
                         "runqueue",
                         f"WAITING task not parked on its channel "
                         f"{task.wait_channel!r}", task.pid)
             if state in (TaskState.ZOMBIE, TaskState.DEAD):
                 if task.pid in waiting_members:
-                    self._report("runqueue",
-                                 "dead task still parked on a wait channel",
-                                 task.pid)
+                    self.report("runqueue",
+                                "dead task still parked on a wait channel",
+                                task.pid)
 
 
 class _VcpuShadow:
@@ -626,7 +632,7 @@ class _VcpuShadow:
         self.sampled_ticks = 0
 
 
-class VirtInvariantChecker:
+class VirtInvariantChecker(_Checker):
     """Shadow-ledger checker for the hypervisor's vCPU time accounting.
 
     Extends the conservation discipline one level up: fed by hypervisor
@@ -661,18 +667,8 @@ class VirtInvariantChecker:
                  full_check_every_ticks: int = 32,
                  max_recorded: int = 200,
                  tolerated: Iterable[str] = ()) -> None:
-        if mode not in ("raise", "collect"):
-            raise SimulationError(f"unknown invariant mode {mode!r}")
-        self.mode = mode
-        self.full_check_every_ticks = max(1, int(full_check_every_ticks))
-        self.max_recorded = max_recorded
-        self.violations: List[Violation] = []
-        #: See InvariantChecker.tolerated: fault-declared expected breaches.
-        self.tolerated: Set[str] = set(tolerated)
-        self.tolerated_violations: List[Violation] = []
-        self._seen: Set[Tuple[str, Optional[int]]] = set()
-        self.suppressed = 0
-
+        super().__init__(mode, full_check_every_ticks, max_recorded,
+                         tolerated)
         self.hypervisor: Optional["Hypervisor"] = None
         self._attach_now = 0
         self._vcpus: Dict[int, _VcpuShadow] = {}
@@ -704,30 +700,16 @@ class VirtInvariantChecker:
             shadow = self._vcpus[id(vm)] = _VcpuShadow()
         return shadow
 
-    def tolerate(self, *categories: str) -> None:
-        """Declare ``categories`` as expected under the active fault plan."""
-        self.tolerated.update(categories)
-
-    def _report(self, category: str, message: str,
-                vm: Optional["VirtualMachine"] = None) -> None:
+    def report(self, category: str, message: str,
+               vm: Optional["VirtualMachine"] = None) -> None:
+        """Record a breach of ``category``, attributed to ``vm`` if given."""
         hv = self.hypervisor
         where = f"vm={vm.name!r}: " if vm is not None else ""
         violation = Violation(category=category, message=where + message,
                               pid=None,
                               tick=hv.ticks if hv is not None else 0,
                               time_ns=hv.clock.now if hv is not None else 0)
-        if category in self.tolerated:
-            if len(self.tolerated_violations) < self.max_recorded:
-                self.tolerated_violations.append(violation)
-            return
-        if self.mode == "raise":
-            raise InvariantViolation(violation)
-        key = (category, vm.name if vm is not None else None)
-        if key in self._seen or len(self.violations) >= self.max_recorded:
-            self.suppressed += 1
-            return
-        self._seen.add(key)
-        self.violations.append(violation)
+        self._record(violation, vm.name if vm is not None else None)
 
     # ------------------------------------------------------------------
     # hooks (called by the hypervisor)
@@ -735,8 +717,8 @@ class VirtInvariantChecker:
 
     def on_clock_advance(self, delta_ns: int) -> None:
         if delta_ns < 0:
-            self._report("clock-monotonic",
-                         f"host clock advanced by negative delta {delta_ns}")
+            self.report("clock-monotonic",
+                        f"host clock advanced by negative delta {delta_ns}")
             return
         self._clock_total += delta_ns
         self._pending_ns += delta_ns
@@ -745,7 +727,7 @@ class VirtInvariantChecker:
         """The vCPU held the physical core for ``ns`` host nanoseconds."""
         self._pending_ns -= ns
         if self._pending_ns < 0:
-            self._report(
+            self.report(
                 "vcpu-conservation",
                 f"ran {ns}ns exceeding host clock advance", vm)
             self._pending_ns = 0
@@ -765,8 +747,8 @@ class VirtInvariantChecker:
         """The host core itself idled (no runnable vCPU)."""
         self._pending_ns -= ns
         if self._pending_ns < 0:
-            self._report("host-conservation",
-                         f"host idle of {ns}ns exceeds clock delta")
+            self.report("host-conservation",
+                        f"host idle of {ns}ns exceeds clock delta")
             self._pending_ns = 0
         self._host_idle_ns += ns
 
@@ -796,22 +778,22 @@ class VirtInvariantChecker:
         hv.sync_ledgers()
         now = hv.clock.now
         if now < self._last_now:
-            self._report("clock-monotonic",
-                         f"host clock moved backwards to {now}ns")
+            self.report("clock-monotonic",
+                        f"host clock moved backwards to {now}ns")
         self._last_now = now
         observed = now - self._attach_now
         if observed != self._clock_total:
-            self._report(
+            self.report(
                 "clock-monotonic",
                 f"host clock moved {observed}ns but only "
                 f"{self._clock_total}ns passed through advance()")
         if self._pending_ns != 0:
-            self._report(
+            self.report(
                 "host-conservation",
                 f"{self._pending_ns}ns of host time advanced without "
                 f"attribution")
         if hv.host_idle_ns != self._host_idle_ns:
-            self._report(
+            self.report(
                 "host-conservation",
                 f"hypervisor host_idle_ns {hv.host_idle_ns} != shadow "
                 f"{self._host_idle_ns}")
@@ -821,17 +803,17 @@ class VirtInvariantChecker:
             ran_total += vm.ran_ns
         accounted = ran_total + self._host_idle_ns + self._pending_ns
         if accounted != observed:
-            self._report(
+            self.report(
                 "host-conservation",
                 f"host wall {observed}ns but Σ ran + idle accounts "
                 f"{accounted}ns")
         if hv.ticks != self._ticks_total:
-            self._report(
+            self.report(
                 "vm-billing-conservation",
                 f"hypervisor counted {hv.ticks} ticks, checker saw "
                 f"{self._ticks_total}")
         if hv.idle_ticks != self._idle_ticks:
-            self._report(
+            self.report(
                 "vm-billing-conservation",
                 f"hypervisor idle_ticks {hv.idle_ticks} != shadow "
                 f"{self._idle_ticks}")
@@ -841,7 +823,7 @@ class VirtInvariantChecker:
         shadow = self._shadow(vm)
         if (vm.ran_ns, vm.idle_ns, vm.steal_ns) != (
                 shadow.ran_ns, shadow.idle_ns, shadow.steal_ns):
-            self._report(
+            self.report(
                 "vcpu-conservation",
                 f"ledger ran/idle/steal ({vm.ran_ns}/{vm.idle_ns}/"
                 f"{vm.steal_ns})ns != shadow ({shadow.ran_ns}/"
@@ -849,30 +831,30 @@ class VirtInvariantChecker:
         host_wall = hv.clock.now - vm.attach_host_ns
         total = vm.ran_ns + vm.idle_ns + vm.steal_ns
         if total != host_wall:
-            self._report(
+            self.report(
                 "vcpu-conservation",
                 f"ran+idle+steal = {total}ns but host wall is "
                 f"{host_wall}ns", vm)
         guest_elapsed = vm.machine.clock.now - vm.attach_guest_ns
         if guest_elapsed != vm.ran_ns + vm.idle_ns:
-            self._report(
+            self.report(
                 "vcpu-conservation",
                 f"guest clock advanced {guest_elapsed}ns but ran+idle is "
                 f"{vm.ran_ns + vm.idle_ns}ns", vm)
         injected = vm.machine.kernel.timekeeper.steal_ns
         if injected != vm.steal_ns:
-            self._report(
+            self.report(
                 "steal-injection",
                 f"guest timekeeper reports {injected}ns steal, hypervisor "
                 f"ledger has {vm.steal_ns}ns", vm)
         if vm.sampled_ticks != shadow.sampled_ticks:
-            self._report(
+            self.report(
                 "vm-billing-conservation",
                 f"vm sampled {vm.sampled_ticks} ticks, checker saw "
                 f"{shadow.sampled_ticks}", vm)
         expect_billed = vm.sampled_ticks * hv.cfg.tick_ns
         if vm.billed_total_ns != expect_billed:
-            self._report(
+            self.report(
                 "vm-billing-conservation",
                 f"billed {vm.billed_total_ns}ns != {vm.sampled_ticks} "
                 f"sampled ticks x {hv.cfg.tick_ns}ns", vm)

@@ -200,6 +200,7 @@ class Hypervisor:
         machines stay fault-free; tick/TSC faults belong to bare-metal
         runs."""
         from ..faults import normalize_plan
+        from ..verify.invariants import VirtInvariantChecker
 
         self.cfg = cfg or HypervisorConfig()
         self.cfg.validate()
@@ -226,23 +227,10 @@ class Hypervisor:
         self._guest_invariants = bool(invariants)
         tolerated = (self.fault_plan.tolerated_categories()
                      if self.fault_plan is not None else ())
-        self.invariant_checker = self._make_checker(invariants, tolerated)
+        self.invariant_checker = VirtInvariantChecker.resolve(invariants,
+                                                              tolerated)
         if self.invariant_checker is not None:
             self.invariant_checker.attach(self)
-
-    @staticmethod
-    def _make_checker(invariants, tolerated=()):
-        if not invariants:
-            return None
-        from ..verify.invariants import VirtInvariantChecker
-
-        if isinstance(invariants, VirtInvariantChecker):
-            if tolerated:
-                invariants.tolerate(*tolerated)
-            return invariants
-        if invariants == "collect":
-            return VirtInvariantChecker(mode="collect", tolerated=tolerated)
-        return VirtInvariantChecker(tolerated=tolerated)
 
     def check_invariants(self) -> None:
         """Run a full virt-ledger sweep now (no-op when checking is off)."""

@@ -233,3 +233,20 @@ def test_shrinking_preserves_nproc():
     shrunk = shrink_scenario(scenario, still_fails=predicate, max_steps=8)
     assert shrunk.nproc == 4
     assert probes and all(c.nproc == 4 for c in probes)
+
+
+def test_racing_first_touch_scenario_passes_cross_scheduler():
+    """Scenario 16 of the default fuzz run (master seed 2010): 8 threads
+    on 4 CPUs race some first touches, so under cfs one page takes two
+    minor faults.  The racing completion maps nothing, and the second
+    fault's cost is inside the cross-scheduler tolerance."""
+    rng = random.Random(2010)
+    for _ in range(16):
+        scenario = generate_scenario(rng, inject_probability=0.15)
+    assert (scenario.program, scenario.attack, scenario.nproc) == \
+        ("B", "library-ctor", 4)
+    report = run_scenario(scenario)
+    assert report.ok, report.failures
+    faults = {s: run["stats"]["minor_faults"]
+              for s, run in report.runs.items()}
+    assert max(faults.values()) > min(faults.values())

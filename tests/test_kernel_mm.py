@@ -89,6 +89,18 @@ class TestFaultClassification:
         assert mm.classify(space, start) is FaultKind.HIT
         assert space.rss == 1
 
+    def test_completing_a_present_page_maps_nothing(self, mm, space):
+        # Two threads racing a first touch both fault; the second
+        # completion must not map a fresh frame over the first.
+        start = space.mmap(1)
+        mm.complete_minor_fault(space, start)
+        pfn = space.pte(space.vpn_of(start)).pfn
+        free = mm.phys.free_frames
+        assert mm.complete_minor_fault(space, start) is False
+        assert space.rss == 1
+        assert space.pte(space.vpn_of(start)).pfn == pfn
+        assert mm.phys.free_frames == free
+
     def test_major_after_eviction(self, mm, space):
         start = space.mmap(1)
         mm.complete_minor_fault(space, start)

@@ -25,10 +25,12 @@ import pytest
 from repro import Machine, default_config
 from repro.analysis.experiment import run_experiment
 from repro.analysis.figures import paper_workload_params
-from repro.attacks import SmpDodgeAttack
+from repro.attacks import IrqSteerAttack, SmpDodgeAttack
 from repro.config import SchedulerConfig
+from repro.errors import SimulationError
 from repro.kernel.accounting import ChargeKind
 from repro.kernel.procfs import cpu_stat
+from repro.kernel.signals import SIGCONT, SIGKILL, SIGSTOP
 from repro.kernel.timekeeping import TimeKeeper
 from repro.programs.ops import Compute, Syscall
 from repro.programs.workloads import make_paper_program
@@ -113,6 +115,74 @@ class TestMigrateSyscalls:
         result, task = run_body(Machine(default_config()), body)
         assert result == 0
         assert task.migrations == 0
+
+
+# ----------------------------------------------------------------------
+# per-CPU queues: a READY task held off its CPU
+# ----------------------------------------------------------------------
+
+def _mover(ctx):
+    """Pin to CPU 1 from CPU 0, then report where the work ran."""
+    yield Syscall("migrate", (1,))
+    yield Compute(1_000_000)
+    return (yield Syscall("getcpu"))
+
+
+class TestPerCpuQueues:
+    """A task parked for migration sits in the in-flight list until the
+    slice barrier; a task pinned elsewhere is queued on its own CPU.  A
+    second task on CPU 0 signals it in both places, with every invariant
+    checked."""
+
+    def _run(self, signals):
+        machine = Machine(default_config(nproc=2), invariants=True)
+        kernel = machine.kernel
+        seen = []
+
+        def where():
+            return ([t.pid for t, _src in kernel._pending_migrations],
+                    [ctx.scheduler.queued_pids()
+                     for ctx in kernel._cpu_contexts])
+
+        def signaller(ctx, pid):
+            seen.append(where())
+            for sig in signals:
+                yield Syscall("kill", (pid, sig))
+                seen.append(where())
+            return 0
+
+        mover = spawn_fn(machine, _mover, name="mover")
+        other = spawn_fn(machine, signaller, name="signaller",
+                         args=(mover.pid,))
+        run_all(machine, [mover, other])
+        machine.check_invariants()
+        return kernel, mover, seen
+
+    def test_stop_in_flight_then_continue_queues_on_pinned_cpu(self):
+        kernel, mover, seen = self._run((SIGSTOP, SIGCONT))
+        pid = mover.pid
+        in_flight, _queues = seen[0]
+        assert in_flight == [pid]             # parked for the barrier
+        assert seen[1] == ([], [[], []])      # stopped: held nowhere
+        # SIGCONT from CPU 0 wakes it straight onto pinned CPU 1's queue.
+        assert seen[2] == ([], [[], [pid]])
+        assert mover.exit_code == 1           # getcpu ran on CPU 1
+        assert mover.migrations == 1
+        assert kernel.balance_moves == 0
+
+    def test_kill_in_flight(self):
+        _kernel, mover, seen = self._run((SIGKILL,))
+        assert seen[0][0] == [mover.pid]
+        assert seen[1] == ([], [[], []])
+        assert mover.exit_code == 128 + SIGKILL
+        assert mover.migrations == 1
+
+    def test_kill_on_another_cpus_queue(self):
+        _kernel, mover, seen = self._run((SIGSTOP, SIGCONT, SIGKILL))
+        assert seen[2] == ([], [[], [mover.pid]])
+        assert seen[3] == ([], [[], []])
+        assert mover.exit_code == 128 + SIGKILL
+        assert mover.migrations == 1
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +289,12 @@ class TestIrqSteer:
                                           attack="irq-steer", nproc=2))
         assert clean.usage.stime_ns == 0
         assert steered.usage.stime_ns >= 20_000_000
+
+    def test_target_beyond_nproc_fails_loudly(self):
+        with pytest.raises(SimulationError, match="nproc=1"):
+            run_experiment(make_paper_program("W", **SMALL["W"]),
+                           attack=IrqSteerAttack(target_cpu=1),
+                           cfg=default_config())
 
 
 class TestPerCpuMutationDetection:
