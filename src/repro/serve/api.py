@@ -60,7 +60,10 @@ MAX_BODY_BYTES = 1 << 20
 
 
 def _json_bytes(doc: Any) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    # Compact on purpose: ``indent`` forces json's pure-Python encoder,
+    # about 3x slower than the C one on a large page.
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("utf-8")
 
 
 def _timeout_from(body: Dict[str, Any]) -> Optional[float]:

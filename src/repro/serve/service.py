@@ -162,11 +162,7 @@ class MeteringService:
         except KeyError:
             raise NotFound(f"no such tenant {tenant_id!r}") from None
         tenant["billed_ns"] = self.store.ledger_total_ns(tenant_id)
-        tenant["jobs"] = {
-            state: sum(1 for job in
-                       self.store.jobs_for_tenant(tenant_id, state=state))
-            for state in ("queued", "running", "completed", "failed",
-                          "rejected")}
+        tenant["jobs"] = self.store.job_state_counts(tenant_id)
         return tenant
 
     def set_quota(self, tenant_id: str,
@@ -465,16 +461,17 @@ class MeteringService:
             job = self.store.job(job_id)
         except KeyError:
             raise NotFound(f"no such job {job_id!r}") from None
-        if job["state"] == "completed":
-            job["invoice"] = self._invoice_for_job(job)
-        else:
-            job["invoice"] = None
-        return job
+        return self._with_invoice(
+            job, PLANS[self.store.tenant(job["tenant_id"])["plan"]])
 
-    def _invoice_for_job(self, job: Dict[str, Any]) -> Dict[str, Any]:
-        tenant = self.store.tenant(job["tenant_id"])
-        return invoice_doc_for(spec_doc_name(job["spec"]), job["result"],
-                               PLANS[tenant["plan"]])
+    @staticmethod
+    def _with_invoice(job: Dict[str, Any],
+                      plan: PricePlan) -> Dict[str, Any]:
+        """Attach the job's invoice (None until it completes)."""
+        job["invoice"] = (
+            invoice_doc_for(spec_doc_name(job["spec"]), job["result"], plan)
+            if job["state"] == "completed" else None)
+        return job
 
     def _completed_job(self, job_id: str) -> Dict[str, Any]:
         job = self.job_doc(job_id)
@@ -544,8 +541,11 @@ class MeteringService:
         }
 
     def jobs_doc(self, tenant_id: str) -> List[Dict[str, Any]]:
-        self.tenant_doc(tenant_id)  # NotFound on unknown tenant
-        return [self.job_doc(job["job_id"])
+        try:
+            plan = PLANS[self.store.tenant(tenant_id)["plan"]]
+        except KeyError:
+            raise NotFound(f"no such tenant {tenant_id!r}") from None
+        return [self._with_invoice(job, plan)
                 for job in self.store.jobs_for_tenant(tenant_id)]
 
     def metrics_text(self) -> str:

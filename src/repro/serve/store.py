@@ -132,6 +132,31 @@ class LedgerEntry:
 _LEDGER_COLUMNS = ("entry_id, job_id, tenant_id, spec_key, billed_ns, "
                    "utime_ns, stime_ns, trust_level, uncertainty_ns, "
                    "amount_microdollars")
+_TENANT_COLUMNS = "tenant_id, name, plan, quota_ns"
+_JOB_COLUMNS = ("job_id, tenant_id, idempotency_key, spec_key, spec_json, "
+                "state, cached, error, result_json, deadline_exceeded")
+
+
+def _tenant_doc(row: Tuple) -> Dict[str, Any]:
+    return {"tenant_id": row[0], "name": row[1], "plan": row[2],
+            "quota_ns": row[3]}
+
+
+def _job_doc(row: Tuple) -> Dict[str, Any]:
+    """A ``jobs`` row (columns in :data:`_JOB_COLUMNS` order) as the job
+    document every reader gets."""
+    return {
+        "job_id": row[0],
+        "tenant_id": row[1],
+        "idempotency_key": row[2],
+        "spec_key": row[3],
+        "spec": json.loads(row[4]),
+        "state": row[5],
+        "cached": bool(row[6]),
+        "error": row[7],
+        "result": json.loads(row[8]) if row[8] is not None else None,
+        "deadline_exceeded": bool(row[9]),
+    }
 
 
 class UsageStore:
@@ -273,18 +298,18 @@ class UsageStore:
     def tenant(self, tenant_id: str) -> Dict[str, Any]:
         with self._lock:
             row = self._conn.execute(
-                "SELECT tenant_id, name, plan, quota_ns FROM tenants "
-                "WHERE tenant_id = ?", (tenant_id,)).fetchone()
+                f"SELECT {_TENANT_COLUMNS} FROM tenants WHERE tenant_id = ?",
+                (tenant_id,)).fetchone()
         if row is None:
             raise KeyError(tenant_id)
-        return {"tenant_id": row[0], "name": row[1], "plan": row[2],
-                "quota_ns": row[3]}
+        return _tenant_doc(row)
 
     def tenants(self) -> List[Dict[str, Any]]:
         with self._lock:
             rows = self._conn.execute(
-                "SELECT tenant_id FROM tenants ORDER BY tenant_id").fetchall()
-        return [self.tenant(row[0]) for row in rows]
+                f"SELECT {_TENANT_COLUMNS} FROM tenants "
+                f"ORDER BY tenant_id").fetchall()
+        return [_tenant_doc(row) for row in rows]
 
     def set_quota(self, tenant_id: str,
                   quota_ns: Optional[int]) -> Dict[str, Any]:
@@ -347,63 +372,64 @@ class UsageStore:
         """Record a submission.  Returns ``(job_doc, created)``: a repeat
         of an idempotency key the tenant already used returns the existing
         job untouched with ``created=False`` — retrying a submission after
-        a client-side crash can never enqueue (or bill) the work twice."""
+        a client-side crash can never enqueue (or bill) the work twice.
+
+        An unknown tenant raises ``KeyError``: the jobs table's foreign
+        key refuses the row, so the store is left as it was."""
         if state not in JOB_STATES:
             raise StoreError(f"unknown job state {state!r}")
         with self._lock:
-            self.tenant(tenant_id)  # KeyError on unknown tenant
             if idempotency_key is not None:
                 row = self._conn.execute(
-                    "SELECT job_id FROM jobs WHERE tenant_id = ? AND "
-                    "idempotency_key = ?",
+                    f"SELECT {_JOB_COLUMNS} FROM jobs WHERE tenant_id = ? "
+                    f"AND idempotency_key = ?",
                     (tenant_id, idempotency_key)).fetchone()
                 if row is not None:
-                    return self.job(row[0]), False
+                    return _job_doc(row), False
             count = self._conn.execute(
                 "SELECT COUNT(*) FROM jobs").fetchone()[0]
             job_id = f"j-{count + 1:06d}"
             if idempotency_key is None:
                 idempotency_key = f"auto:{job_id}"
-            with self._transaction("job"):
-                self._conn.execute(
-                    "INSERT INTO jobs (job_id, tenant_id, idempotency_key, "
-                    "spec_key, spec_json, state) VALUES (?, ?, ?, ?, ?, ?)",
-                    (job_id, tenant_id, idempotency_key, spec_key,
-                     json.dumps(spec_doc, sort_keys=True), state))
-            return self.job(job_id), True
+            spec_json = json.dumps(spec_doc, sort_keys=True)
+            try:
+                with self._transaction("job"):
+                    self._conn.execute(
+                        "INSERT INTO jobs (job_id, tenant_id, "
+                        "idempotency_key, spec_key, spec_json, state) "
+                        "VALUES (?, ?, ?, ?, ?, ?)",
+                        (job_id, tenant_id, idempotency_key, spec_key,
+                         spec_json, state))
+            except sqlite3.IntegrityError as exc:
+                if "FOREIGN KEY" not in str(exc):
+                    raise
+                raise KeyError(tenant_id) from None
+        return _job_doc((job_id, tenant_id, idempotency_key, spec_key,
+                         spec_json, state, 0, None, None, 0)), True
 
     def set_job_state(self, job_id: str, state: str,
                       error: Optional[str] = None) -> None:
         if state not in JOB_STATES:
             raise StoreError(f"unknown job state {state!r}")
-        with self._lock:
-            self.job(job_id)  # KeyError on unknown job
-            with self._transaction("job"):
-                self._conn.execute(
-                    "UPDATE jobs SET state = ?, error = ? WHERE job_id = ?",
-                    (state, error, job_id))
+        with self._transaction("job"):
+            self._update_job(
+                job_id, "UPDATE jobs SET state = ?, error = ? "
+                "WHERE job_id = ?", (state, error, job_id))
+
+    def _update_job(self, job_id: str, sql: str, args: Tuple) -> None:
+        """Run a one-job UPDATE inside the open transaction; an unknown
+        job raises ``KeyError``, which rolls the transaction back."""
+        if self._conn.execute(sql, args).rowcount != 1:
+            raise KeyError(job_id)
 
     def job(self, job_id: str) -> Dict[str, Any]:
         with self._lock:
             row = self._conn.execute(
-                "SELECT job_id, tenant_id, idempotency_key, spec_key, "
-                "spec_json, state, cached, error, result_json, "
-                "deadline_exceeded "
-                "FROM jobs WHERE job_id = ?", (job_id,)).fetchone()
+                f"SELECT {_JOB_COLUMNS} FROM jobs WHERE job_id = ?",
+                (job_id,)).fetchone()
         if row is None:
             raise KeyError(job_id)
-        return {
-            "job_id": row[0],
-            "tenant_id": row[1],
-            "idempotency_key": row[2],
-            "spec_key": row[3],
-            "spec": json.loads(row[4]),
-            "state": row[5],
-            "cached": bool(row[6]),
-            "error": row[7],
-            "result": json.loads(row[8]) if row[8] is not None else None,
-            "deadline_exceeded": bool(row[9]),
-        }
+        return _job_doc(row)
 
     def mark_deadline_exceeded(self, job_id: str) -> None:
         """Record that a waiter's deadline elapsed while this job ran.
@@ -413,12 +439,10 @@ class UsageStore:
         restart.  The marker survives completion: a job that finishes
         *after* blowing a deadline keeps the mark as an SLO paper trail.
         """
-        with self._lock:
-            self.job(job_id)  # KeyError on unknown job
-            with self._transaction("job"):
-                self._conn.execute(
-                    "UPDATE jobs SET deadline_exceeded = 1 "
-                    "WHERE job_id = ?", (job_id,))
+        with self._transaction("job"):
+            self._update_job(
+                job_id, "UPDATE jobs SET deadline_exceeded = 1 "
+                "WHERE job_id = ?", (job_id,))
 
     def deadline_exceeded_count(self) -> int:
         with self._lock:
@@ -428,18 +452,26 @@ class UsageStore:
 
     def jobs_for_tenant(self, tenant_id: str,
                         state: Optional[str] = None) -> List[Dict[str, Any]]:
-        query = ("SELECT job_id FROM jobs WHERE tenant_id = ?"
+        query = (f"SELECT {_JOB_COLUMNS} FROM jobs WHERE tenant_id = ?"
                  + (" AND state = ?" if state else "") + " ORDER BY rowid")
         args = (tenant_id, state) if state else (tenant_id,)
         with self._lock:
             rows = self._conn.execute(query, args).fetchall()
-        return [self.job(row[0]) for row in rows]
+        return [_job_doc(row) for row in rows]
 
-    def job_state_counts(self) -> Dict[str, int]:
+    def job_state_counts(self,
+                         tenant_id: Optional[str] = None) -> Dict[str, int]:
+        """Jobs per state (keys in :data:`JOB_STATES` order), over the
+        whole store or, given ``tenant_id``, over that tenant's jobs."""
         counts = {state: 0 for state in JOB_STATES}
+        query = "SELECT state, COUNT(*) FROM jobs"
+        args: Tuple = ()
+        if tenant_id is not None:
+            query += " WHERE tenant_id = ?"
+            args = (tenant_id,)
         with self._lock:
-            for state, n in self._conn.execute(
-                    "SELECT state, COUNT(*) FROM jobs GROUP BY state"):
+            for state, n in self._conn.execute(query + " GROUP BY state",
+                                               args):
                 counts[state] = n
         return counts
 
@@ -455,27 +487,27 @@ class UsageStore:
         already had (the idempotent retry path).  Either way the job ends
         ``completed`` with its result attached.
         """
-        with self._lock:
-            job = self.job(job_id)  # KeyError on unknown job
-            with self._transaction("bill"):
-                cursor = self._conn.execute(
-                    "INSERT INTO ledger (job_id, tenant_id, spec_key, "
-                    "billed_ns, utime_ns, stime_ns, trust_level, "
-                    "uncertainty_ns, amount_microdollars) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?) "
-                    "ON CONFLICT (job_id) DO NOTHING",
-                    (job_id, job["tenant_id"], job["spec_key"],
-                     int(billed_ns), int(utime_ns), int(stime_ns),
-                     trust_level, int(uncertainty_ns),
-                     int(amount_microdollars)))
-                billed_now = cursor.rowcount == 1
-                self._fire("bill:after-insert")
-                self._conn.execute(
-                    "UPDATE jobs SET state = 'completed', cached = ?, "
-                    "result_json = ?, error = NULL WHERE job_id = ?",
-                    (1 if cached else 0,
-                     json.dumps(result_doc, sort_keys=True), job_id))
-            return billed_now
+        with self._transaction("bill"):
+            # Tenant and spec identity come from the job row itself; an
+            # unknown job inserts nothing here and fails the UPDATE below.
+            cursor = self._conn.execute(
+                "INSERT INTO ledger (job_id, tenant_id, spec_key, "
+                "billed_ns, utime_ns, stime_ns, trust_level, "
+                "uncertainty_ns, amount_microdollars) "
+                "SELECT job_id, tenant_id, spec_key, ?, ?, ?, ?, ?, ? "
+                "FROM jobs WHERE job_id = ? "
+                "ON CONFLICT (job_id) DO NOTHING",
+                (int(billed_ns), int(utime_ns), int(stime_ns),
+                 trust_level, int(uncertainty_ns),
+                 int(amount_microdollars), job_id))
+            billed_now = cursor.rowcount == 1
+            self._fire("bill:after-insert")
+            self._update_job(
+                job_id, "UPDATE jobs SET state = 'completed', cached = ?, "
+                "result_json = ?, error = NULL WHERE job_id = ?",
+                (1 if cached else 0,
+                 json.dumps(result_doc, sort_keys=True), job_id))
+        return billed_now
 
     def ledger_for_tenant(self, tenant_id: str) -> List[LedgerEntry]:
         with self._lock:
