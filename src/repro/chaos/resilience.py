@@ -210,8 +210,9 @@ RESILIENT_METHODS = frozenset({
     "register_tenant", "tenant", "tenants", "set_quota",
     "create_job", "set_job_state", "job", "jobs_for_tenant",
     "job_state_counts", "bill_job", "mark_deadline_exceeded",
-    "ledger_for_tenant", "ledger_entry_for_job", "ledger_total_ns",
-    "ledger_count", "billed_ns_by_tenant_trust", "find_result_by_spec",
+    "ledger_page", "ledger_totals", "ledger_entry_for_job",
+    "ledger_total_ns", "ledger_count", "billed_ns_by_tenant_trust",
+    "find_result_by_spec",
 })
 
 

@@ -18,8 +18,15 @@ POST      ``/v1/tenants``                     ``{name, plan?, quota_ns?}`` → t
 GET       ``/v1/tenants``                     all tenants
 GET       ``/v1/tenants/{tid}``               tenant + job-state counts
 POST      ``/v1/tenants/{tid}/quota``         ``{quota_ns}`` → tenant
-GET       ``/v1/tenants/{tid}/usage``         usage ledger + totals
-GET       ``/v1/tenants/{tid}/jobs``          this tenant's jobs
+GET       ``/v1/tenants/{tid}/usage``         one page of the usage ledger
+                                              (``?after=<entry_id>&limit=<n>``,
+                                              default 100, cap 1000) +
+                                              ``next_after`` + whole-ledger
+                                              totals (schema
+                                              ``repro-serve-usage-v2``)
+GET       ``/v1/tenants/{tid}/jobs``          one page of this tenant's jobs
+                                              (``?after=<job_id>&limit=<n>``)
+                                              + ``next_after``
 POST      ``/v1/tenants/{tid}/jobs``          ``{spec, wait?, idempotency_key?,
                                               over_quota?}`` → job (429 over quota)
 POST      ``/v1/tenants/{tid}/fleet``         ``{fleet, wait?, idempotency_key?,
@@ -34,6 +41,10 @@ GET       ``/v1/jobs/{jid}/trust``            clocksource trust report
 GET       ``/v1/jobs/{jid}/audit``            tenant-side steal/overbilling audit
 GET       ``/v1/jobs/{jid}/fleet``            a fleet job's aggregate report
 ========  ==================================  =====================================
+
+Replies are compact JSON (sorted keys, no indentation).  Paged listings
+use a keyset cursor: pass the previous reply's ``next_after`` as
+``after``; ``next_after`` is null on the last page.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import json
 import signal
 import threading
 import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
@@ -50,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import ServeConfig
 
 from .metrics import PROMETHEUS_CONTENT_TYPE
-from .service import MeteringService, ServiceError
+from .service import PAGE_LIMIT, MeteringService, ServiceError
 from .store import QuotaExceeded, StoreError, UsageStore
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
@@ -125,6 +137,22 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self) -> Tuple[str, ...]:
         path = self.path.split("?", 1)[0].rstrip("/")
         return tuple(part for part in path.split("/") if part)
+
+    def _query(self) -> Dict[str, str]:
+        """The query string's parameters (last value wins)."""
+        query = self.path.partition("?")[2]
+        return dict(urllib.parse.parse_qsl(query))
+
+    @staticmethod
+    def _int_param(query: Dict[str, str], name: str, default: int) -> int:
+        value = query.get(name)
+        if value is None:
+            return default
+        try:
+            return int(value)
+        except ValueError:
+            raise ServiceError(
+                f"{name} must be an integer, got {value!r}") from None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -226,12 +254,17 @@ class _Handler(BaseHTTPRequestHandler):
                     200, service.set_quota(tenant_id, body["quota_ns"]))
                 return True
             if method == "GET" and tail == ("usage",):
-                self._reply_json(200, service.usage_doc(tenant_id))
+                query = self._query()
+                self._reply_json(200, service.usage_doc(
+                    tenant_id, after=self._int_param(query, "after", 0),
+                    limit=self._int_param(query, "limit", PAGE_LIMIT)))
                 return True
             if tail == ("jobs",):
                 if method == "GET":
-                    self._reply_json(
-                        200, {"jobs": service.jobs_doc(tenant_id)})
+                    query = self._query()
+                    self._reply_json(200, service.jobs_doc(
+                        tenant_id, after=query.get("after"),
+                        limit=self._int_param(query, "limit", PAGE_LIMIT)))
                     return True
                 body = self._read_body()
                 spec_doc = body.get("spec")

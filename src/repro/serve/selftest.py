@@ -208,13 +208,21 @@ def run_selftest(db: str, scale: float = 0.1, jobs: int = 2,
                    released["state"] == "completed",
                    f"state={released['state']}")
 
-        # Usage history and the conservation law.
-        _, usage, _ = client.get(
-            f"/v1/tenants/{honest['tenant_id']}/usage")
-        ledger_sum = sum(entry["billed_ns"] for entry in usage["ledger"])
-        checks.add("usage ledger sums to the reported total",
-                   ledger_sum == usage["total_billed_ns"] and ledger_sum > 0,
-                   f"{len(usage['ledger'])} entries, "
+        # Usage history and the conservation law, one entry per page so
+        # the keyset cursor is exercised end to end.
+        ledger, pages, after = [], 0, 0
+        while after is not None:
+            _, usage, _ = client.get(
+                f"/v1/tenants/{honest['tenant_id']}/usage"
+                f"?after={after}&limit=1")
+            ledger += usage["ledger"]
+            pages += 1
+            after = usage["next_after"]
+        ledger_sum = sum(entry["billed_ns"] for entry in ledger)
+        checks.add("usage ledger pages sum to the reported total",
+                   ledger_sum == usage["total_billed_ns"] and ledger_sum > 0
+                   and len(ledger) == usage["total_entries"],
+                   f"{len(ledger)} entries over {pages} pages, "
                    f"{ledger_sum / 1e9:.3f}s billed")
         integrity = store.integrity_check()
         checks.add("store integrity + conservation law hold",

@@ -25,7 +25,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ReproError
 from ..metering.billing import (
@@ -43,7 +43,12 @@ from .store import InjectedCrash, QuotaExceeded, UsageStore
 INVOICE_SCHEMA = "repro-serve-invoice-v1"
 TRUST_SCHEMA = "repro-serve-trust-v1"
 AUDIT_SCHEMA = "repro-serve-audit-v1"
-USAGE_SCHEMA = "repro-serve-usage-v1"
+USAGE_SCHEMA = "repro-serve-usage-v2"
+
+#: Keyset page size of the usage ledger and jobs listings: the default,
+#: and the cap a larger ``limit`` is clamped to.
+PAGE_LIMIT = 100
+MAX_PAGE_LIMIT = 1000
 
 #: Trust-mix grades a fleet job folds into its synthesized watchdog
 #: counters, worst-grade-wins like per-run interval grading.
@@ -74,6 +79,12 @@ def _trust_doc(trust: TrustReport) -> Dict[str, Any]:
         "intervals_degraded": trust.intervals_degraded,
         "intervals_untrusted": trust.intervals_untrusted,
     }
+
+
+def _page_limit(limit: int) -> int:
+    if limit < 1:
+        raise ServiceError(f"limit must be a positive integer, got {limit}")
+    return min(limit, MAX_PAGE_LIMIT)
 
 
 def spec_doc_name(spec_doc: Dict[str, Any]) -> str:
@@ -528,25 +539,46 @@ class MeteringService:
         doc["job_id"] = job_id
         return doc
 
-    def usage_doc(self, tenant_id: str) -> Dict[str, Any]:
+    def usage_doc(self, tenant_id: str, after: int = 0,
+                  limit: int = PAGE_LIMIT) -> Dict[str, Any]:
+        """One keyset page of the tenant's usage ledger (entries with
+        ``entry_id > after``) plus whole-ledger totals.  ``next_after`` is
+        the ``after`` of the next page, None on the last one."""
+        if after < 0:
+            raise ServiceError(f"after must be >= 0, got {after}")
+        limit = _page_limit(limit)
         tenant = self.tenant_doc(tenant_id)
-        ledger = self.store.ledger_for_tenant(tenant_id)
+        entries = self.store.ledger_page(tenant_id, after=after,
+                                         limit=limit + 1)
+        page = entries[:limit]
+        count, billed_ns, amount = self.store.ledger_totals(tenant_id)
         return {
             "schema": USAGE_SCHEMA,
             "tenant": tenant,
-            "ledger": [entry.to_dict() for entry in ledger],
-            "total_billed_ns": self.store.ledger_total_ns(tenant_id),
-            "total_amount_microdollars": sum(
-                entry.amount_microdollars for entry in ledger),
+            "ledger": [entry.to_dict() for entry in page],
+            "next_after": (page[-1].entry_id if len(entries) > limit
+                           else None),
+            "total_entries": count,
+            "total_billed_ns": billed_ns,
+            "total_amount_microdollars": amount,
         }
 
-    def jobs_doc(self, tenant_id: str) -> List[Dict[str, Any]]:
+    def jobs_doc(self, tenant_id: str, after: Optional[str] = None,
+                 limit: int = PAGE_LIMIT) -> Dict[str, Any]:
+        """One keyset page of the tenant's jobs (submitted after job
+        ``after``), invoices attached, with ``next_after`` as above."""
+        limit = _page_limit(limit)
         try:
             plan = PLANS[self.store.tenant(tenant_id)["plan"]]
         except KeyError:
             raise NotFound(f"no such tenant {tenant_id!r}") from None
-        return [self._with_invoice(job, plan)
-                for job in self.store.jobs_for_tenant(tenant_id)]
+        jobs = self.store.jobs_for_tenant(tenant_id, after=after,
+                                          limit=limit + 1)
+        page = jobs[:limit]
+        return {
+            "jobs": [self._with_invoice(job, plan) for job in page],
+            "next_after": page[-1]["job_id"] if len(jobs) > limit else None,
+        }
 
     def metrics_text(self) -> str:
         return self.metrics.render()

@@ -450,11 +450,26 @@ class UsageStore:
                 "SELECT COUNT(*) FROM jobs WHERE deadline_exceeded = 1"
             ).fetchone()[0])
 
-    def jobs_for_tenant(self, tenant_id: str,
-                        state: Optional[str] = None) -> List[Dict[str, Any]]:
-        query = (f"SELECT {_JOB_COLUMNS} FROM jobs WHERE tenant_id = ?"
-                 + (" AND state = ?" if state else "") + " ORDER BY rowid")
-        args = (tenant_id, state) if state else (tenant_id,)
+    def jobs_for_tenant(self, tenant_id: str, state: Optional[str] = None,
+                        after: Optional[str] = None,
+                        limit: Optional[int] = None) -> List[Dict[str, Any]]:
+        """The tenant's jobs in submission order, optionally only those in
+        ``state``.  ``after``/``limit`` page by keyset: at most ``limit``
+        jobs submitted after job ``after`` (an unknown ``after`` matches
+        nothing)."""
+        query = f"SELECT {_JOB_COLUMNS} FROM jobs WHERE tenant_id = ?"
+        args: List[Any] = [tenant_id]
+        if state:
+            query += " AND state = ?"
+            args.append(state)
+        if after is not None:
+            query += (" AND rowid > "
+                      "(SELECT rowid FROM jobs WHERE job_id = ?)")
+            args.append(after)
+        query += " ORDER BY rowid"
+        if limit is not None:
+            query += " LIMIT ?"
+            args.append(limit)
         with self._lock:
             rows = self._conn.execute(query, args).fetchall()
         return [_job_doc(row) for row in rows]
@@ -509,12 +524,27 @@ class UsageStore:
                  json.dumps(result_doc, sort_keys=True), job_id))
         return billed_now
 
-    def ledger_for_tenant(self, tenant_id: str) -> List[LedgerEntry]:
+    def ledger_page(self, tenant_id: str, after: int = 0,
+                    limit: int = 100) -> List[LedgerEntry]:
+        """At most ``limit`` of the tenant's ledger entries with
+        ``entry_id > after``, oldest first — a keyset page, so its cost
+        does not grow with the tenant's history."""
         with self._lock:
             rows = self._conn.execute(
                 f"SELECT {_LEDGER_COLUMNS} FROM ledger WHERE tenant_id = ? "
-                f"ORDER BY entry_id", (tenant_id,)).fetchall()
+                f"AND entry_id > ? ORDER BY entry_id LIMIT ?",
+                (tenant_id, int(after), int(limit))).fetchall()
         return [LedgerEntry(*row) for row in rows]
+
+    def ledger_totals(self, tenant_id: str) -> Tuple[int, int, int]:
+        """``(entries, billed ns, amount in microdollars)`` over the
+        tenant's whole ledger, in one aggregate query."""
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(billed_ns), 0), "
+                "COALESCE(SUM(amount_microdollars), 0) FROM ledger "
+                "WHERE tenant_id = ?", (tenant_id,)).fetchone()
+        return int(row[0]), int(row[1]), int(row[2])
 
     def ledger_entry_for_job(self, job_id: str) -> Optional[LedgerEntry]:
         with self._lock:

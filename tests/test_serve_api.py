@@ -38,8 +38,8 @@ AUDIT_KEYS = {"schema", "job_id", "verdict", "flagged", "billed_ns",
               "ran_ns", "overbilling_ns", "est_steal_ns",
               "reported_steal_ns", "report_gap_ns", "samples",
               "tolerance_fraction", "tolerance_floor_ns"}
-USAGE_KEYS = {"schema", "tenant", "ledger", "total_billed_ns",
-              "total_amount_microdollars"}
+USAGE_KEYS = {"schema", "tenant", "ledger", "next_after", "total_entries",
+              "total_billed_ns", "total_amount_microdollars"}
 LEDGER_ENTRY_KEYS = {"entry_id", "job_id", "tenant_id", "spec_key",
                      "billed_ns", "utime_ns", "stime_ns", "trust_level",
                      "uncertainty_ns", "amount_microdollars"}
@@ -166,9 +166,11 @@ class TestEndpointSchemas:
             f"/v1/tenants/{served['honest']['tenant_id']}/usage")
         assert status == 200
         assert set(doc) == USAGE_KEYS
-        assert doc["schema"] == "repro-serve-usage-v1"
+        assert doc["schema"] == "repro-serve-usage-v2"
         assert set(doc["tenant"]) == TENANT_KEYS
         assert len(doc["ledger"]) == 1
+        assert doc["next_after"] is None
+        assert doc["total_entries"] == 1
         assert set(doc["ledger"][0]) == LEDGER_ENTRY_KEYS
         assert doc["total_billed_ns"] == doc["ledger"][0]["billed_ns"]
 

@@ -142,9 +142,9 @@ GOLDEN = {
     "job:j-000006":
         "1b2bc68ac77383e99d4b90fa773e9c44b28d4cc1e377db8d7cdd5c8f0c8e0669",
     "jobs:alpha":
-        "b3359c9dbe7154b407649e2215ee8e6644fbe5dce08a2187549a694606b21db2",
+        "f3e1c17692d4558a2537fb6a5f8c6bb23569d67e2baeacd40475c22f6b54d4f4",
     "jobs:beta":
-        "5c8555d611a3fe89a106ea91851e515b4bdb3acc8f416a9507f6f80a31d396b6",
+        "63ff5911c873c0fbbc67b2275e448d7b4f0256fd4d64981c599769789fde95d0",
     "rejection":
         "84e702ca3ae9e1009f6f4874031d96b0337ceb0e4e6bc5056f5d7d013a04c261",
     "submit:0":
@@ -174,8 +174,19 @@ GOLDEN = {
     "trust:j-000004":
         "588f1bd169e3d03760796bb7d6f7a06e974c5f5c1312e89a87aac0844a3e0ec8",
     "usage:alpha":
-        "6bc6ad8b1259704ca31026184be55ca47dfe34bde5c03491013a6b9b0f04c91a",
+        "7eac4cebce73d1348b717db74a31ec248c162d63d677cb11f769f21a19654c13",
     "usage:beta":
+        "a6d8c59363211d2a6da99bdc0b30f8e282404ce5c46631027bc27970a02dea7d",
+}
+
+
+#: The whole-ledger ``repro-serve-usage-v1`` documents the scenario read
+#: before the usage ledger was paged; the v2 pages, joined, must rebuild
+#: them exactly.
+USAGE_V1 = {
+    "alpha":
+        "6bc6ad8b1259704ca31026184be55ca47dfe34bde5c03491013a6b9b0f04c91a",
+    "beta":
         "fed12720da9e2d8bc96579817f3cfeec8a1b7d909e122d2c2160705fdef4facd",
 }
 
@@ -198,3 +209,39 @@ def test_scenario_reads_every_pinned_document(served):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_document_digest(served, name):
     assert _sha(served["docs"][name]) == GOLDEN[name]
+
+
+def _pages(base, path, limit):
+    """Every page of a keyset-paged listing, following ``next_after``."""
+    pages, after = [], None
+    while True:
+        query = f"?limit={limit}" + (f"&after={after}" if after else "")
+        status, doc = _call(base, "GET", path + query)
+        assert status == 200, doc
+        pages.append(doc)
+        after = doc["next_after"]
+        if after is None:
+            return pages
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_V1))
+def test_usage_pages_join_to_the_v1_ledger(served, name):
+    tid = served["docs"][f"tenant:{name}"]["tenant_id"]
+    pages = _pages(served["base"], f"/v1/tenants/{tid}/usage", limit=1)
+    ledger = [entry for page in pages for entry in page["ledger"]]
+    last = pages[-1]
+    assert len(pages) == len(ledger) == last["total_entries"]
+    assert sum(e["billed_ns"] for e in ledger) == last["total_billed_ns"]
+    v1 = {"schema": "repro-serve-usage-v1", "tenant": last["tenant"],
+          "ledger": ledger, "total_billed_ns": last["total_billed_ns"],
+          "total_amount_microdollars": last["total_amount_microdollars"]}
+    assert _sha(v1) == USAGE_V1[name]
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_V1))
+def test_job_pages_join_to_the_whole_listing(served, name):
+    tid = served["docs"][f"tenant:{name}"]["tenant_id"]
+    pages = _pages(served["base"], f"/v1/tenants/{tid}/jobs", limit=2)
+    jobs = [job for page in pages for job in page["jobs"]]
+    assert jobs == served["docs"][f"jobs:{name}"]["jobs"]
+    assert len(pages) == max(1, -(-len(jobs) // 2))
