@@ -544,8 +544,8 @@ class MeteringService:
         """One keyset page of the tenant's usage ledger (entries with
         ``entry_id > after``) plus whole-ledger totals.  ``next_after`` is
         the ``after`` of the next page, None on the last one."""
-        if after < 0:
-            raise ServiceError(f"after must be >= 0, got {after}")
+        if not 0 <= after < 1 << 63:  # an SQLite INTEGER entry id
+            raise ServiceError(f"after must be in [0, 2**63), got {after}")
         limit = _page_limit(limit)
         tenant = self.tenant_doc(tenant_id)
         entries = self.store.ledger_page(tenant_id, after=after,

@@ -80,12 +80,10 @@ class TestStatementCounts:
         tid = service.register_tenant("alpha")["tenant_id"]
         first = service.submit(tid, TINY_SPEC)
         assert first["cached"] is False
-        issued = []
-        service.store._conn.set_trace_callback(issued.append)
-        try:
-            again = service.submit(tid, TINY_SPEC)
-        finally:
-            service.store._conn.set_trace_callback(None)
+        replies = []
+        issued = _statements(service.store, lambda: replies.append(
+            service.submit(tid, TINY_SPEC)))
+        again = replies[0]
         assert again["cached"] is True
         assert again["invoice"] == first["invoice"]
         assert len(issued) <= SUBMIT_STATEMENTS, issued
@@ -228,7 +226,7 @@ class TestQueryParameters:
         assert doc["next_after"] is None
 
     @pytest.mark.parametrize("query", ["limit=x", "limit=0", "after=-1",
-                                       "after=1.5"])
+                                       "after=1.5", f"after={1 << 63}"])
     def test_bad_usage_parameters_are_400(self, served, query):
         base, tid = served
         status, doc = _get(base, f"/v1/tenants/{tid}/usage?{query}")
