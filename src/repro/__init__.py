@@ -20,70 +20,26 @@ Quickstart::
     print(machine.kernel.accounting.usage(task))
 """
 
-from .config import (
-    CostModel,
-    DiskConfig,
-    MachineConfig,
-    MemoryConfig,
-    NS_PER_SEC,
-    SchedulerConfig,
-    ServeConfig,
-    default_config,
-)
-from .errors import ReproError, SimulationError, KernelError
-from .hw.machine import Machine
-from .kernel.accounting import CpuUsage
-from .kernel.process import Task, TaskState
-from .programs.base import GuestContext, GuestFunction, Program
-from .programs.ops import (
-    CallLib,
-    CallNext,
-    Compute,
-    Invoke,
-    Mem,
-    Provenance,
-    Syscall,
-)
+from ._lazy import lazy_exports
+
 __version__ = "1.9.0"
 
-# Imported after __version__: repro.verify pulls in the runner, whose spec
-# hashing reads the version back from this module.
-from .verify.invariants import (  # noqa: E402
-    InvariantChecker,
-    InvariantViolation,
-    default_invariants,
-    set_default_invariants,
-)
+# Every name loads on first use, so ``import repro`` (and with it
+# ``python -m repro --help``) costs no submodule; ``repro.Machine`` brings
+# up the simulator, and the invariant checker loads only when asked for.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": ("CostModel", "DiskConfig", "MachineConfig", "MemoryConfig",
+                "NS_PER_SEC", "SchedulerConfig", "ServeConfig",
+                "default_config", "default_invariants",
+                "set_default_invariants"),
+    ".errors": ("ReproError", "SimulationError", "KernelError"),
+    ".hw.machine": ("Machine",),
+    ".kernel.accounting": ("CpuUsage",),
+    ".kernel.process": ("Task", "TaskState"),
+    ".programs.base": ("GuestContext", "GuestFunction", "Program"),
+    ".programs.ops": ("CallLib", "CallNext", "Compute", "Invoke", "Mem",
+                      "Provenance", "Syscall"),
+    ".verify.invariants": ("InvariantChecker", "InvariantViolation"),
+})
 
-__all__ = [
-    "CostModel",
-    "DiskConfig",
-    "MachineConfig",
-    "MemoryConfig",
-    "NS_PER_SEC",
-    "SchedulerConfig",
-    "ServeConfig",
-    "default_config",
-    "ReproError",
-    "SimulationError",
-    "KernelError",
-    "Machine",
-    "CpuUsage",
-    "Task",
-    "TaskState",
-    "GuestContext",
-    "GuestFunction",
-    "Program",
-    "CallLib",
-    "CallNext",
-    "Compute",
-    "Invoke",
-    "Mem",
-    "Provenance",
-    "Syscall",
-    "InvariantChecker",
-    "InvariantViolation",
-    "default_invariants",
-    "set_default_invariants",
-    "__version__",
-]
+__all__.append("__version__")

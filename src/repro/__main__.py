@@ -74,14 +74,14 @@ from typing import Any, Dict, List, Optional, Tuple
 def _make_runner(args: argparse.Namespace, quiet: bool = False):
     """A BatchRunner per the shared --jobs/--cache-dir/... flags, or None
     when every knob is at its serial default."""
-    from .runner import BatchRunner, ConsoleProgress, ResultCache
-
     jobs = getattr(args, "jobs", 1)
     cache_dir = getattr(args, "cache_dir", None)
     timeout_s = getattr(args, "timeout_s", None)
     retries = getattr(args, "retries", 0)
     if jobs == 1 and cache_dir is None and timeout_s is None and not retries:
         return None
+    from .runner import BatchRunner, ConsoleProgress, ResultCache
+
     return BatchRunner(
         jobs=jobs,
         cache=ResultCache(cache_dir) if cache_dir else None,
@@ -92,9 +92,10 @@ def _make_runner(args: argparse.Namespace, quiet: bool = False):
 
 def _apply_invariants_flag(args: argparse.Namespace) -> None:
     """``--check-invariants`` flips the process-wide default, so every
-    serially-run experiment (figures, gallery) gets the checker."""
+    serially-run experiment (figures, gallery) gets the checker.  The
+    checker loads here, at dispatch, not inside the first run."""
     if getattr(args, "check_invariants", False):
-        from .verify import set_default_invariants
+        from .verify.invariants import set_default_invariants
 
         set_default_invariants(True)
 
@@ -981,10 +982,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from .errors import ReproError
-
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .errors import ReproError
+
     try:
         return args.func(args)
     except ReproError as exc:

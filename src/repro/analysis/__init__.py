@@ -1,36 +1,11 @@
 """Experiment harness and figure regeneration."""
 
-from .experiment import ExperimentResult, run_experiment
-from .figures import (
-    FIGURES,
-    FigureResult,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    run_figure,
-)
-from .report import bar_chart, figure_report, series_chart
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "run_experiment",
-    "FIGURES",
-    "FigureResult",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "run_figure",
-    "bar_chart",
-    "series_chart",
-    "figure_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".experiment": ("ExperimentResult", "run_experiment"),
+    ".figures": ("FIGURES", "FigureResult", "figure4", "figure5", "figure6",
+                 "figure7", "figure8", "figure9", "figure10", "figure11",
+                 "run_figure"),
+    ".report": ("bar_chart", "series_chart", "figure_report"),
+})

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..attacks.base import Attack, NoAttack
-from ..config import MachineConfig, default_config
+from ..config import MachineConfig, default_config, default_invariants
 from ..hw.machine import Machine
 from ..kernel.accounting import CpuUsage
 from ..kernel.process import Task
@@ -153,7 +153,6 @@ def run_experiment(program: Program,
     """
     attack = attack or NoAttack()
     if check_invariants is None:
-        from ..verify.invariants import default_invariants
         check_invariants = default_invariants()
     machine = Machine(cfg or default_config(), trace=trace,
                       invariants=bool(check_invariants), faults=faults,

@@ -11,14 +11,18 @@ nature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple)
 
 from ..checks import Check, CheckList
 from ..config import MachineConfig, default_config
 from ..programs.base import Program
 from ..programs.workloads import make_paper_program, watched_variable
-from ..runner import BatchRunner, ExperimentSpec, run_spec
+from ..runner.specs import ExperimentSpec, run_spec
 from .experiment import ExperimentResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (serial runs: no pool)
+    from ..runner.pool import BatchRunner
 
 #: The injected payload for the launch-time attacks: the scaled analogue of
 #: the paper's ~34-second loop (~0.34 s at 2.53 GHz).

@@ -274,3 +274,20 @@ def default_config(**changes) -> MachineConfig:
     cfg = MachineConfig(**changes) if changes else MachineConfig()
     cfg.validate()
     return cfg
+
+
+#: Process-wide default consulted by ``run_experiment`` and
+#: ``run_vm_experiment`` when their ``check_invariants`` argument is left
+#: as None (the CLI's ``--check-invariants`` sets it).  It lives here, not
+#: beside the checker, so a run that does not check loads no checker.
+_DEFAULT_INVARIANTS = False
+
+
+def set_default_invariants(enabled: bool) -> None:
+    """Turn invariant checking on/off for runs that don't specify it."""
+    global _DEFAULT_INVARIANTS
+    _DEFAULT_INVARIANTS = bool(enabled)
+
+
+def default_invariants() -> bool:
+    return _DEFAULT_INVARIANTS

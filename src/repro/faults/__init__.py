@@ -12,24 +12,10 @@ See ``docs/faults.md`` for the fault taxonomy, watchdog semantics and
 trust levels.
 """
 
-from .injectors import (
-    TICK_DROP,
-    TICK_FIRE,
-    IrqStorm,
-    StaleProcfs,
-    TickFaultInjector,
-    TscFault,
-)
-from .plan import FaultPlan, normalize_plan, sweep_plan
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FaultPlan",
-    "normalize_plan",
-    "sweep_plan",
-    "TickFaultInjector",
-    "TscFault",
-    "IrqStorm",
-    "StaleProcfs",
-    "TICK_DROP",
-    "TICK_FIRE",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".injectors": ("TICK_DROP", "TICK_FIRE", "IrqStorm", "StaleProcfs",
+                   "TickFaultInjector", "TscFault"),
+    ".plan": ("FaultPlan", "normalize_plan", "sweep_plan"),
+})

@@ -8,6 +8,7 @@ the population-weighted results into mergeable sketches so the report for
 10k hosts costs the memory of 10.  See ``docs/fleet.md``.
 """
 
+from .._lazy import lazy_exports
 from .aggregate import (
     FLEET_REPORT_SCHEMA,
     FLEET_STATE_SCHEMA,
@@ -21,21 +22,6 @@ from .expand import (
     expand_fleet,
 )
 from .runner import run_fleet
-from .shard import (
-    FLEET_COVERAGE_SCHEMA,
-    GRADE_DEGRADED,
-    GRADE_PARTIAL,
-    GRADE_TRUSTED,
-    REPORT_GRADES,
-    ShardClient,
-    ShardError,
-    ShardOutcome,
-    ShardRequestError,
-    merged_report,
-    shard_fleet,
-    shard_fleet_local,
-    shard_ranges,
-)
 from .sketch import SKETCH_SCHEMA, HistogramSketch
 from .spec import (
     FLEET_SCHEMA,
@@ -46,25 +32,25 @@ from .spec import (
     fleet_key,
 )
 
+# The shard client speaks HTTP to remote daemons: it loads on first use,
+# so a local sweep never pays for http.client, urllib or the chaos plane.
+__getattr__, __dir__, _shard_names = lazy_exports(__name__, {
+    ".shard": ("FLEET_COVERAGE_SCHEMA", "GRADE_DEGRADED", "GRADE_PARTIAL",
+               "GRADE_TRUSTED", "REPORT_GRADES", "ShardClient", "ShardError",
+               "ShardOutcome", "ShardRequestError", "merged_report",
+               "shard_fleet", "shard_fleet_local", "shard_ranges"),
+})
+
 __all__ = [
-    "FLEET_COVERAGE_SCHEMA",
     "FLEET_REPORT_SCHEMA",
     "FLEET_SCHEMA",
     "FLEET_STATE_SCHEMA",
-    "GRADE_DEGRADED",
-    "GRADE_PARTIAL",
-    "GRADE_TRUSTED",
-    "REPORT_GRADES",
     "SKETCH_SCHEMA",
     "FleetAggregator",
     "FleetSpec",
     "FleetSpecError",
     "FleetUnit",
     "HistogramSketch",
-    "ShardClient",
-    "ShardError",
-    "ShardOutcome",
-    "ShardRequestError",
     "UnitGroup",
     "check_host_range",
     "distinct_units",
@@ -72,9 +58,5 @@ __all__ = [
     "fleet_from_dict",
     "fleet_identity",
     "fleet_key",
-    "merged_report",
     "run_fleet",
-    "shard_fleet",
-    "shard_fleet_local",
-    "shard_ranges",
-]
+] + _shard_names

@@ -21,8 +21,11 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..analysis.figures import paper_workload_params
 from ..errors import ReproError
+from ..faults.plan import sweep_plan
 from ..runner.specs import ExperimentSpec, spec_key
+from ..timesync.spec import sweep_timesync
 from .spec import FleetSpec
 
 
@@ -136,10 +139,6 @@ def _expand_draws(fleet: FleetSpec,
     ``-0.0 == 0.0`` and ``1 == True``, yet each pair hashes to
     different spec documents.
     """
-    from ..analysis.figures import paper_workload_params
-    from ..faults import sweep_plan
-    from ..timesync import sweep_timesync
-
     workload_params = paper_workload_params(fleet.scale)
     forks = max(1, int(BARE_ATTACK_FORKS * fleet.scale))
     sync_active = _sync_active(fleet)

@@ -21,6 +21,12 @@ from .aggregate import FleetAggregator
 from .expand import UnitGroup, distinct_units
 from .spec import FleetSpec
 
+# A sweep's hosts run the fault, network-time and hypervisor planes.  They
+# load with the entry point, so no module loads inside a sweep.
+from ..faults import injectors as _fault_injectors  # noqa: F401
+from ..timesync import host as _timesync_host  # noqa: F401
+from ..virt import experiment as _vm_experiment  # noqa: F401
+
 #: Specs submitted to the batch runner per chunk — small enough that the
 #: in-flight outcome list stays trivial, large enough to keep a wide pool
 #: busy between chunk barriers.

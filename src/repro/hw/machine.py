@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..config import MachineConfig, default_config
 from ..errors import DeadlockError, SimulationError
+from ..faults.plan import normalize_plan
 from ..kernel.kernel import Kernel
 from ..kernel.process import Task, TaskState
 from ..kernel.shell import Shell
@@ -26,6 +27,7 @@ from ..sim.clock import Clock
 from ..sim.events import EventQueue
 from ..sim.rng import DeterministicRng
 from ..sim.tracing import TraceLog
+from ..timesync.spec import normalize_timesync
 from .cpu import CPU
 from .disk import Disk
 from .irq import InterruptController
@@ -63,10 +65,6 @@ class Machine:
         spec is treated exactly like no spec: nothing is constructed and
         the machine is bit-identical to a pre-timesync one.
         """
-        from ..faults import normalize_plan
-        from ..timesync import normalize_timesync
-        from ..verify.invariants import InvariantChecker
-
         self.cfg = cfg or default_config()
         self.cfg.validate()
         self.fault_plan = normalize_plan(faults)
@@ -101,8 +99,12 @@ class Machine:
         self.irq_storm = None
         tolerated = (self.fault_plan.tolerated_categories()
                      if self.fault_plan is not None else ())
-        self.invariant_checker = InvariantChecker.resolve(invariants,
-                                                          tolerated)
+        self.invariant_checker = None
+        if invariants:
+            from ..verify.invariants import InvariantChecker
+
+            self.invariant_checker = InvariantChecker.resolve(invariants,
+                                                              tolerated)
         if self.invariant_checker is not None:
             self.invariant_checker.attach(self.kernel)
         if self.fault_plan is not None:

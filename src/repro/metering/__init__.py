@@ -8,59 +8,21 @@ attestation), execution integrity (a monitor over the run), and
 fine-grained metering (evaluated via the TSC accounting scheme).
 """
 
-from .oracle import OracleReport, oracle_report
-from .billing import Invoice, PricePlan, TrustReport, invoice_for
-from .verification import BillVerifier, VerificationOutcome, VerificationReport
-from .attestation import (
-    AttestationError,
-    MeasurementLog,
-    TpmQuote,
-    TrustedPlatformModule,
-    measure_platform,
-    verify_quote,
-)
-from .integrity import ExecutionIntegrityMonitor, IntegrityViolation
-from .properties import DEFENSE_COVERAGE, defense_coverage_table
-from .resources import (
-    Discrepancy,
-    ResourceEvent,
-    ResourceMeter,
-    TransactionLog,
-    reconcile,
-)
-from .sampling import UsageSampler, UsageTimeline, audit_share
-from .steal import StealReport, StealVerdict, audit_steal, audit_vm_result
+from .._lazy import lazy_exports
 
-__all__ = [
-    "OracleReport",
-    "oracle_report",
-    "Invoice",
-    "PricePlan",
-    "TrustReport",
-    "invoice_for",
-    "BillVerifier",
-    "VerificationOutcome",
-    "VerificationReport",
-    "AttestationError",
-    "MeasurementLog",
-    "TpmQuote",
-    "TrustedPlatformModule",
-    "measure_platform",
-    "verify_quote",
-    "ExecutionIntegrityMonitor",
-    "IntegrityViolation",
-    "DEFENSE_COVERAGE",
-    "defense_coverage_table",
-    "Discrepancy",
-    "ResourceEvent",
-    "ResourceMeter",
-    "TransactionLog",
-    "reconcile",
-    "UsageSampler",
-    "UsageTimeline",
-    "audit_share",
-    "StealReport",
-    "StealVerdict",
-    "audit_steal",
-    "audit_vm_result",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".oracle": ("OracleReport", "oracle_report"),
+    ".billing": ("Invoice", "PricePlan", "TrustReport", "invoice_for"),
+    ".verification": ("BillVerifier", "VerificationOutcome",
+                      "VerificationReport"),
+    ".attestation": ("AttestationError", "MeasurementLog", "TpmQuote",
+                     "TrustedPlatformModule", "measure_platform",
+                     "verify_quote"),
+    ".integrity": ("ExecutionIntegrityMonitor", "IntegrityViolation"),
+    ".properties": ("DEFENSE_COVERAGE", "defense_coverage_table"),
+    ".resources": ("Discrepancy", "ResourceEvent", "ResourceMeter",
+                   "TransactionLog", "reconcile"),
+    ".sampling": ("UsageSampler", "UsageTimeline", "audit_share"),
+    ".steal": ("StealReport", "StealVerdict", "audit_steal",
+               "audit_vm_result"),
+})

@@ -15,35 +15,12 @@ funnel their (program × attack × config) points through this package:
 See docs/runner.md for the sweep format and determinism guarantees.
 """
 
-from .cache import ResultCache
-from .pool import BatchRunner, FailureRecord, RunOutcome, SweepError
-from .progress import ConsoleProgress, ProgressEvent, SweepTelemetry
-from .specs import (
-    ATTACK_CLASSES,
-    PROGRAM_FACTORIES,
-    ExperimentSpec,
-    SpecError,
-    grid,
-    run_spec,
-    spec_from_dict,
-    spec_key,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ATTACK_CLASSES",
-    "PROGRAM_FACTORIES",
-    "BatchRunner",
-    "ConsoleProgress",
-    "ExperimentSpec",
-    "FailureRecord",
-    "ProgressEvent",
-    "ResultCache",
-    "RunOutcome",
-    "SpecError",
-    "SweepError",
-    "SweepTelemetry",
-    "grid",
-    "run_spec",
-    "spec_from_dict",
-    "spec_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": ("ResultCache",),
+    ".pool": ("BatchRunner", "FailureRecord", "RunOutcome", "SweepError"),
+    ".progress": ("ConsoleProgress", "ProgressEvent", "SweepTelemetry"),
+    ".specs": ("ATTACK_CLASSES", "PROGRAM_FACTORIES", "ExperimentSpec",
+               "SpecError", "grid", "run_spec", "spec_from_dict", "spec_key"),
+})

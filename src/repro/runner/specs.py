@@ -17,7 +17,6 @@ the cache and re-runs the point.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -39,10 +38,12 @@ from ..attacks import (
 )
 from ..config import MachineConfig, default_config
 from ..errors import ReproError
+from ..faults.plan import FaultPlan
 from ..plans import FrozenPlan
 from ..programs.attackers import make_busyloop, make_fork_attacker
 from ..programs.base import Program
 from ..programs.workloads import PAPER_PROGRAMS, make_paper_program
+from ..timesync.spec import TimeSyncSpec
 
 #: program registry key → factory.  The paper programs go through
 #: ``make_paper_program``; the attacker-side programs are addressable too so
@@ -178,15 +179,10 @@ def _config_doc(cfg: Any) -> Any:
     return _canonical(cfg)
 
 
-@functools.lru_cache(maxsize=None)
-def plan_fields() -> Tuple[Tuple[str, Type[FrozenPlan]], ...]:
-    """The spec fields that carry a plan mapping, with the plan type each
-    one normalizes through (an empty plan is identical to None).  The
-    plane packages load on first use, not with the runner."""
-    from ..faults import FaultPlan
-    from ..timesync import TimeSyncSpec
-
-    return (("faults", FaultPlan), ("timesync", TimeSyncSpec))
+#: The spec fields that carry a plan mapping, with the plan type each one
+#: normalizes through (an empty plan is identical to None).
+PLAN_FIELDS: Tuple[Tuple[str, Type[FrozenPlan]], ...] = (
+    ("faults", FaultPlan), ("timesync", TimeSyncSpec))
 
 
 def spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
@@ -215,7 +211,7 @@ def spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
         "vm": _canonical(spec.vm) if spec.vm is not None else None,
         "repro_version": __version__,
     }
-    for name, plan_type in plan_fields():
+    for name, plan_type in PLAN_FIELDS:
         plan = plan_type.normalize(getattr(spec, name))
         if plan is not None:
             # Only an active plan joins the identity: empty plans hash
@@ -308,7 +304,7 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
     if max_ns is not None and (not isinstance(max_ns, int) or max_ns <= 0):
         raise SpecError(f"max_ns must be a positive integer, got {max_ns!r}")
     plans: Dict[str, Any] = {}
-    for name, plan_type in plan_fields():
+    for name, plan_type in PLAN_FIELDS:
         value = doc.get(name)
         if value is not None:
             if not isinstance(value, Mapping):

@@ -23,29 +23,13 @@ Layers (each importable on its own):
   real daemon and drives the honest-vs-attacker end-to-end check.
 """
 
-from .store import (
-    InjectedCrash,
-    LedgerEntry,
-    QuotaExceeded,
-    StoreError,
-    UsageStore,
-)
-from .service import MeteringService, ServiceError, invoice_doc_for
-from .metrics import MetricsRegistry
-from .api import ReproServer, serve_forever
-from .selftest import run_selftest
+from .._lazy import lazy_exports
 
-__all__ = [
-    "InjectedCrash",
-    "LedgerEntry",
-    "MeteringService",
-    "MetricsRegistry",
-    "QuotaExceeded",
-    "ReproServer",
-    "ServiceError",
-    "StoreError",
-    "UsageStore",
-    "invoice_doc_for",
-    "run_selftest",
-    "serve_forever",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".store": ("InjectedCrash", "LedgerEntry", "QuotaExceeded", "StoreError",
+               "UsageStore"),
+    ".service": ("MeteringService", "ServiceError", "invoice_doc_for"),
+    ".metrics": ("MetricsRegistry",),
+    ".api": ("ReproServer", "serve_forever"),
+    ".selftest": ("run_selftest",),
+})

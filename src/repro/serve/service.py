@@ -167,12 +167,17 @@ class MeteringService:
                                f"have {sorted(PLANS)}")
         return self.store.register_tenant(name, plan=plan, quota_ns=quota_ns)
 
-    def tenant_doc(self, tenant_id: str) -> Dict[str, Any]:
+    def tenant_doc(self, tenant_id: str,
+                   billed_ns: Optional[int] = None) -> Dict[str, Any]:
+        """The tenant row with its billed total and job counts.  A caller
+        that has already summed the ledger passes that sum as
+        ``billed_ns``, so one document never carries two sums of it."""
         try:
             tenant = self.store.tenant(tenant_id)
         except KeyError:
             raise NotFound(f"no such tenant {tenant_id!r}") from None
-        tenant["billed_ns"] = self.store.ledger_total_ns(tenant_id)
+        tenant["billed_ns"] = (self.store.ledger_total_ns(tenant_id)
+                               if billed_ns is None else billed_ns)
         tenant["jobs"] = self.store.job_state_counts(tenant_id)
         return tenant
 
@@ -547,11 +552,11 @@ class MeteringService:
         if not 0 <= after < 1 << 63:  # an SQLite INTEGER entry id
             raise ServiceError(f"after must be in [0, 2**63), got {after}")
         limit = _page_limit(limit)
-        tenant = self.tenant_doc(tenant_id)
+        count, billed_ns, amount = self.store.ledger_totals(tenant_id)
+        tenant = self.tenant_doc(tenant_id, billed_ns=billed_ns)
         entries = self.store.ledger_page(tenant_id, after=after,
                                          limit=limit + 1)
         page = entries[:limit]
-        count, billed_ns, amount = self.store.ledger_totals(tenant_id)
         return {
             "schema": USAGE_SCHEMA,
             "tenant": tenant,

@@ -386,14 +386,16 @@ class UsageStore:
                     (tenant_id, idempotency_key)).fetchone()
                 if row is not None:
                     return _job_doc(row), False
-            count = self._conn.execute(
-                "SELECT COUNT(*) FROM jobs").fetchone()[0]
-            job_id = f"j-{count + 1:06d}"
-            if idempotency_key is None:
-                idempotency_key = f"auto:{job_id}"
             spec_json = json.dumps(spec_doc, sort_keys=True)
             try:
                 with self._transaction("job"):
+                    # Counted under the write lock: another connection to
+                    # this file cannot mint the same id in between.
+                    count = self._conn.execute(
+                        "SELECT COUNT(*) FROM jobs").fetchone()[0]
+                    job_id = f"j-{count + 1:06d}"
+                    if idempotency_key is None:
+                        idempotency_key = f"auto:{job_id}"
                     self._conn.execute(
                         "INSERT INTO jobs (job_id, tenant_id, "
                         "idempotency_key, spec_key, spec_json, state) "

@@ -7,27 +7,13 @@ servo model, :mod:`repro.timesync.plan` for the attack taxonomy and
 (docs/timesync.md walks through all three).
 """
 
-from .netplane import (LinkModel, LocalClock, NtpDaemon, OffsetEstimator,
-                       PtpDaemon, SyncNetwork, TimeSyncError,
-                       PTP_STEP_THRESHOLD_NS)
-from .plan import SyncAttackPlan, normalize_sync_plan, sweep_sync_plan
-from .spec import (TimeSyncSpec, normalize_timesync, sweep_timesync,
-                   SWEEP_DRIFT_PPB)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LinkModel",
-    "LocalClock",
-    "NtpDaemon",
-    "OffsetEstimator",
-    "PtpDaemon",
-    "SyncNetwork",
-    "TimeSyncError",
-    "PTP_STEP_THRESHOLD_NS",
-    "SyncAttackPlan",
-    "normalize_sync_plan",
-    "sweep_sync_plan",
-    "TimeSyncSpec",
-    "normalize_timesync",
-    "sweep_timesync",
-    "SWEEP_DRIFT_PPB",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".netplane": ("LinkModel", "LocalClock", "NtpDaemon", "OffsetEstimator",
+                  "PtpDaemon", "SyncNetwork", "TimeSyncError",
+                  "PTP_STEP_THRESHOLD_NS"),
+    ".plan": ("SyncAttackPlan", "normalize_sync_plan", "sweep_sync_plan"),
+    ".spec": ("TimeSyncSpec", "normalize_timesync", "sweep_timesync",
+              "SWEEP_DRIFT_PPB"),
+})

@@ -13,50 +13,15 @@ Two layers of machine-checked trust in the simulator itself:
   reports (declared coverage, grade and totals must reconcile).
 """
 
-from .chaos import check_chaos_report
-from .invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    Violation,
-    VirtInvariantChecker,
-    default_invariants,
-    set_default_invariants,
-)
-from .fuzz import (
-    INJECT_KINDS,
-    SCHEDULE_INDEPENDENT_ATTACKS,
-    FuzzSummary,
-    Scenario,
-    ScenarioReport,
-    generate_scenario,
-    load_failure,
-    make_injector,
-    replay_failure,
-    run_fuzz,
-    run_scenario,
-    save_failure,
-    shrink_scenario,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "check_chaos_report",
-    "InvariantChecker",
-    "InvariantViolation",
-    "Violation",
-    "VirtInvariantChecker",
-    "default_invariants",
-    "set_default_invariants",
-    "INJECT_KINDS",
-    "SCHEDULE_INDEPENDENT_ATTACKS",
-    "FuzzSummary",
-    "Scenario",
-    "ScenarioReport",
-    "generate_scenario",
-    "load_failure",
-    "make_injector",
-    "replay_failure",
-    "run_fuzz",
-    "run_scenario",
-    "save_failure",
-    "shrink_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".chaos": ("check_chaos_report",),
+    ".invariants": ("InvariantChecker", "InvariantViolation", "Violation",
+                    "VirtInvariantChecker"),
+    "..config": ("default_invariants", "set_default_invariants"),
+    ".fuzz": ("INJECT_KINDS", "SCHEDULE_INDEPENDENT_ATTACKS", "FuzzSummary",
+              "Scenario", "ScenarioReport", "generate_scenario",
+              "load_failure", "make_injector", "replay_failure", "run_fuzz",
+              "run_scenario", "save_failure", "shrink_scenario"),
+})

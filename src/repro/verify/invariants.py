@@ -57,6 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
+# Re-exported: the process-wide flag lives in repro.config.
+from ..config import default_invariants, set_default_invariants  # noqa: F401
 from ..errors import SimulationError
 from ..sim.tracing import INVARIANT_CATEGORY
 
@@ -65,20 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernel.kernel import Kernel
     from ..kernel.process import Task
     from ..virt.hypervisor import Hypervisor, VirtualMachine
-
-#: Process-wide default consulted by ``run_experiment`` when its
-#: ``check_invariants`` argument is left as None (the CLI flag sets this).
-_DEFAULT_INVARIANTS = False
-
-
-def set_default_invariants(enabled: bool) -> None:
-    """Turn invariant checking on/off for runs that don't specify it."""
-    global _DEFAULT_INVARIANTS
-    _DEFAULT_INVARIANTS = bool(enabled)
-
-
-def default_invariants() -> bool:
-    return _DEFAULT_INVARIANTS
 
 
 @dataclass(frozen=True)

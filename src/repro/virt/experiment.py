@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional
 
 from ..analysis.experiment import DEFAULT_MAX_NS, ExperimentResult
-from ..config import MachineConfig, default_config
+from ..config import MachineConfig, default_config, default_invariants
 from ..errors import SimulationError
 from ..kernel.accounting import CpuUsage
 from ..programs.stdlib import install_standard_libraries
@@ -80,7 +80,6 @@ def run_vm_experiment(program: str = "W",
                         f"have {sorted(VM_ATTACK_NAMES)} or 'none'")
 
     if check_invariants is None:
-        from ..verify.invariants import default_invariants
         check_invariants = default_invariants()
 
     try:

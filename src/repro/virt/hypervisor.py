@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..config import MachineConfig, default_config
 from ..errors import DeadlockError, SimulationError
+from ..faults.plan import normalize_plan
 from ..hw.cpu import CPUMode
 from ..hw.machine import Machine
 from ..kernel.process import Task, TaskState
@@ -199,9 +200,6 @@ class Hypervisor:
         guests is scaled while the host-side ledger keeps the truth.  Guest
         machines stay fault-free; tick/TSC faults belong to bare-metal
         runs."""
-        from ..faults import normalize_plan
-        from ..verify.invariants import VirtInvariantChecker
-
         self.cfg = cfg or HypervisorConfig()
         self.cfg.validate()
         self.fault_plan = normalize_plan(faults)
@@ -227,8 +225,12 @@ class Hypervisor:
         self._guest_invariants = bool(invariants)
         tolerated = (self.fault_plan.tolerated_categories()
                      if self.fault_plan is not None else ())
-        self.invariant_checker = VirtInvariantChecker.resolve(invariants,
-                                                              tolerated)
+        self.invariant_checker = None
+        if invariants:
+            from ..verify.invariants import VirtInvariantChecker
+
+            self.invariant_checker = VirtInvariantChecker.resolve(
+                invariants, tolerated)
         if self.invariant_checker is not None:
             self.invariant_checker.attach(self)
 

@@ -1,6 +1,6 @@
 """Race-condition regressions for the serve daemon's admission control.
 
-Three bugs this suite pins closed:
+Four bugs this suite pins closed:
 
 * the quota TOCTOU in ``MeteringService.submit``: "ledger total < quota"
   was checked at admission but billing lands only when the worker thread
@@ -16,9 +16,15 @@ Three bugs this suite pins closed:
 * worker-thread failures disappearing into a bare ``except Exception:
   pass`` — a failed run must end with the job in state ``failed``, the
   error string on the job row, and the ``repro_serve_jobs_failed_total``
-  counter incremented.
+  counter incremented;
+* job ids minted from a ``COUNT(*)`` read before the write transaction
+  began, so two connections to one store file could both mint
+  ``j-NNNNNN`` (and its ``auto:`` idempotency key) and one insert failed
+  on the UNIQUE constraint.  The id is now counted inside the
+  ``BEGIN IMMEDIATE`` transaction that inserts it.
 """
 
+import sys
 import threading
 
 import pytest
@@ -206,3 +212,51 @@ class TestFailuresNeverSwallowed:
         assert "pre-recording dispatch failure" in job["error"]
         assert "repro_serve_jobs_failed_total 1" in service.metrics_text()
         service.close()
+
+
+class TestJobIdAllocation:
+    CALLS = 200
+
+    def test_two_connections_never_mint_the_same_job_id(self, tmp_path):
+        """Two stores on one file, one thread each, create jobs in
+        lockstep: every call succeeds and every id is distinct."""
+        path = str(tmp_path / "usage.db")
+        stores = [UsageStore(path), UsageStore(path)]
+        tenant_id = stores[0].register_tenant("alpha")["tenant_id"]
+        barrier = threading.Barrier(len(stores))
+        ids = []
+        errors = []
+
+        def create(store):
+            barrier.wait()
+            for i in range(self.CALLS):
+                try:
+                    job, created = store.create_job(
+                        tenant_id, f"spec-{i}", {"program": "W", "i": i})
+                    assert created
+                    ids.append(job["job_id"])
+                except Exception as exc:  # noqa: BLE001 - counted below
+                    errors.append(repr(exc))
+
+        threads = [threading.Thread(target=create, args=(store,))
+                   for store in stores]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            for store in stores:
+                store.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(ids) == len(set(ids)) == len(stores) * self.CALLS
+
+    def test_single_writer_ids_are_sequential(self, store):
+        tenant_id = store.register_tenant("alpha")["tenant_id"]
+        ids = [store.create_job(tenant_id, f"spec-{i}", {"i": i})[0]["job_id"]
+               for i in range(3)]
+        assert ids == ["j-000001", "j-000002", "j-000003"]

@@ -21,6 +21,10 @@ from repro.serve.service import MAX_PAGE_LIMIT, ServiceError
 #: admit and find the stored result, 5 to bill, 4 reads for the reply.
 SUBMIT_STATEMENTS = 15
 
+#: Statements a usage read issues: the ledger totals (the tenant's
+#: ``billed_ns`` included), the tenant row, its job counts, one page.
+USAGE_STATEMENTS = 4
+
 TINY_SPEC = {"program": "W", "program_kwargs": {"loops": 40},
              "label": "reads:tiny"}
 
@@ -75,6 +79,18 @@ class TestStatementCounts:
             }
             assert service.tenant_doc(tid)["jobs"]["completed"] == n
         assert costs[10] == costs[300]
+
+    def test_usage_read_sums_the_ledger_once(self, service):
+        store = service.store
+        tid = service.register_tenant("alpha")["tenant_id"]
+        _complete_jobs(store, tid, 3)
+        docs = []
+        issued = _statements(store, lambda: docs.append(
+            service.usage_doc(tid)))
+        assert len(issued) == USAGE_STATEMENTS, issued
+        assert sum("SUM(billed_ns)" in sql for sql in issued) == 1, issued
+        doc = docs[0]
+        assert doc["tenant"]["billed_ns"] == doc["total_billed_ns"] == 3_003
 
     def test_ledger_served_submit_statement_budget(self, service):
         tid = service.register_tenant("alpha")["tenant_id"]
