@@ -150,6 +150,11 @@ def run_experiment(program: Program,
     attaches the simulated network time plane; ``timesync_*`` counters —
     including the cross-host billing skew — land in ``stats`` when the
     spec is active.
+
+    The machine is closed (:meth:`Machine.close`) when the run ends, so it
+    is freed as soon as this returns.  A machine handed to
+    ``machine_hook`` is left open: the hook's caller may keep it, step it
+    further, and close it when done.
     """
     attack = attack or NoAttack()
     if check_invariants is None:
@@ -159,6 +164,18 @@ def run_experiment(program: Program,
                       timesync=timesync)
     if machine_hook is not None:
         machine_hook(machine)
+    try:
+        return _run_on(machine, program, attack, run_attacker_to_completion,
+                       max_ns, extra_libraries)
+    finally:
+        if machine_hook is None:
+            machine.close()
+
+
+def _run_on(machine: Machine, program: Program, attack: Attack,
+            run_attacker_to_completion: Optional[bool], max_ns: int,
+            extra_libraries) -> ExperimentResult:
+    """The body of :func:`run_experiment` on a booted machine."""
     install_standard_libraries(machine.kernel.libraries)
     for library in extra_libraries:
         machine.kernel.libraries.install(library, replace=True)

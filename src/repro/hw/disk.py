@@ -80,6 +80,13 @@ class Disk:
         self._pic.raise_irq(IRQ_DISK)
         self._start_next()
 
+    def close(self) -> None:
+        """Drop queued transfers: their completion callbacks hold the
+        kernel and the tasks waiting on them."""
+        self._reads.clear()
+        self._writes.clear()
+        self._pending_completion = None
+
     def take_completion(self) -> Optional[Callable[[], None]]:
         """Called by the kernel's IRQ-14 handler to collect the completion."""
         cb = self._pending_completion

@@ -47,6 +47,9 @@ class InterruptController:
             raise SimulationError(f"IRQ line {line} already has a handler")
         self._handlers[line] = handler
 
+    def unregister(self, line: int) -> None:
+        self._handlers.pop(line, None)
+
     @property
     def masked(self) -> bool:
         return self._masked

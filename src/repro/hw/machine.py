@@ -191,6 +191,25 @@ class Machine:
                 stats["fault_uncertainty_ns"] = damage
         return stats
 
+    def close(self) -> None:
+        """End the machine's life once its run is over.
+
+        A running machine is a web of back-references: the kernel owns
+        the engine, which points back at it; the timers and the PIC hold
+        kernel handlers; and the event queue holds callbacks of the very
+        devices, daemons and sleepers that hold the queue.  Closing drops
+        those edges, so reference counting frees the whole machine the
+        moment its owner lets go of it, without waiting for the cycle
+        collector.  What a result reads stays readable (clock, tasks,
+        ledgers, counters, the trace), but the machine cannot step again.
+        Closing twice does nothing more.
+        """
+        self.events.clear()
+        self.disk.close()
+        for timer in self.timers:
+            timer.close()
+        self.kernel.close()
+
     def check_invariants(self) -> None:
         """Run a full invariant sweep now (no-op when checking is off)."""
         if self.invariant_checker is not None:

@@ -69,6 +69,12 @@ class TimerDevice:
             self._next_tick.cancel()
             self._next_tick = None
 
+    def close(self) -> None:
+        """Stop for good and drop the handler, the timer's one reference
+        back to the kernel (see :meth:`repro.hw.machine.Machine.close`)."""
+        self.stop()
+        self._handler = None
+
     def next_tick_time(self) -> Optional[int]:
         return self._next_tick.time_ns if self._next_tick is not None else None
 

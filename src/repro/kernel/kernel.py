@@ -187,6 +187,17 @@ class Kernel:
         pic.register(IRQ_NIC, self._nic_irq)
         pic.register(IRQ_DISK, self._disk_irq)
 
+    def close(self) -> None:
+        """Drop the kernel's back-edges when its run is over: the engine's
+        and the checker's references to the kernel, and the IRQ handlers
+        the kernel lent the PIC.  Called by :meth:`Machine.close
+        <repro.hw.machine.Machine.close>`."""
+        self.engine.kernel = None
+        self.pic.unregister(IRQ_NIC)
+        self.pic.unregister(IRQ_DISK)
+        if self.invariants is not None:
+            self.invariants.detach()
+
     # ------------------------------------------------------------------
     # per-CPU banks, migration, load balancing
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ an invoice is only as trustworthy as the metering underneath it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..config import NS_PER_SEC
 from ..errors import ConfigError
@@ -68,6 +68,42 @@ def plan_by_name(name: str) -> PricePlan:
                           f"have {sorted(PLANS)}") from None
 
 
+def grade_stats(stats: "dict") -> Tuple[TrustLevel, int, int, int, int]:
+    """Grade an experiment result's counters: the fields of its
+    :class:`TrustReport`, in order — level, uncertainty (ns), and the
+    trusted, degraded and untrusted interval counts.  This is the one
+    grading code; the report and the invoice's wire form both read it.
+
+    Every grading path folds in here: the clocksource watchdog's interval
+    grades (``watchdog_*``), the guest-side sync estimator's round grades
+    and declared bound (``timesync_*``), and raw ungraded fault damage
+    (``fault_uncertainty_ns``, emitted when corruption was injected with
+    no watchdog to grade it).  All new terms default to zero when their
+    keys are absent, so a watchdog-only stats dict produces the exact
+    pre-timesync report.
+    """
+    get = stats.get
+    trusted = (int(get("watchdog_intervals_trusted", 0))
+               + int(get("timesync_trusted", 0)))
+    degraded = (int(get("watchdog_intervals_degraded", 0))
+                + int(get("timesync_degraded", 0)))
+    untrusted = (int(get("watchdog_intervals_untrusted", 0))
+                 + int(get("timesync_untrusted", 0)))
+    fault_uncertainty = int(get("fault_uncertainty_ns", 0))
+    if untrusted:
+        level = TrustLevel.UNTRUSTED
+    elif degraded or fault_uncertainty:
+        # Known corruption with nobody to grade it is still not a
+        # TRUSTED invoice.
+        level = TrustLevel.DEGRADED
+    else:
+        level = TrustLevel.TRUSTED
+    uncertainty = (int(get("watchdog_uncertainty_ns", 0))
+                   + int(get("timesync_uncertainty_ns", 0))
+                   + fault_uncertainty)
+    return level, uncertainty, trusted, degraded, untrusted
+
+
 @dataclass(frozen=True)
 class TrustReport:
     """Trust annotation for one metered usage record.
@@ -90,39 +126,8 @@ class TrustReport:
     def from_stats(cls, stats: "dict") -> "TrustReport":
         """Rebuild a trust report from an experiment result's counters —
         the stats travel through the result cache, the live watchdog and
-        sync-estimator objects do not.
-
-        Every grading path folds in here: the clocksource watchdog's
-        interval grades (``watchdog_*``), the guest-side sync estimator's
-        round grades and declared bound (``timesync_*``), and raw
-        ungraded fault damage (``fault_uncertainty_ns``, emitted when
-        corruption was injected with no watchdog to grade it).  All new
-        terms default to zero when their keys are absent, so a
-        watchdog-only stats dict produces the exact pre-timesync report.
-        """
-        trusted = (int(stats.get("watchdog_intervals_trusted", 0))
-                   + int(stats.get("timesync_trusted", 0)))
-        degraded = (int(stats.get("watchdog_intervals_degraded", 0))
-                    + int(stats.get("timesync_degraded", 0)))
-        untrusted = (int(stats.get("watchdog_intervals_untrusted", 0))
-                     + int(stats.get("timesync_untrusted", 0)))
-        fault_uncertainty = int(stats.get("fault_uncertainty_ns", 0))
-        if untrusted:
-            level = TrustLevel.UNTRUSTED
-        elif degraded or fault_uncertainty:
-            # Known corruption with nobody to grade it is still not a
-            # TRUSTED invoice.
-            level = TrustLevel.DEGRADED
-        else:
-            level = TrustLevel.TRUSTED
-        uncertainty = (int(stats.get("watchdog_uncertainty_ns", 0))
-                       + int(stats.get("timesync_uncertainty_ns", 0))
-                       + fault_uncertainty)
-        return cls(level=level,
-                   uncertainty_ns=uncertainty,
-                   intervals_trusted=trusted,
-                   intervals_degraded=degraded,
-                   intervals_untrusted=untrusted)
+        sync-estimator objects do not.  :func:`grade_stats` grades them."""
+        return cls(*grade_stats(stats))
 
     @property
     def uncertainty_s(self) -> float:

@@ -269,16 +269,30 @@ class BatchRunner:
         executor = ProcessPoolExecutor(max_workers=self.jobs)
         try:
             while queue or pending:
-                for index in queue:
+                broken = False
+                while queue and not broken:
+                    index = queue.pop(0)
                     attempts[index] += 1
                     emit(ProgressEvent(STARTED, index, total,
                                        specs[index].name,
                                        attempt=attempts[index]))
-                    pending[executor.submit(_execute_spec, specs[index],
-                                            self.timeout_s)] = index
-                queue = []
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                broken = False
+                    try:
+                        future = executor.submit(_execute_spec, specs[index],
+                                                 self.timeout_s)
+                    except BrokenExecutor as exc:
+                        # The pool broke after the last wait (a worker
+                        # died while its future was not yet done): this
+                        # attempt is lost like an in-flight one, and the
+                        # points not yet submitted wait for the new pool.
+                        broken = True
+                        if self._finish(outcomes, index, total,
+                                        self._broken_payload(exc),
+                                        attempts[index], emit):
+                            queue.append(index)
+                    else:
+                        pending[future] = index
+                done = (wait(list(pending), return_when=FIRST_COMPLETED)[0]
+                        if not broken else ())
                 for future in done:
                     index = pending.pop(future)
                     try:

@@ -33,6 +33,7 @@ from ..metering.billing import (
     PLANS,
     PricePlan,
     TrustReport,
+    grade_stats,
 )
 from ..metering.steal import audit_result
 from ..analysis.experiment import ExperimentResult
@@ -71,13 +72,18 @@ class Conflict(ServiceError):
     status = 409
 
 
-def _trust_doc(trust: TrustReport) -> Dict[str, Any]:
+def _trust_doc(stats: Dict[str, Any]) -> Dict[str, Any]:
+    """The wire form of ``TrustReport.from_stats(stats)``, graded by the
+    same :func:`grade_stats` but built without the report object: every
+    invoice read pays for this.  ``_value_`` is the member's value
+    itself; the ``value`` property reaches it through two Python calls."""
+    level, uncertainty, trusted, degraded, untrusted = grade_stats(stats)
     return {
-        "level": trust.level.value,
-        "uncertainty_ns": trust.uncertainty_ns,
-        "intervals_trusted": trust.intervals_trusted,
-        "intervals_degraded": trust.intervals_degraded,
-        "intervals_untrusted": trust.intervals_untrusted,
+        "level": level._value_,
+        "uncertainty_ns": uncertainty,
+        "intervals_trusted": trusted,
+        "intervals_degraded": degraded,
+        "intervals_untrusted": untrusted,
     }
 
 
@@ -111,9 +117,8 @@ def invoice_doc_for(job_name: str, result_doc: Dict[str, Any],
     utime_ns = int(usage["utime_ns"])
     stime_ns = int(usage["stime_ns"])
     billed_ns = utime_ns + stime_ns
-    trust = TrustReport.from_stats(result_doc.get("stats", {}))
-    low = max(0, billed_ns - trust.uncertainty_ns)
-    high = billed_ns + trust.uncertainty_ns
+    trust = _trust_doc(result_doc.get("stats", {}))
+    uncertainty = trust["uncertainty_ns"]
     return {
         "schema": INVOICE_SCHEMA,
         "job": job_name,
@@ -121,9 +126,10 @@ def invoice_doc_for(job_name: str, result_doc: Dict[str, Any],
         "utime_ns": utime_ns,
         "stime_ns": stime_ns,
         "billed_ns": billed_ns,
-        "billable_bounds_ns": [low, high],
+        "billable_bounds_ns": [max(0, billed_ns - uncertainty),
+                               billed_ns + uncertainty],
         "amount_microdollars": plan.cost_microdollars(billed_ns),
-        "trust": _trust_doc(trust),
+        "trust": trust,
     }
 
 
@@ -461,12 +467,13 @@ class MeteringService:
         utime_ns = int(usage["utime_ns"])
         stime_ns = int(usage["stime_ns"])
         billed_ns = utime_ns + stime_ns
-        trust = TrustReport.from_stats(result_doc.get("stats", {}))
+        level, uncertainty, *_counts = grade_stats(
+            result_doc.get("stats", {}))
         self.store.bill_job(
             job_id, result_doc,
             billed_ns=billed_ns, utime_ns=utime_ns, stime_ns=stime_ns,
-            trust_level=trust.level.value,
-            uncertainty_ns=trust.uncertainty_ns,
+            trust_level=level.value,
+            uncertainty_ns=uncertainty,
             amount_microdollars=plan.cost_microdollars(billed_ns),
             cached=cached)
 
@@ -500,8 +507,7 @@ class MeteringService:
 
     def trust_doc(self, job_id: str) -> Dict[str, Any]:
         job = self._completed_job(job_id)
-        trust = TrustReport.from_stats(job["result"].get("stats", {}))
-        doc = _trust_doc(trust)
+        doc = _trust_doc(job["result"].get("stats", {}))
         doc["schema"] = TRUST_SCHEMA
         doc["job_id"] = job_id
         return doc

@@ -379,11 +379,9 @@ class UsageStore:
         if state not in JOB_STATES:
             raise StoreError(f"unknown job state {state!r}")
         with self._lock:
-            if idempotency_key is not None:
-                row = self._conn.execute(
-                    f"SELECT {_JOB_COLUMNS} FROM jobs WHERE tenant_id = ? "
-                    f"AND idempotency_key = ?",
-                    (tenant_id, idempotency_key)).fetchone()
+            keyed = idempotency_key is not None
+            if keyed:
+                row = self._job_by_key(tenant_id, idempotency_key)
                 if row is not None:
                     return _job_doc(row), False
             spec_json = json.dumps(spec_doc, sort_keys=True)
@@ -403,11 +401,24 @@ class UsageStore:
                         (job_id, tenant_id, idempotency_key, spec_key,
                          spec_json, state))
             except sqlite3.IntegrityError as exc:
-                if "FOREIGN KEY" not in str(exc):
+                if "FOREIGN KEY" in str(exc):
+                    raise KeyError(tenant_id) from None
+                # Another connection to this file inserted the same key
+                # between the lookup above and the write lock: the key
+                # names its job, so answer with that one.
+                row = self._job_by_key(tenant_id, idempotency_key) \
+                    if keyed else None
+                if row is None:
                     raise
-                raise KeyError(tenant_id) from None
+                return _job_doc(row), False
         return _job_doc((job_id, tenant_id, idempotency_key, spec_key,
                          spec_json, state, 0, None, None, 0)), True
+
+    def _job_by_key(self, tenant_id: str, idempotency_key: str):
+        return self._conn.execute(
+            f"SELECT {_JOB_COLUMNS} FROM jobs WHERE tenant_id = ? "
+            f"AND idempotency_key = ?",
+            (tenant_id, idempotency_key)).fetchone()
 
     def set_job_state(self, job_id: str, state: str,
                       error: Optional[str] = None) -> None:

@@ -125,5 +125,11 @@ class EventQueue:
             fired += 1
 
     def clear(self) -> None:
+        """Drop every pending event, and its callback with it: a handle a
+        device still holds then keeps no callback, and so no device,
+        alive."""
+        for event in self._heap:
+            event.callback = None
+            event.cancelled = True
         self._heap.clear()
         self._live = 0

@@ -34,7 +34,15 @@ class MachineTimeSync:
 
     def __init__(self, spec: TimeSyncSpec, machine) -> None:
         self.spec = spec
-        self.machine = machine
+        # The parts of the machine this driver uses, not the machine:
+        # the machine owns this driver, and a reference back would tie
+        # the two into a cycle.  The checker and the watchdog are
+        # installed before the time plane.
+        self._clock = machine.clock
+        self._events = machine.events
+        self._timekeeper = machine.kernel.timekeeper
+        self._checker = machine.invariant_checker
+        self._watchdog = machine.watchdog
         self.network = SyncNetwork(
             machine.rng,
             attack=normalize_sync_plan(spec.attack),
@@ -48,27 +56,27 @@ class MachineTimeSync:
             OffsetEstimator(self.daemon, start_ns=machine.clock.now)
             if spec.defense else None)
         self._finalized_at: Optional[int] = None
-        machine.kernel.timekeeper.sync_steered = True
+        self._timekeeper.sync_steered = True
         self._schedule_next()
 
     # -- the event-driven exchange grid ------------------------------------
 
     def _schedule_next(self) -> None:
-        when = self.machine.clock.now + self.daemon.interval_ns
-        self.machine.events.schedule(when, self._round, name="timesync-round")
+        when = self._clock.now + self.daemon.interval_ns
+        self._events.schedule(when, self._round, name="timesync-round")
 
     def _round(self) -> None:
-        now = self.machine.clock.now
+        now = self._clock.now
         self.network.exchange(self.daemon, now)
         self._steer()
         if self.estimator is not None:
-            self.estimator.observe_round(self.machine.clock.now)
+            self.estimator.observe_round(self._clock.now)
         self._schedule_next()
 
     def _steer(self) -> None:
         """Mirror the disciplined clock into the kernel's timekeeper, the
         way settimeofday/adjtimex land on CLOCK_REALTIME."""
-        self.machine.kernel.timekeeper.walltime_offset_ns = \
+        self._timekeeper.walltime_offset_ns = \
             self.daemon.clock.offset_ns
 
     # -- end of run --------------------------------------------------------
@@ -82,7 +90,7 @@ class MachineTimeSync:
         clock.advance_to(max(now_ns, clock._committed_ns))
         self._steer()
         self._finalized_at = max(now_ns, clock._committed_ns)
-        checker = self.machine.invariant_checker
+        checker = self._checker
         if checker is not None:
             try:
                 self.network.check_conservation(self._finalized_at)
@@ -97,7 +105,7 @@ class MachineTimeSync:
         """Signed ns the cross-host bill is off by: the terminal clock
         offset, minus the estimator's correction when the defense is on."""
         end = self._finalized_at if self._finalized_at is not None \
-            else self.machine.clock.now
+            else self._clock.now
         skew = self.daemon.clock.offset_ns
         if self.estimator is not None:
             skew -= self.estimator.correction_ns(end)
@@ -107,7 +115,7 @@ class MachineTimeSync:
         """Integer counters for ``ExperimentResult.stats``; keys exist
         only on timesync-active runs, like fault and SMP stats."""
         end = self._finalized_at if self._finalized_at is not None \
-            else self.machine.clock.now
+            else self._clock.now
         doc: Dict[str, Any] = {
             "timesync_rounds": self.daemon.rounds,
             "timesync_lost_rounds": self.daemon.lost_rounds,
@@ -118,7 +126,7 @@ class MachineTimeSync:
         if self.estimator is not None:
             est = self.estimator
             uncertainty = est.uncertainty_ns(end)
-            watchdog = self.machine.watchdog
+            watchdog = self._watchdog
             if watchdog is not None and watchdog.unstable:
                 # Cross-check against the clocksource watchdog: when the
                 # local time base itself was caught lying, the estimator's

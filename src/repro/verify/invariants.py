@@ -242,6 +242,14 @@ class InvariantChecker(_Checker):
         kernel.invariants = self
         kernel.clock.on_advance = self.on_clock_advance
 
+    def detach(self) -> None:
+        """Unhook from the kernel at the end of its run: the kernel and
+        its clock point at this checker, so the checker lets go of the
+        kernel.  What the checker recorded stays readable."""
+        if self.kernel is not None:
+            self.kernel.clock.on_advance = None
+            self.kernel = None
+
     def _shadow(self, pid: int) -> _TaskShadow:
         shadow = self._tasks.get(pid)
         if shadow is None:
@@ -678,6 +686,13 @@ class VirtInvariantChecker(_Checker):
         self._attach_now = hypervisor.clock.now
         self._last_now = hypervisor.clock.now
         hypervisor.clock.on_advance = self.on_clock_advance
+
+    def detach(self) -> None:
+        """Unhook from the hypervisor at the end of its run (see
+        :meth:`InvariantChecker.detach`)."""
+        if self.hypervisor is not None:
+            self.hypervisor.clock.on_advance = None
+            self.hypervisor = None
 
     def on_vm_created(self, vm: "VirtualMachine") -> None:
         self._vcpus[id(vm)] = _VcpuShadow()

@@ -64,7 +64,9 @@ def run_vm_experiment(program: str = "W",
     scenario knobs (:data:`VM_PARAM_KEYS`); ``cfg`` is the *guest* machine
     config.  ``max_ns`` bounds **host** time.  ``faults`` (FaultPlan or
     mapping) applies its hypervisor-level fault — the lying steal clock;
-    guest machines stay fault-free (see :class:`Hypervisor`).
+    guest machines stay fault-free (see :class:`Hypervisor`).  The
+    hypervisor and its guests are closed when the run ends
+    (:meth:`Hypervisor.close`), so they are freed as soon as this returns.
     """
     from ..runner.specs import PROGRAM_FACTORIES, SpecError
 
@@ -89,10 +91,23 @@ def run_vm_experiment(program: str = "W",
                         f"have {sorted(PROGRAM_FACTORIES)}") from None
     victim_program = factory(**dict(program_kwargs or {}))
 
-    guest_cfg = cfg or default_config()
-    hv_cfg = _hypervisor_config(params)
-    hv = Hypervisor(hv_cfg, invariants=bool(check_invariants), faults=faults)
+    hv = Hypervisor(_hypervisor_config(params),
+                    invariants=bool(check_invariants), faults=faults)
+    try:
+        return _run_scenario(hv, victim_program, attack,
+                             dict(attack_kwargs or {}), params,
+                             cfg or default_config(), max_ns)
+    finally:
+        hv.close()
 
+
+def _run_scenario(hv: Hypervisor, victim_program, attack: Optional[str],
+                  akw: Dict[str, Any], params: Mapping[str, Any],
+                  guest_cfg: MachineConfig, max_ns: int) -> ExperimentResult:
+    """The body of :func:`run_vm_experiment` on a booted hypervisor."""
+    from ..runner.specs import SpecError
+
+    hv_cfg = hv.cfg
     victim_vm = hv.create_vm("victim", cfg=guest_cfg,
                              weight=params.get("victim_weight", 256))
     install_standard_libraries(victim_vm.machine.kernel.libraries)
@@ -103,7 +118,6 @@ def run_vm_experiment(program: str = "W",
 
     attacker_vm = None
     attack_name = "none"
-    akw = dict(attack_kwargs or {})
     if attack is not None:
         attack_name = "vm-sched"
         burn_fraction = akw.pop("burn_fraction", 0.75)

@@ -36,6 +36,7 @@ vulnerability the VM scheduling attack exploits.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -87,7 +88,9 @@ class VirtualMachine:
         self.name = name
         self.machine = machine
         self.weight = int(weight)
-        self.hypervisor = hypervisor
+        #: The host clock, not the hypervisor: the hypervisor owns its
+        #: vCPUs, and a reference back would tie them into a cycle.
+        self._host_clock = hypervisor.clock
         self.state = VcpuState.RUNNABLE
         #: Host time at which a BLOCKED vCPU's next guest event comes due.
         self.wake_host_ns: Optional[int] = None
@@ -128,9 +131,9 @@ class VirtualMachine:
         paravirtual clock exposes).  Exact: while RUNNING, host and guest
         clocks advance in lockstep from the last sync point."""
         if self.state is VcpuState.RUNNING:
-            return (self.hypervisor.clock.now
+            return (self._host_clock.now
                     + (self.machine.clock.now - self.last_sync_guest_ns))
-        return self.hypervisor.clock.now
+        return self._host_clock.now
 
     # -- execution ----------------------------------------------------------
 
@@ -239,6 +242,16 @@ class Hypervisor:
         if self.invariant_checker is not None:
             self.invariant_checker.check_full()
 
+    def close(self) -> None:
+        """End the run: close every guest machine
+        (:meth:`Machine.close <repro.hw.machine.Machine.close>`) and
+        unhook the checker, so reference counting frees the hypervisor
+        and its guests once the owner lets go.  Ledgers stay readable."""
+        for vm in self.vms:
+            vm.machine.close()
+        if self.invariant_checker is not None:
+            self.invariant_checker.detach()
+
     # -- VM lifecycle --------------------------------------------------------
 
     def create_vm(self, name: str, cfg: Optional[MachineConfig] = None,
@@ -265,15 +278,19 @@ class Hypervisor:
     def _install_pv_interface(self, vm: VirtualMachine) -> None:
         """Register the paravirtual calls a guest uses to see through its
         own (steal-frozen) clock: the host-backed time source and the
-        hypervisor-reported steal counter."""
+        hypervisor-reported steal counter.  The guest's syscall table
+        holds these, so they hold the vCPU weakly and the guest's
+        timekeeper, never the guest machine itself."""
+        vm_ref = weakref.ref(vm)
+        timekeeper = vm.machine.kernel.timekeeper
 
         def sys_pv_host_time(kernel, task):
-            return vm.host_now_estimate()
+            return vm_ref().host_now_estimate()
 
         def sys_pv_steal(kernel, task):
             # The guest-visible steal counter: identical to the host ledger
             # unless the steal clock is lying (fault layer).
-            return vm.machine.kernel.timekeeper.steal_ns
+            return timekeeper.steal_ns
 
         table = vm.machine.kernel.syscalls
         table.register("pv_host_time", _PV_CALL_CYCLES, sys_pv_host_time)

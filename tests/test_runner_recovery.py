@@ -19,10 +19,13 @@ name), so these tests are POSIX-only.
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.runner import BatchRunner, ExperimentSpec
+from repro.runner import pool as pool_module
 from repro.runner import specs as specs_module
 
 pytestmark = pytest.mark.skipif(os.name != "posix",
@@ -101,6 +104,55 @@ class TestBrokenPoolRecovery:
         by_label = {o.spec.label: o for o in outcomes}
         assert by_label["flaky"].attempts == 2
         assert runner.telemetry.retries >= 1
+
+    def test_retry_submitted_to_a_broken_pool_is_requeued(
+            self, monkeypatch):
+        """A pool can break after the last wait and before the next
+        submit.  The submit then raises ``BrokenProcessPool``: the point
+        loses that attempt, the executor is replaced and the sweep goes
+        on.  Deterministic: the first executor refuses every submit."""
+        executors = []
+
+        class RefusingOnceExecutor:
+            def __init__(self, max_workers):
+                self.refuse = not executors
+                executors.append(self)
+
+            def submit(self, fn, *args):
+                if self.refuse:
+                    raise BrokenProcessPool("pool broke before submit")
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
+                            RefusingOnceExecutor)
+        sweep = [_good("g0"), _good("g1"), _good("g2")]
+
+        runner = BatchRunner(jobs=2, retries=1)
+        outcomes = runner.run(sweep)
+
+        assert len(executors) == 2
+        assert all(o.ok for o in outcomes), \
+            [str(o.failure) for o in outcomes if not o.ok]
+        by_label = {o.spec.label: o for o in outcomes}
+        # Only the point whose submit raised paid an attempt; the points
+        # queued behind it waited for the new executor.
+        assert [by_label[label].attempts for label in ("g0", "g1", "g2")] \
+            == [2, 1, 1]
+        assert runner.telemetry.retries == 1
+
+        # Without a retry budget the lost attempt is a structured failure,
+        # never an exception out of the sweep.
+        executors.clear()
+        outcomes = BatchRunner(jobs=2, retries=0).run(sweep)
+        dead = {o.spec.label: o for o in outcomes}["g0"]
+        assert not dead.ok
+        assert dead.failure.error_type == "BrokenProcessPool"
+        assert all(o.ok for o in outcomes if o.spec.label != "g0")
 
     def test_broken_payload_has_message_even_when_exc_is_bare(self):
         payload = BatchRunner._broken_payload(RuntimeError())

@@ -21,7 +21,11 @@ Four bugs this suite pins closed:
   began, so two connections to one store file could both mint
   ``j-NNNNNN`` (and its ``auto:`` idempotency key) and one insert failed
   on the UNIQUE constraint.  The id is now counted inside the
-  ``BEGIN IMMEDIATE`` transaction that inserts it.
+  ``BEGIN IMMEDIATE`` transaction that inserts it;
+* a caller-supplied idempotency key looked up before that transaction:
+  two connections submitting the same key could both miss it, and the
+  loser's insert failed on the UNIQUE constraint.  The loser now answers
+  with the job the key already names.
 """
 
 import sys
@@ -217,24 +221,21 @@ class TestFailuresNeverSwallowed:
 class TestJobIdAllocation:
     CALLS = 200
 
-    def test_two_connections_never_mint_the_same_job_id(self, tmp_path):
-        """Two stores on one file, one thread each, create jobs in
-        lockstep: every call succeeds and every id is distinct."""
-        path = str(tmp_path / "usage.db")
+    def _race(self, path, create_job):
+        """Two stores on one file, one thread each, call ``create_job(store,
+        tenant_id, i)`` for ``i`` in ``range(CALLS)`` in lockstep; returns
+        the ``(job, created)`` answers and the errors raised."""
         stores = [UsageStore(path), UsageStore(path)]
         tenant_id = stores[0].register_tenant("alpha")["tenant_id"]
         barrier = threading.Barrier(len(stores))
-        ids = []
+        answers = []
         errors = []
 
         def create(store):
             barrier.wait()
             for i in range(self.CALLS):
                 try:
-                    job, created = store.create_job(
-                        tenant_id, f"spec-{i}", {"program": "W", "i": i})
-                    assert created
-                    ids.append(job["job_id"])
+                    answers.append(create_job(store, tenant_id, i))
                 except Exception as exc:  # noqa: BLE001 - counted below
                     errors.append(repr(exc))
 
@@ -252,8 +253,38 @@ class TestJobIdAllocation:
             for store in stores:
                 store.close()
         assert not any(thread.is_alive() for thread in threads)
+        return answers, errors
+
+    def test_two_connections_never_mint_the_same_job_id(self, tmp_path):
+        """Every call succeeds and every id is distinct."""
+        answers, errors = self._race(
+            str(tmp_path / "usage.db"),
+            lambda store, tenant_id, i: store.create_job(
+                tenant_id, f"spec-{i}", {"program": "W", "i": i}))
         assert errors == []
-        assert len(ids) == len(set(ids)) == len(stores) * self.CALLS
+        assert all(created for _job, created in answers)
+        ids = [job["job_id"] for job, _created in answers]
+        assert len(ids) == len(set(ids)) == 2 * self.CALLS
+
+    def test_two_connections_sharing_keys_make_one_job_per_key(
+            self, tmp_path):
+        """Both connections submit every key: no call fails, each key
+        names one job, and exactly one of its two submissions created it."""
+        answers, errors = self._race(
+            str(tmp_path / "usage.db"),
+            lambda store, tenant_id, i: store.create_job(
+                tenant_id, f"spec-{i}", {"program": "W", "i": i},
+                idempotency_key=f"key-{i}"))
+        assert errors == []
+        assert len(answers) == 2 * self.CALLS
+        by_key = {}
+        for job, created in answers:
+            by_key.setdefault(job["idempotency_key"], []).append(
+                (job["job_id"], created))
+        assert len(by_key) == self.CALLS
+        for key, seen in by_key.items():
+            assert len({job_id for job_id, _ in seen}) == 1, key
+            assert sorted(created for _, created in seen) == [False, True]
 
     def test_single_writer_ids_are_sequential(self, store):
         tenant_id = store.register_tenant("alpha")["tenant_id"]

@@ -7,13 +7,21 @@ through :meth:`TrustReport.from_stats` into a non-TRUSTED invoice whose
 ``billable_bounds_ns`` are strictly wider than the point estimate.
 """
 
+import itertools
+
 import pytest
 
 from repro.config import default_config
 from repro.kernel.accounting import CpuUsage
 from repro.kernel.timekeeping import TrustLevel
-from repro.metering.billing import TrustReport, invoice_for
+from repro.metering.billing import (
+    PER_HOUR_PLAN,
+    PER_SECOND_PLAN,
+    TrustReport,
+    invoice_for,
+)
 from repro.runner import ExperimentSpec, run_spec
+from repro.serve.service import INVOICE_SCHEMA, invoice_doc_for
 from repro.timesync import sweep_timesync
 
 CFG = default_config()
@@ -92,3 +100,80 @@ def test_clean_run_still_issues_a_tight_trusted_invoice():
     invoice = invoice_for("job", CpuUsage(utime_ns=10**9, stime_ns=0),
                           trust=trust)
     assert invoice.billable_bounds_ns() == (10**9, 10**9)
+
+
+# ----------------------------------------------------------------------
+# the invoice's wire form equals the report-object path
+# ----------------------------------------------------------------------
+
+#: One axis per grading input, each absent, zero or set: the watchdog's
+#: interval grades and bound, the sync estimator's round grades and
+#: bound, and ungraded fault damage.
+GRADING_AXES = {
+    "watchdog_intervals_trusted": (None, 0, 12),
+    "watchdog_intervals_degraded": (None, 0, 2),
+    "watchdog_intervals_untrusted": (None, 0, 1),
+    "watchdog_uncertainty_ns": (None, 0, 8_000_000),
+    "timesync_trusted": (None, 0, 5),
+    "timesync_degraded": (None, 0, 3),
+    "timesync_untrusted": (None, 0, 1),
+    "timesync_uncertainty_ns": (None, 0, 40_000),
+    "fault_uncertainty_ns": (None, 0, 4_000_000),
+}
+
+
+def _stats_grid():
+    names = list(GRADING_AXES)
+    for values in itertools.product(*GRADING_AXES.values()):
+        stats = {"ticks": 250, "exit_code": 0}
+        stats.update((name, value) for name, value in zip(names, values)
+                     if value is not None)
+        yield stats
+
+
+def _invoice_via_report(job, result_doc, plan):
+    """The invoice document as the report objects state it."""
+    usage = CpuUsage(**result_doc["usage"])
+    trust = TrustReport.from_stats(result_doc["stats"])
+    invoice = invoice_for(job, usage, plan=plan, trust=trust)
+    return {
+        "schema": INVOICE_SCHEMA,
+        "job": job,
+        "plan": plan.name,
+        "utime_ns": usage.utime_ns,
+        "stime_ns": usage.stime_ns,
+        "billed_ns": invoice.billable_ns,
+        "billable_bounds_ns": list(invoice.billable_bounds_ns()),
+        "amount_microdollars": invoice.amount_microdollars,
+        "trust": {
+            "level": trust.level.value,
+            "uncertainty_ns": trust.uncertainty_ns,
+            "intervals_trusted": trust.intervals_trusted,
+            "intervals_degraded": trust.intervals_degraded,
+            "intervals_untrusted": trust.intervals_untrusted,
+        },
+    }
+
+
+def test_invoice_documents_match_the_trust_report_over_a_stats_grid():
+    """``invoice_doc_for`` grades without building a TrustReport; over
+    every combination of watchdog, time-sync and fault counters (3**9
+    stats dicts, two bills each, one small enough for the lower bound to
+    clamp at zero) its documents equal the report-object path, key order
+    included, on both plans."""
+    levels = set()
+    checked = 0
+    for stats in _stats_grid():
+        for usage, plan in (({"utime_ns": 1_000_000, "stime_ns": 0},
+                             PER_SECOND_PLAN),
+                            ({"utime_ns": 3 * 10**9, "stime_ns": 10**8},
+                             PER_HOUR_PLAN)):
+            doc = {"usage": usage, "stats": stats}
+            got = invoice_doc_for("job", doc, plan)
+            want = _invoice_via_report("job", doc, plan)
+            assert got == want, stats
+            assert list(got["trust"]) == list(want["trust"])
+            levels.add(got["trust"]["level"])
+            checked += 1
+    assert checked == 2 * 3 ** len(GRADING_AXES)
+    assert levels == {level.value for level in TrustLevel}
