@@ -34,6 +34,8 @@ from .irq import InterruptController
 from .nic import NetworkCard, PacketFlood
 from .timer import TimerDevice
 
+_RUNNING = TaskState.RUNNING
+
 #: Budget used when no event is pending (cannot happen with the timer on,
 #: but keeps the loop total even if a test stops the timer).
 _IDLE_SLICE_NS = 10_000_000
@@ -230,14 +232,16 @@ class Machine:
     # the main loop
     # ------------------------------------------------------------------
 
-    def _drain_due_events(self) -> None:
+    def _drain_due_events(self) -> Optional[int]:
+        """Fire every due event; returns the time of the next one (None if
+        none is pending).  Reads the queue once when nothing is due."""
         events = self.events
         clock = self.clock
-        while True:
-            next_time = events.next_time()
-            if next_time is None or next_time > clock._now:
-                return
+        next_time = events.next_time()
+        while next_time is not None and next_time <= clock._now:
             events.run_due(clock._now)
+            next_time = events.next_time()
+        return next_time
 
     def step(self) -> bool:
         """One loop iteration.  Returns False when nothing can progress."""
@@ -247,22 +251,23 @@ class Machine:
         if clock._now > self.cfg.max_time_ns:
             raise SimulationError(
                 f"simulation exceeded max_time_ns at {clock._now}ns")
-        self._drain_due_events()
+        # schedule() below schedules and cancels no event, so the time
+        # the drain read is still the next event's after it.
+        next_time = self._drain_due_events()
 
         kernel = self.kernel
         current = kernel.current
         if (kernel.need_resched or current is None
-                or current.state is not TaskState.RUNNING):
+                or current.state is not _RUNNING):
             kernel.schedule()
             current = kernel.current
 
-        next_time = self.events.next_time()
         checker = self.invariant_checker
         if current is None:
             if next_time is None:
                 return False  # fully idle, nothing scheduled
-            idle_ns = next_time - self.clock.now
-            self.clock.advance_to(next_time)
+            idle_ns = next_time - clock._now
+            clock.advance_to(next_time)
             if checker is not None and idle_ns > 0:
                 checker.on_idle_advance(idle_ns)
             return True
@@ -382,8 +387,9 @@ class Machine:
                   max_ns: Optional[int] = None) -> None:
         """Run until ``predicate()`` holds.  Raises on deadline/deadlock."""
         deadline = (self.clock.now + max_ns) if max_ns is not None else None
+        clock = self.clock
         while not predicate():
-            if deadline is not None and self.clock.now >= deadline:
+            if deadline is not None and clock._now >= deadline:
                 raise SimulationError(
                     f"run_until deadline exceeded at {self.clock.now}ns")
             if not self.step():

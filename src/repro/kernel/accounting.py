@@ -16,8 +16,9 @@ can run every attack under every scheme.
 All schemes expose the same two entry points:
 
 * :meth:`AccountingScheme.charge` — exact attribution of a slice of time,
-  called by the execution engine for *every* consumed slice (the tick scheme
-  ignores it, except for interrupt-time bookkeeping);
+  called by the kernel for every consumed slice; the tick scheme keeps only
+  interrupt time and declares so (``charges_work``), and the kernel then
+  calls it for interrupt slices alone;
 * :meth:`AccountingScheme.on_tick` — the timer-interrupt sampling hook.
 """
 
@@ -91,6 +92,9 @@ class AccountingScheme:
     #: True when ``system_ns`` is a tick-resolution approximation (clamped
     #: per jiffy) rather than the exact sum of diverted IRQ nanoseconds.
     tick_sampled_system = False
+    #: False when :meth:`charge` records interrupt time only, so the kernel
+    #: does not call it for work and context-switch slices.
+    charges_work = True
 
     def __init__(self, tick_ns: int, process_aware_irq: bool = False) -> None:
         self.tick_ns = tick_ns
@@ -145,6 +149,7 @@ class TickAccounting(AccountingScheme):
     name = "tick"
     tick_sampled = True
     tick_sampled_system = True
+    charges_work = False
 
     def __init__(self, tick_ns: int, process_aware_irq: bool = False) -> None:
         super().__init__(tick_ns, process_aware_irq)

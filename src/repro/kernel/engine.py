@@ -74,6 +74,16 @@ class StopReason(enum.Enum):
     EXITED = "exited"
 
 
+#: Hoisted for the run loop's exits.
+_WAITING = TaskState.WAITING
+_STOPPED = TaskState.STOPPED
+_BLOCKED = StopReason.BLOCKED
+_STOPPED_REASON = StopReason.STOPPED
+_EXITED = StopReason.EXITED
+_PREEMPTED = StopReason.PREEMPTED
+_BUDGET = StopReason.BUDGET
+
+
 class Block(Op):
     """Kernel-internal op: park the task on ``channel`` until woken.
 
@@ -217,9 +227,6 @@ class ExecState:
         #: Frame that yielded a Block, awaiting the wake payload.
         self.blocked_frame: Optional[Frame] = None
 
-    def push_frame(self, frame: Frame) -> None:
-        self.frames.append(frame)
-
 
 class ExecutionEngine:
     """Runs tasks' op streams against the kernel and hardware."""
@@ -230,7 +237,7 @@ class ExecutionEngine:
         freq = kernel.cpu.freq_hz  # every CPU runs at the configured clock
         entry = costs.syscall_entry_cycles
         exit_ = costs.syscall_exit_cycles
-        #: What every _run_loop call reads before its loop, in one tuple:
+        #: What every run() call reads before its loop, in one tuple:
         #: unpacking it is cheaper than a dozen attribute loads per run.
         #: The syscall entry/exit costs come with their length in ns.
         self._loop_constants = (
@@ -249,22 +256,10 @@ class ExecutionEngine:
         first of: budget exhaustion, a kernel resched request, the task
         blocking/stopping/exiting.
         """
-        checker = self.kernel.invariants
-        if checker is None:
-            return self._run_loop(task, budget_ns)
-        # Under invariant checking, hold the engine to its own contract:
-        # the consumed total it reports is exactly the time the clock
-        # moved while it ran, and it never overruns its budget.
-        start_ns = self.kernel.clock.now
-        consumed, reason = self._run_loop(task, budget_ns)
-        checker.on_engine_stop(task, consumed,
-                               self.kernel.clock.now - start_ns, budget_ns)
-        return consumed, reason
-
-    def _run_loop(self, task: "Task", budget_ns: int) -> Tuple[int, StopReason]:
         kernel = self.kernel
         cpu = kernel.cpu
         freq = cpu.freq_hz
+        start_ns = kernel.clock._now
         (mm, mem_cost, plt_cost, entry_cycles, entry_ns, exit_cycles, exit_ns,
          handlers, invocations, mode_user, mode_kernel, running,
          ready) = self._loop_constants
@@ -310,14 +305,23 @@ class ExecutionEngine:
             b_prov = None
 
         def flush() -> None:
+            # One consume per key, in the order the keys were first
+            # charged: the folded keys, then the active one unless it was
+            # folded before.
             nonlocal b_ns, b_cycles, b_prov, b_more
             if b_more is not None:
                 if b_prov is not None:
-                    fold()
+                    entry = b_more.get((b_user, b_prov, b_kind))
+                    if entry is not None:
+                        entry[0] += b_ns
+                        entry[1] += b_cycles
+                        b_ns = 0
+                        b_cycles = 0
+                        b_prov = None
                 for (user, prov, kind), (ns, cycles) in b_more.items():
                     kernel.consume(task, ns, cycles, user, prov, kind)
                 b_more = None
-            elif b_prov is not None:
+            if b_prov is not None:
                 kernel.consume(task, b_ns, b_cycles, b_user, b_prov, b_kind)
                 b_ns = 0
                 b_cycles = 0
@@ -326,17 +330,17 @@ class ExecutionEngine:
         while True:
             state = task.state
             if state is not running and state is not ready:
-                if b_prov is not None or b_more is not None:
-                    flush()
-                return consumed, self._reason_for_state(task)
+                # Waiting, stopped, or exited (zombie or dead).
+                reason = (_BLOCKED if state is _WAITING
+                          else _STOPPED_REASON if state is _STOPPED
+                          else _EXITED)
+                break
             if kernel.need_resched:
-                if b_prov is not None or b_more is not None:
-                    flush()
-                return consumed, StopReason.PREEMPTED
+                reason = _PREEMPTED
+                break
             if consumed >= budget_ns:
-                if b_prov is not None or b_more is not None:
-                    flush()
-                return consumed, StopReason.BUDGET
+                reason = _BUDGET
+                break
 
             if segments:
                 seg = segments[0]
@@ -437,7 +441,9 @@ class ExecutionEngine:
                     op = frame.gen.send(value)
                     op_cls = op.__class__
                 except StopIteration as stop:
-                    frame.finish(stop.value)
+                    frame.gen = None  # finish(), inlined
+                    frame.result = stop.value
+                    frame.phase = _EXIT
                     op_cls = None
                 except KernelError as err:
                     frame.finish(self._syscall_failed(task, frame, err))
@@ -540,7 +546,7 @@ class ExecutionEngine:
                 continue
             if op_cls is Invoke:
                 fn = op.fn
-                st.push_frame(Frame(
+                frames.append(Frame(
                     fn.instantiate(task.guest_ctx, *op.args),
                     fn.provenance, fn.name, user_mode=frame.user_mode))
                 continue
@@ -581,7 +587,7 @@ class ExecutionEngine:
                                     b_ns += ns
                                     b_cycles += plt_cost
                                     consumed += ns
-                                st.push_frame(Frame(
+                                frames.append(Frame(
                                     fn.instantiate(ctx, *op.args),
                                     fn.provenance,
                                     f"{lib.name}:{op.symbol}", lib=lib))
@@ -718,6 +724,18 @@ class ExecutionEngine:
                     # A continuation resumes through the generator path.
                     break
 
+        if b_prov is not None or b_more is not None:
+            flush()
+        checker = kernel.invariants
+        if checker is not None:
+            # Under invariant checking, hold the engine to its own
+            # contract: the consumed total it reports is exactly the time
+            # the clock moved while it ran, and it never overruns its
+            # budget.
+            checker.on_engine_stop(task, consumed,
+                                   kernel.clock._now - start_ns, budget_ns)
+        return consumed, reason
+
     # -- op dispatch --------------------------------------------------------------
 
     def _dispatch(self, task: "Task", st: ExecState, frame: Frame,
@@ -762,7 +780,7 @@ class ExecutionEngine:
         # Small PLT-call overhead charged to the caller, then enter callee.
         st.segments.append(Segment(
             kernel.costs.lib_call_cycles, True, frame.provenance,
-            ChargeKind.USER, on_done=lambda: st.push_frame(callee),
+            ChargeKind.USER, on_done=lambda: st.frames.append(callee),
             benign_done=True))
 
     # -- syscalls ------------------------------------------------------------------
@@ -901,16 +919,3 @@ class ExecutionEngine:
         cycles = scanned * kernel.costs.reclaim_scan_cycles_per_frame
         st.segments.append(Segment(cycles, False, provenance,
                                    ChargeKind.SYSCALL))
-
-    # -- helpers --------------------------------------------------------------------
-
-    @staticmethod
-    def _reason_for_state(task: "Task") -> StopReason:
-        if task.state is TaskState.WAITING:
-            return StopReason.BLOCKED
-        if task.state is TaskState.STOPPED:
-            return StopReason.STOPPED
-        if task.state in (TaskState.ZOMBIE, TaskState.DEAD):
-            return StopReason.EXITED
-        raise SimulationError(
-            f"engine stopped with task in state {task.state}")

@@ -17,18 +17,18 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import MachineConfig
 from ..errors import SimulationError
-from ..hw.cpu import CPU, CPUMode
+from ..hw.cpu import CPU, CPUMode, DebugRegisters
 from ..hw.disk import Disk
 from ..hw.irq import IRQ_DISK, IRQ_NIC, IRQ_TIMER, InterruptController
 from ..hw.nic import NetworkCard
 from ..programs.base import GuestContext, GuestFunction, Program
-from ..programs.ops import Provenance, Syscall
+from ..programs.ops import Invoke, Provenance, Syscall
 from ..sim.clock import Clock
 from ..sim.events import EventQueue
 from ..sim.rng import DeterministicRng
 from ..sim.tracing import HW_FAULT_CATEGORY, TraceLog
 from .accounting import AccountingScheme, ChargeKind, CpuUsage, make_accounting
-from .engine import ExecState, ExecutionEngine, Frame, Segment
+from .engine import ExecState, ExecutionEngine, Frame, Segment, SyscallFrame
 from .loader.linker import LinkMap, build_link_map, process_body
 from .loader.registry import LibraryRegistry
 from .mm.manager import MemoryManager
@@ -56,6 +56,15 @@ _MODE_USER = CPUMode.USER
 _MODE_KERNEL = CPUMode.KERNEL
 #: Oracle key of context-switch overhead (kernel mode, system provenance).
 _KEY_SWITCH = (False, Provenance.SYSTEM)
+#: Hoisted task states: the switch, wake, signal and exit paths compare
+#: against these instead of reading the ``Task.alive`` property.
+_RUNNING = TaskState.RUNNING
+_READY = TaskState.READY
+_WAITING = TaskState.WAITING
+_STOPPED = TaskState.STOPPED
+_ZOMBIE = TaskState.ZOMBIE
+_DEAD = TaskState.DEAD
+_IGNORE = SignalAction.IGNORE
 
 
 class CpuContext:
@@ -183,6 +192,8 @@ class Kernel:
                                + self.costs.schedule_pick_cycles)
         self._switch_ns = cpu.cycles_to_ns(self._switch_cycles)
         self._charge_switch_to_prev = self.cfg.charge_switch_to == "prev"
+        #: The debug register file the CPU holds while idle.
+        self._idle_debug = DebugRegisters()
 
         pic.register(IRQ_NIC, self._nic_irq)
         pic.register(IRQ_DISK, self._disk_irq)
@@ -326,25 +337,6 @@ class Kernel:
                 return
         self._cpu_contexts[task.cpu].scheduler.dequeue(task)
 
-    def _enqueue_runnable(self, task: Task, wakeup: bool) -> None:
-        """Enqueue a newly-runnable task, honoring SMP placement: wake to
-        the waking CPU (cheap wake balancing) unless the task is pinned
-        elsewhere, in which case enqueue straight on the pinned queue."""
-        allowed = task.cpus_allowed
-        if allowed is not None and self.cpu_index not in allowed:
-            dst = min(c for c in allowed if 0 <= c < self.nproc)
-            if task.cpu != dst:
-                task.migrations += 1
-            task.cpu = dst
-            ctx = self._cpu_contexts[dst]
-            ctx.scheduler.enqueue(task, wakeup=wakeup)
-            ctx.need_resched = True
-            return
-        if task.cpu != self.cpu_index:
-            task.cpu = self.cpu_index
-            task.migrations += 1
-        self.scheduler.enqueue(task, wakeup=wakeup)
-
     # ------------------------------------------------------------------
     # tracing
     # ------------------------------------------------------------------
@@ -352,8 +344,18 @@ class Kernel:
     def trace(self, category: str, message,
               pid: Optional[int] = None, **data) -> None:
         """Emit a trace record.  ``message`` may be a zero-argument callable
-        (evaluated only if the record is stored) for hot call sites."""
-        self.trace_log.emit(self.clock._now, category, message, pid, **data)
+        (evaluated only if the record is stored) for hot call sites.
+
+        A record the log does not store only bumps its category's counter;
+        that is done here, without the call into :meth:`TraceLog.emit`,
+        because the fork, exit and signal paths each trace on every pass.
+        """
+        log = self.trace_log
+        if log._store_all or category in log._stored:
+            log.emit(self.clock._now, category, message, pid, **data)
+        else:
+            counters = log._counters
+            counters[category] = counters.get(category, 0) + 1
 
     # ------------------------------------------------------------------
     # time consumption (the single charging point)
@@ -366,16 +368,20 @@ class Kernel:
         This is the hottest function in the simulator — every engine charge
         flush lands here — so Clock.advance, CPU.retire_cycles and
         Task.oracle_charge are inlined (callers only ever pass non-negative
-        integers, which is all those wrappers additionally enforce).
+        integers, which is all those wrappers additionally enforce).  The
+        engine charges only user and syscall work here, never interrupt
+        time, so a scheme that records only interrupt time is not called.
         """
         clock = self.clock
         clock._now += ns
         if clock.on_advance is not None and ns:
             clock.on_advance(ns)
         self.cpu._cycles += cycles
-        self.accounting.charge(
-            task, _MODE_USER if user_mode else _MODE_KERNEL, ns, kind,
-            self.cpu_index)
+        accounting = self.accounting
+        if accounting.charges_work:
+            accounting.charge(
+                task, _MODE_USER if user_mode else _MODE_KERNEL, ns, kind,
+                self.cpu_index)
         oracle = task.oracle_ns
         key = (user_mode, provenance)
         oracle[key] = oracle.get(key, 0) + ns
@@ -498,11 +504,18 @@ class Kernel:
     def schedule(self) -> None:
         """__schedule(): pick the next task, paying the switch cost."""
         prev = self.current
+        clock = self.clock
         if prev is not None:
-            self._update_curr(prev)
-            if prev.state is TaskState.RUNNING:
-                prev.state = TaskState.READY
-            if prev.state is TaskState.READY:
+            # _update_curr(prev), inlined: every switch passes here.
+            now = clock._now
+            delta = now - prev.last_dispatch_ns
+            if delta > 0:
+                self.scheduler.update_curr(prev, delta)
+            prev.last_dispatch_ns = now
+            state = prev.state
+            if state is _RUNNING:
+                prev.state = state = _READY
+            if state is _READY:
                 prev.involuntary_switches += 1
                 if prev.cpu != self.cpu_index:
                     # The task asked to run elsewhere (sys_migrate): park
@@ -515,42 +528,41 @@ class Kernel:
         self.need_resched = False
         if nxt is None:
             self.current = None
-            self.cpu.mode = CPUMode.KERNEL
-            # Unload the previous task's debug registers.  A fresh object:
-            # cpu.debug aliases the *task's* register file while it runs,
-            # so clearing in place would wipe the task's watchpoints.
-            from ..hw.cpu import DebugRegisters
-
-            self.cpu.debug = DebugRegisters()
+            self.cpu.mode = _MODE_KERNEL
+            # Unload the previous task's debug registers.  Load a register
+            # file no task owns: cpu.debug aliases the *task's* register
+            # file while it runs, so clearing in place would wipe the
+            # task's watchpoints.  Nothing writes through cpu.debug, so one
+            # empty file serves every idle pick.
+            self.cpu.debug = self._idle_debug
             return
 
         if nxt is not prev:
             self.context_switches += 1
-            self._charge_switch(prev, nxt)
+            # The switch cost, charged inline like consume() charges work:
+            # one switch per schedule() adds up.
+            ns = self._switch_ns
+            clock._now += ns
+            if clock.on_advance is not None and ns:
+                clock.on_advance(ns)
+            self.cpu._cycles += self._switch_cycles
+            target = prev if self._charge_switch_to_prev else nxt
+            if target is None or target.state is _ZOMBIE \
+                    or target.state is _DEAD:
+                target = nxt
+            accounting = self.accounting
+            if accounting.charges_work:
+                accounting.charge(target, _MODE_KERNEL, ns, ChargeKind.SWITCH)
+            oracle = target.oracle_ns
+            oracle[_KEY_SWITCH] = oracle.get(_KEY_SWITCH, 0) + ns
+            if self.invariants is not None:
+                self.invariants.on_charge(target, ns, False, ChargeKind.SWITCH)
         self.current = nxt
-        nxt.state = TaskState.RUNNING
-        nxt.last_dispatch_ns = self.clock._now
-        self.scheduler.on_pick(nxt)
+        nxt.state = _RUNNING
+        nxt.last_dispatch_ns = clock._now
+        nxt.ran_since_pick = 0
         # Load the task's debug registers (per-thread DR state).
         self.cpu.debug = nxt.debug
-
-    def _charge_switch(self, prev: Optional[Task], nxt: Task) -> None:
-        # Clock.advance / CPU.retire_cycles / Task.oracle_charge inlined,
-        # as in consume() — one switch per schedule() adds up.
-        ns = self._switch_ns
-        clock = self.clock
-        clock._now += ns
-        if clock.on_advance is not None and ns:
-            clock.on_advance(ns)
-        self.cpu._cycles += self._switch_cycles
-        target = prev if self._charge_switch_to_prev else nxt
-        if target is None or not target.alive:
-            target = nxt
-        self.accounting.charge(target, _MODE_KERNEL, ns, ChargeKind.SWITCH)
-        oracle = target.oracle_ns
-        oracle[_KEY_SWITCH] = oracle.get(_KEY_SWITCH, 0) + ns
-        if self.invariants is not None:
-            self.invariants.on_charge(target, ns, False, ChargeKind.SWITCH)
 
     # ------------------------------------------------------------------
     # blocking and waking
@@ -561,7 +573,7 @@ class Kernel:
         if task is not self.current:
             raise SimulationError("only the current task can block")
         self._update_curr(task)
-        task.state = TaskState.WAITING
+        task.state = _WAITING
         task.wait_channel = channel
         task.voluntary_switches += 1
         self._wait_queues.setdefault(channel, []).append(task)
@@ -584,20 +596,18 @@ class Kernel:
         task.wait_channel = None
 
     def wake(self, task: Task, payload: object = None) -> bool:
-        """Make a parked task runnable; returns True if a wake happened."""
-        if not task.alive:
-            return False
-        if task.state is TaskState.WAITING:
+        """Make a parked task runnable; returns True if a wake happened.
+        An exited task is neither waiting nor stopped, so it never wakes."""
+        state = task.state
+        if state is _WAITING:
             self._unpark(task)
             st = task.exec_state
             if st is not None:
                 st.send_value = payload
                 st.blocked_frame = None
-            task.state = TaskState.READY
-            self._enqueue_runnable(task, wakeup=True)
-            self._maybe_preempt(task)
+            self._activate(task)
             return True
-        if task.state is TaskState.STOPPED and task.wait_channel is not None:
+        if state is _STOPPED and task.wait_channel is not None:
             # The wake arrived while the task was stopped: remember it so
             # SIGCONT resumes straight to READY.
             self._unpark(task)
@@ -607,18 +617,41 @@ class Kernel:
 
     def wake_channel(self, channel: str, payload: object = None) -> int:
         """Wake every task parked on ``channel``; returns the count."""
+        queue = self._wait_queues.get(channel)
+        if not queue:
+            return 0
         woken = 0
-        for task in list(self._wait_queues.get(channel, ())):
+        for task in list(queue):
             if self.wake(task, payload):
                 woken += 1
         return woken
 
-    def _maybe_preempt(self, woken: Task) -> None:
-        if woken.cpu != self.cpu_index:
-            return  # remote enqueue; that CPU reschedules at its slice
-        if self.current is None:
+    def _activate(self, task: Task) -> None:
+        """try_to_wake_up(): make a woken or resumed task READY, enqueue it
+        where SMP placement says, and let it preempt the current task when
+        the scheduler says so.
+
+        It wakes to the waking CPU (cheap wake balancing) unless it is
+        pinned elsewhere; then it goes straight onto the pinned queue, and
+        that CPU reschedules at its slice."""
+        task.state = _READY
+        allowed = task.cpus_allowed
+        if allowed is not None and self.cpu_index not in allowed:
+            dst = min(c for c in allowed if 0 <= c < self.nproc)
+            if task.cpu != dst:
+                task.migrations += 1
+            task.cpu = dst
+            ctx = self._cpu_contexts[dst]
+            ctx.scheduler.enqueue(task, wakeup=True)
+            ctx.need_resched = True
             return
-        if self.scheduler.check_preempt_wakeup(self.current, woken):
+        if task.cpu != self.cpu_index:
+            task.cpu = self.cpu_index
+            task.migrations += 1
+        self.scheduler.enqueue(task, wakeup=True)
+        current = self.current
+        if current is not None \
+                and self.scheduler.check_preempt_wakeup(current, task):
             self.need_resched = True
 
     # ------------------------------------------------------------------
@@ -627,23 +660,24 @@ class Kernel:
 
     def post_signal(self, target: Task, sig: int,
                     sender_pid: Optional[int] = None) -> None:
-        if not target.alive:
+        state = target.state
+        if state is _ZOMBIE or state is _DEAD:
             return
-        target.post_signal(sig, sender_pid)
+        pending = target.pending_signals
+        pending.append((sig, sender_pid))
         target.signals_received += 1
         self.trace("signal", lambda: f"post {signal_name(sig)}", target.pid,
                    sender=sender_pid)
         if target is not self.current:
             # Off-CPU target: resolve dispositions immediately (the engine
             # only runs for the current task).  Delivery cost for off-CPU
-            # targets is absorbed by the sender's syscall cost.
-            self._resolve_signals_off_cpu(target)
-
-    def _resolve_signals_off_cpu(self, target: Task) -> None:
-        while target.pending_signals and target.alive:
-            sig, sender = target.pending_signals.pop(0)
-            action = default_action(sig, target.tracer is not None)
-            self._apply_signal_action(target, sig, action)
+            # targets is absorbed by the sender's syscall cost.  An action
+            # that kills the target clears its queue.
+            while pending:
+                queued, _sender = pending.pop(0)
+                action = default_action(queued, target.tracer is not None)
+                if action is not _IGNORE:
+                    self._apply_signal_action(target, queued, action)
 
     def deliver_signals(self, task: Task) -> None:
         """Engine hook: queue delivery (with cost) for the current task."""
@@ -682,31 +716,30 @@ class Kernel:
         raise SimulationError(f"unhandled signal action {action}")
 
     def _stop_task(self, task: Task, sig: int) -> None:
-        if task.state is TaskState.STOPPED:
+        state = task.state
+        if state is _STOPPED:
             return
         was_running = task is self.current
-        if task.state is TaskState.READY:
+        if state is _READY:
             self._dequeue_anywhere(task)
         if was_running:
             self._update_curr(task)
             self.need_resched = True
         # A WAITING task keeps its wait channel; a wake while stopped is
         # remembered (see wake()).
-        task.state = TaskState.STOPPED
+        task.state = _STOPPED
         task.stop_signal = sig
         task.stop_pending_report = True
-        self.trace("signal", f"stopped by {signal_name(sig)}", task.pid)
-        self._notify_stop(task)
-
-    def _notify_stop(self, task: Task) -> None:
-        """Wake anyone waiting on this task's stop (parent and tracer)."""
+        self.trace("signal", lambda: f"stopped by {signal_name(sig)}",
+                   task.pid)
+        # Wake anyone waiting on this task's stop (tracer and parent).
         if task.tracer is not None:
             self.wake_channel(f"wait:{task.tracer.pid}")
         if task.parent is not None:
             self.wake_channel(f"wait:{task.parent.pid}")
 
     def resume_stopped(self, task: Task) -> None:
-        if task.state is not TaskState.STOPPED:
+        if task.state is not _STOPPED:
             return
         task.stop_signal = None
         task.stop_pending_report = False
@@ -717,43 +750,31 @@ class Kernel:
             if st is not None:
                 st.send_value = pending_wake
                 st.blocked_frame = None
-            task.state = TaskState.READY
-            self._enqueue_runnable(task, wakeup=True)
-            self._maybe_preempt(task)
+            self._activate(task)
         elif task.wait_channel is not None:
-            task.state = TaskState.WAITING
+            task.state = _WAITING
         else:
-            task.state = TaskState.READY
-            self._enqueue_runnable(task, wakeup=True)
-            self._maybe_preempt(task)
+            self._activate(task)
 
     # ------------------------------------------------------------------
     # task lifecycle
     # ------------------------------------------------------------------
 
-    def _alloc_pid(self) -> int:
-        pid = self._next_pid
-        self._next_pid += 1
-        return pid
-
-    def _make_guest_ctx(self, argv: Tuple, pid: int) -> GuestContext:
-        return GuestContext(argv=tuple(argv),
-                            rng_stream_factory=_GuestRngStreams(self.rng, pid))
-
-    def _root_frame(self, ctx: GuestContext, fn: Optional[GuestFunction],
+    def _root_frame(self, fn: Optional[GuestFunction],
                     args: Tuple) -> Frame:
-        """Wrapper body: run ``fn`` then exit with its return value."""
+        """The bottom of a new task's stack: run ``fn``, then exit with its
+        return value.  With no ``fn`` the task makes one call, exit(0), so
+        its stack starts as that call's frame."""
+        if fn is None:
+            return SyscallFrame("exit", (0,),
+                                self.syscalls.handlers.get("exit"),
+                                Provenance.USER)
 
         def body():
-            code = 0
-            if fn is not None:
-                from ..programs.ops import Invoke
-
-                code = yield Invoke(fn, args)
+            code = yield Invoke(fn, args)
             yield Syscall("exit", (code if isinstance(code, int) else 0,))
 
-        prov = fn.provenance if fn is not None else Provenance.USER
-        return Frame(body(), prov, fn.name if fn else "noop", user_mode=True)
+        return Frame(body(), fn.provenance, fn.name, user_mode=True)
 
     def create_task(self, name: str, uid: Optional[int] = None,
                     nice: Optional[int] = None,
@@ -764,13 +785,28 @@ class Kernel:
             uid = parent.uid if parent is not None else 1000
         if nice is None:
             nice = parent.nice if parent is not None else 0
-        task = Task(self._alloc_pid(), name, uid=uid, nice=nice, tgid=tgid)
+        elif not -20 <= nice <= 19:
+            raise SimulationError(f"nice {nice} outside [-20, 19]")
+        pid = self._next_pid
+        self._next_pid = pid + 1
+        task = Task(pid, name, uid=uid, nice=nice, tgid=tgid)
         task.parent = parent
         if parent is not None:
             parent.children.append(task)
             task.env = dict(parent.env)
-        self.tasks[task.pid] = task
+        self.tasks[pid] = task
         return task
+
+    def _start_process(self, task: Task, fn: Optional[GuestFunction],
+                       args: Tuple) -> None:
+        """Give a new process its own address space, an empty guest view
+        and link map, and a stack whose root frame runs ``fn``."""
+        task.mm = self.mm.create_space()
+        ctx = task.guest_ctx = GuestContext(
+            argv=(), rng_stream_factory=_GuestRngStreams(self.rng, task.pid))
+        ctx.shared["_link_map"] = LinkMap([])
+        st = task.exec_state = ExecState()
+        st.frames.append(self._root_frame(fn, args))
 
     def spawn(self, fn: Optional[GuestFunction] = None, args: Tuple = (),
               name: str = "task", uid: Optional[int] = None,
@@ -781,11 +817,7 @@ class Kernel:
         task = self.create_task(name, uid=uid, nice=nice, parent=parent)
         if env:
             task.env.update(env)
-        task.mm = self.mm.create_space()
-        task.guest_ctx = self._make_guest_ctx((), task.pid)
-        task.guest_ctx.shared["_link_map"] = LinkMap([])
-        task.exec_state = ExecState()
-        task.exec_state.push_frame(self._root_frame(task.guest_ctx, fn, args))
+        self._start_process(task, fn, args)
         task.vruntime = getattr(self.scheduler, "min_vruntime", 0)
         task.cpu = self.cpu_index
         self.scheduler.enqueue(task)
@@ -796,12 +828,7 @@ class Kernel:
                 child_args: Tuple) -> Task:
         child = self.create_task(
             f"{parent.name}-child", parent=parent)
-        child.mm = self.mm.create_space()
-        child.guest_ctx = self._make_guest_ctx((), child.pid)
-        child.guest_ctx.shared["_link_map"] = LinkMap([])
-        child.exec_state = ExecState()
-        child.exec_state.push_frame(
-            self._root_frame(child.guest_ctx, child_fn, child_args))
+        self._start_process(child, child_fn, child_args)
         self.scheduler.on_fork(parent, child)
         child.cpu = self.cpu_index
         self.scheduler.enqueue(child)
@@ -815,8 +842,7 @@ class Kernel:
         thread.mm = self.mm.grab_space(leader.mm)
         thread.guest_ctx = leader.guest_ctx  # shared thread-group view
         thread.exec_state = ExecState()
-        thread.exec_state.push_frame(
-            self._root_frame(leader.guest_ctx, fn, args))
+        thread.exec_state.frames.append(self._root_frame(fn, args))
         self.scheduler.on_fork(leader, thread)
         thread.cpu = self.cpu_index
         self.scheduler.enqueue(thread)
@@ -832,8 +858,9 @@ class Kernel:
             self.mm.drop_space(task.mm)
         task.mm = self.mm.create_space()
         task.name = program.name
-        ctx = self._make_guest_ctx(program.argv, task.pid)
-        task.guest_ctx = ctx
+        ctx = task.guest_ctx = GuestContext(
+            argv=tuple(program.argv),
+            rng_stream_factory=_GuestRngStreams(self.rng, task.pid))
         self._bind_data_symbols(task, program)
         link_map = build_link_map(program, task.env, self.libraries)
         ctx.shared["_link_map"] = link_map
@@ -850,7 +877,7 @@ class Kernel:
         st.pending_mem = None
         st.send_value = None
         st.blocked_frame = None
-        st.push_frame(Frame(
+        st.frames.append(Frame(
             process_body(ctx, program, link_map, self.costs),
             Provenance.LIB, f"crt0:{program.name}", user_mode=True))
         self.trace("task", lambda: f"execve {program.name}", task.pid,
@@ -874,16 +901,17 @@ class Kernel:
 
     def do_exit(self, task: Task, code: int,
                 signal: Optional[int] = None) -> None:
-        if not task.alive:
+        state = task.state
+        if state is _ZOMBIE or state is _DEAD:
             return
         if task is self.current:
             self._update_curr(task)
             self.need_resched = True
-        elif task.state is TaskState.READY:
+        elif state is _READY:
             self._dequeue_anywhere(task)
-        elif task.state is TaskState.WAITING:
+        elif state is _WAITING:
             self._unpark(task)
-        task.state = TaskState.ZOMBIE
+        task.state = _ZOMBIE
         task.exit_code = code
         task.exit_signal = signal
         task.pending_signals.clear()
@@ -920,9 +948,9 @@ class Kernel:
             self.invariants.on_exit(task)
 
     def reap(self, parent: Task, zombie: Task) -> None:
-        if zombie.state is not TaskState.ZOMBIE:
+        if zombie.state is not _ZOMBIE:
             raise SimulationError(f"cannot reap live task {zombie.pid}")
-        zombie.state = TaskState.DEAD
+        zombie.state = _DEAD
         if zombie in parent.children:
             parent.children.remove(zombie)
         # POSIX RUSAGE_CHILDREN semantics: the child's own usage plus its
@@ -955,48 +983,6 @@ class Kernel:
         zombie.tracees = None
         zombie.pending_signals = None
         zombie.cpus_allowed = None
-
-    # ------------------------------------------------------------------
-    # wait() support
-    # ------------------------------------------------------------------
-
-    def find_zombie_child(self, task: Task, pid: int = -1) -> Optional[Task]:
-        candidates = task.children if pid == -1 else \
-            [t for t in task.children if t.pid == pid]
-        for child in candidates:
-            if child.state is TaskState.ZOMBIE:
-                return child
-        return None
-
-    def find_stop_report(self, task: Task, pid: int = -1) -> Optional[Task]:
-        """Stops are reported only to the *tracer* (waitpid without
-        WUNTRACED does not report stopped children)."""
-        # Scans children, then tracees, without building a candidate list
-        # (waitpid polls this on every wake).
-        for cand in task.children:
-            if ((pid == -1 or cand.pid == pid)
-                    and cand.state is TaskState.STOPPED
-                    and cand.stop_pending_report and cand.tracer is task):
-                return cand
-        for tracee_pid in task.tracees:
-            cand = self.tasks.get(tracee_pid)
-            if (cand is not None and (pid == -1 or cand.pid == pid)
-                    and cand.state is TaskState.STOPPED
-                    and cand.stop_pending_report and cand.tracer is task):
-                return cand
-        return None
-
-    def has_waitable(self, task: Task, pid: int = -1) -> bool:
-        for t in task.children:
-            if ((pid == -1 or t.pid == pid)
-                    and (t.alive or t.state is TaskState.ZOMBIE)):
-                return True
-        for tracee_pid in task.tracees:
-            t = self.tasks.get(tracee_pid)
-            if (t is not None and (pid == -1 or t.pid == pid)
-                    and (t.alive or t.state is TaskState.ZOMBIE)):
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # memory helpers (engine fault paths)

@@ -152,8 +152,9 @@ class Task:
 
     @property
     def alive(self) -> bool:
-        # Identity comparisons, not tuple membership: this property is hit
-        # on every wait/signal/schedule decision.
+        # Identity comparisons, not tuple membership.  The kernel's switch,
+        # wake, signal and exit paths compare states themselves rather
+        # than pay for a property call.
         state = self.state
         return state is not TaskState.ZOMBIE and state is not TaskState.DEAD
 
@@ -179,10 +180,6 @@ class Task:
             if wanted is None or prov in wanted:
                 total += ns
         return total
-
-    def post_signal(self, sig: int, sender_pid: Optional[int] = None) -> None:
-        """Queue a signal (delivery happens in the kernel's signal path)."""
-        self.pending_signals.append((sig, sender_pid))
 
     def __repr__(self) -> str:
         return (f"Task(pid={self.pid}, name={self.name!r}, "

@@ -24,7 +24,6 @@ class Scheduler:
 
     def __init__(self, cfg: SchedulerConfig) -> None:
         self.cfg = cfg
-        self._seq = 0
 
     # -- queue membership ---------------------------------------------------
 
@@ -88,13 +87,5 @@ class Scheduler:
         """Initialise the child's scheduler fields from the parent."""
         raise NotImplementedError
 
-    def on_pick(self, task: "Task") -> None:
-        """Called when ``task`` becomes the running task."""
-        task.ran_since_pick = 0
-
     def on_nice_change(self, task: "Task") -> None:
         """React to a setpriority() on a task (possibly queued)."""
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq

@@ -42,15 +42,13 @@ NICE_TO_WEIGHT: Dict[int, int] = {
 NICE_0_WEIGHT = 1024
 
 
-def weight_of(task: "Task") -> int:
-    try:
-        return NICE_TO_WEIGHT[task.nice]
-    except KeyError:
-        raise SimulationError(f"nice {task.nice} outside [-20, 19]") from None
-
-
 class CfsScheduler(Scheduler):
-    """Single-runqueue CFS."""
+    """Single-runqueue CFS.
+
+    Weights are read straight from :data:`NICE_TO_WEIGHT`: the kernel
+    rejects a nice value outside the table when it creates a task, and
+    setpriority() validates its argument.
+    """
 
     name = "cfs"
 
@@ -62,6 +60,9 @@ class CfsScheduler(Scheduler):
         self._queued: Dict[int, "Task"] = {}
         self.min_vruntime = 0
         self._total_weight = 0
+        #: Last enqueue sequence number (FIFO tie-break among equal
+        #: vruntimes).
+        self._seq = 0
 
     # -- queue ---------------------------------------------------------------
 
@@ -73,37 +74,45 @@ class CfsScheduler(Scheduler):
         # The _queued dict is authoritative; the heap may hold stale entries.
         return list(self._queued)
 
-    def _push(self, task: "Task") -> None:
-        task.enqueue_seq = self._next_seq()
-        heapq.heappush(self._heap, (task.vruntime, task.enqueue_seq, task))
-
     def enqueue(self, task: "Task", wakeup: bool = False) -> None:
-        if task.pid in self._queued:
+        queued = self._queued
+        if task.pid in queued:
             raise SimulationError(f"task {task.pid} enqueued twice")
         if wakeup:
-            self._place_entity(task)
-        self._queued[task.pid] = task
-        self._total_weight += weight_of(task)
-        self._push(task)
+            # place_entity() sleeper fairness: pull the waker up to
+            # min_vruntime - thresh (GENTLE_FAIR_SLEEPERS halves the
+            # latency), never push it back.
+            floor = self.min_vruntime - self.cfg.sched_latency_ns // 2
+            if task.vruntime < floor:
+                task.vruntime = floor
+        queued[task.pid] = task
+        self._total_weight += NICE_TO_WEIGHT[task.nice]
+        self._seq = seq = self._seq + 1
+        task.enqueue_seq = seq
+        heapq.heappush(self._heap, (task.vruntime, seq, task))
 
     def dequeue(self, task: "Task") -> None:
         if task.pid not in self._queued:
             raise SimulationError(f"task {task.pid} not queued")
         del self._queued[task.pid]
-        self._total_weight -= weight_of(task)
+        self._total_weight -= NICE_TO_WEIGHT[task.nice]
         # Heap entry removed lazily by pick_next.
 
     def pick_next(self) -> Optional["Task"]:
-        while self._heap:
-            vruntime, seq, task = self._heap[0]
-            if task.pid not in self._queued or seq != task.enqueue_seq \
+        heap = self._heap
+        queued = self._queued
+        while heap:
+            vruntime, seq, task = heapq.heappop(heap)
+            if task.pid not in queued or seq != task.enqueue_seq \
                     or vruntime != task.vruntime:
-                heapq.heappop(self._heap)  # stale entry
-                continue
-            heapq.heappop(self._heap)
-            del self._queued[task.pid]
-            self._total_weight -= weight_of(task)
-            self._update_min_vruntime(task.vruntime)
+                continue  # stale entry
+            del queued[task.pid]
+            self._total_weight -= NICE_TO_WEIGHT[task.nice]
+            # update_min_vruntime() with the picked task as curr: the next
+            # valid entry is never to its left, so min(curr, leftmost) is
+            # the picked task's own vruntime.
+            if vruntime > self.min_vruntime:
+                self.min_vruntime = vruntime
             return task
         return None
 
@@ -111,11 +120,13 @@ class CfsScheduler(Scheduler):
         self.enqueue(task, wakeup=False)
 
     def peek_min(self) -> Optional["Task"]:
-        while self._heap:
-            vruntime, seq, task = self._heap[0]
-            if task.pid not in self._queued or seq != task.enqueue_seq \
+        heap = self._heap
+        queued = self._queued
+        while heap:
+            vruntime, seq, task = heap[0]
+            if task.pid not in queued or seq != task.enqueue_seq \
                     or vruntime != task.vruntime:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
             return task
         return None
@@ -136,8 +147,12 @@ class CfsScheduler(Scheduler):
             self.dequeue(best)
         return best
 
-    def _update_min_vruntime(self, curr_vruntime: Optional[int]) -> None:
-        """2.6.29 update_min_vruntime(): advance to min(curr, leftmost).
+    # -- time ----------------------------------------------------------------
+
+    def update_curr(self, task: "Task", delta_ns: int) -> None:
+        """Advance ``task``'s vruntime by ``delta_ns`` of weighted runtime,
+        then 2.6.29 update_min_vruntime(): advance min_vruntime to
+        min(curr, leftmost).
 
         Taking the *minimum* of the running entity and the queue head is
         load-bearing for the scheduling attack: while the fork chain runs,
@@ -146,30 +161,23 @@ class CfsScheduler(Scheduler):
         vruntime, so the tick-quantized overshoot the victim accumulated
         becomes headroom the chain spends in sub-jiffy bursts.
         """
-        leftmost = self.peek_min()
-        if curr_vruntime is not None and leftmost is not None:
-            candidate = min(curr_vruntime, leftmost.vruntime)
-        elif curr_vruntime is not None:
-            candidate = curr_vruntime
-        elif leftmost is not None:
-            candidate = leftmost.vruntime
-        else:
-            return
-        self.min_vruntime = max(self.min_vruntime, candidate)
-
-    # -- time ----------------------------------------------------------------
-
-    def update_curr(self, task: "Task", delta_ns: int) -> None:
         if delta_ns <= 0:
             return
-        task.vruntime += delta_ns * NICE_0_WEIGHT // weight_of(task)
+        vruntime = (task.vruntime
+                    + delta_ns * NICE_0_WEIGHT // NICE_TO_WEIGHT[task.nice])
+        task.vruntime = vruntime
         task.ran_since_pick += delta_ns
-        self._update_min_vruntime(task.vruntime)
+        leftmost = self.peek_min()
+        if leftmost is not None and leftmost.vruntime < vruntime:
+            vruntime = leftmost.vruntime
+        if vruntime > self.min_vruntime:
+            self.min_vruntime = vruntime
 
     def _sched_slice(self, task: "Task") -> int:
         """Ideal slice for ``task``: its weighted share of the latency."""
-        total = self._total_weight + weight_of(task)
-        nr = self.nr_runnable + 1
+        weight = NICE_TO_WEIGHT[task.nice]
+        total = self._total_weight + weight
+        nr = len(self._queued) + 1
         period = self.cfg.sched_latency_ns
         min_gran = self.cfg.min_granularity_ns
         if nr * min_gran > period:
@@ -177,7 +185,7 @@ class CfsScheduler(Scheduler):
         # No per-task floor: 2.6.29 sched_slice() relies on period
         # stretching alone; a light task next to a heavy one gets a slice
         # well under min_granularity (and is preempted at the next tick).
-        return period * weight_of(task) // max(total, 1)
+        return period * weight // max(total, 1)
 
     def task_tick(self, task: "Task") -> bool:
         """check_preempt_tick: preempt when the slice is used up."""
@@ -198,15 +206,6 @@ class CfsScheduler(Scheduler):
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _place_entity(self, task: "Task") -> None:
-        """Sleeper fairness: pull the waker up to min_vruntime - thresh."""
-        thresh = self.cfg.sched_latency_ns // 2  # GENTLE_FAIR_SLEEPERS
-        task.vruntime = max(task.vruntime, self.min_vruntime - thresh)
-
-    def sched_vslice(self, task: "Task") -> int:
-        """sched_vslice(): the task's ideal slice in vruntime units."""
-        return self._sched_slice(task) * NICE_0_WEIGHT // weight_of(task)
-
     def on_fork(self, parent: "Task", child: "Task") -> None:
         # task_new_fair() as shipped in 2.6.29:
         #   * place_entity(initial=1) with START_DEBIT: the new entity is
@@ -221,8 +220,10 @@ class CfsScheduler(Scheduler):
         # hide from tick sampling; and the debit shrinks with the
         # attacker's weight, which is why the attack strengthens as Fork's
         # nice value drops (paper Fig. 7).
-        placed = (max(parent.vruntime, self.min_vruntime)
-                  + self.sched_vslice(child))
+        # sched_vslice(): the child's ideal slice in vruntime units.
+        vslice = (self._sched_slice(child) * NICE_0_WEIGHT
+                  // NICE_TO_WEIGHT[child.nice])
+        placed = max(parent.vruntime, self.min_vruntime) + vslice
         if placed > parent.vruntime:
             # child_runs_first: child inherits the parent's vruntime, the
             # parent takes the debited placement.
@@ -236,4 +237,5 @@ class CfsScheduler(Scheduler):
         # task is queued we must fix the aggregate weight bookkeeping.
         if task.pid in self._queued:
             # Recompute total weight from scratch (rare operation).
-            self._total_weight = sum(weight_of(t) for t in self._queued.values())
+            self._total_weight = sum(NICE_TO_WEIGHT[t.nice]
+                                     for t in self._queued.values())

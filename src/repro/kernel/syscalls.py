@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import CostModel
     from .kernel import Kernel
 
+_STOPPED = TaskState.STOPPED
+_ZOMBIE = TaskState.ZOMBIE
+_DEAD = TaskState.DEAD
+
 #: A handler's cost: cycles, or ``cost(kernel, task, *args) -> cycles``.
 Cost = Union[int, Callable[..., int]]
 
@@ -123,18 +127,43 @@ def _wait_blocked(kernel: "Kernel", task: Task, pid: int):
 
 def _wait_report(kernel: "Kernel", task: Task, pid: int):
     """Reap or report the first waitable child, or None if none is ready
-    yet; raises ECHILD when nothing could ever be."""
-    zombie = kernel.find_zombie_child(task, pid)
-    if zombie is not None:
-        code = zombie.exit_code
-        zpid = zombie.pid
-        kernel.reap(task, zombie)
-        return (zpid, ("exited", code))
-    stopped = kernel.find_stop_report(task, pid)
+    yet; raises ECHILD when nothing could ever be.
+
+    A zombie child is reaped first; otherwise a stop not yet reported to
+    this tracer is reported, children before tracees.  One pass over each
+    list, with no candidate list built: waitpid polls this on every wake.
+    """
+    stopped = None
+    waitable = False
+    for child in task.children:
+        if pid != -1 and child.pid != pid:
+            continue
+        state = child.state
+        if state is _ZOMBIE:
+            code = child.exit_code
+            kernel.reap(task, child)
+            return (child.pid, ("exited", code))
+        if state is not _DEAD:
+            waitable = True
+            if (stopped is None and state is _STOPPED
+                    and child.stop_pending_report and child.tracer is task):
+                stopped = child
+    if stopped is None:
+        for tracee_pid in task.tracees:
+            if pid != -1 and tracee_pid != pid:
+                continue
+            tracee = kernel.tasks.get(tracee_pid)
+            if tracee is None or tracee.state is _DEAD:
+                continue
+            waitable = True
+            if (tracee.state is _STOPPED and tracee.stop_pending_report
+                    and tracee.tracer is task):
+                stopped = tracee
+                break
     if stopped is not None:
         stopped.stop_pending_report = False
         return (stopped.pid, ("stopped", stopped.stop_signal))
-    if not kernel.has_waitable(task, pid):
+    if not waitable:
         raise NoChildProcesses("nothing to wait for")
     return None
 
@@ -158,7 +187,7 @@ def _nanosleep_cost(kernel: "Kernel", task: Task, duration_ns: int) -> int:
 
 
 def sys_nanosleep(kernel: "Kernel", task: Task, duration_ns: int):
-    deadline = kernel.clock.now + duration_ns
+    deadline = kernel.clock._now + duration_ns
     channel = f"sleep:{task.pid}:{deadline}"
     kernel.events.schedule(deadline,
                            lambda: kernel.wake_channel(channel, None),
@@ -283,8 +312,8 @@ def sys_clock_gettime(kernel: "Kernel", task: Task):
 def _ptrace_target(kernel: "Kernel", task: Task, pid: int,
                    must_be_traced: bool = True,
                    must_be_stopped: bool = True) -> Task:
-    target = kernel.task_by_pid(pid)
-    if target is None or not target.alive:
+    target = kernel.tasks.get(pid)
+    if target is None or target.state is _ZOMBIE or target.state is _DEAD:
         raise NoSuchProcess(f"pid {pid}")
     if must_be_traced and target.tracer is not task:
         raise PermissionDenied(f"pid {pid} is not traced by caller")
@@ -377,12 +406,18 @@ def sys_dl_unload(kernel: "Kernel", task: Task, lib):
 def sys_proc_threads(kernel: "Kernel", task: Task, pid: int):
     """List the alive thread ids of ``pid``'s thread group (like reading
     /proc/<pid>/task)."""
-    target = kernel.task_by_pid(pid)
-    if target is None or not target.alive:
+    target = kernel.tasks.get(pid)
+    if target is None or target.state is _ZOMBIE or target.state is _DEAD:
         raise NoSuchProcess(f"pid {pid}")
+    # A loop, not a comprehension: the thrashing tracer reads this on
+    # every pass of its loop.
     tgid = target.tgid
-    return sorted([t.pid for t in kernel.tasks.values()
-                   if t.tgid == tgid and t.alive])
+    tids = []
+    for t in kernel.tasks.values():
+        if t.tgid == tgid and t.state is not _ZOMBIE and t.state is not _DEAD:
+            tids.append(t.pid)
+    tids.sort()
+    return tids
 
 
 def sys_proc_stat(kernel: "Kernel", task: Task, pid: Optional[int] = None):

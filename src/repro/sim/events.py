@@ -9,7 +9,7 @@ heap-based priority queues.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -26,12 +26,6 @@ class Event:
         self.callback = callback
         self.name = name
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        # Tuple-free: heap sifts compare events on every schedule/pop.
-        if self.time_ns != other.time_ns:
-            return self.time_ns < other.time_ns
-        return self.seq < other.seq
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -68,7 +62,10 @@ class EventQueue:
     """Time-ordered queue of simulation events."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        #: (time_ns, seq, event) entries: ``seq`` is unique, so heap sifts
+        #: order entries by two integer compares in C and never compare
+        #: events themselves.
+        self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self._live = 0
 
@@ -80,29 +77,38 @@ class EventQueue:
         """Schedule ``callback`` to fire at absolute time ``time_ns``."""
         if time_ns < 0:
             raise SimulationError(f"cannot schedule event at t={time_ns}")
-        event = Event(int(time_ns), self._seq, callback, name)
-        self._seq += 1
+        seq = self._seq
+        event = Event(int(time_ns), seq, callback, name)
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time_ns, seq, event))
         return EventHandle(event, self)
 
     def _note_cancel(self, event: Event) -> None:
         self._live -= 1
 
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
     def next_time(self) -> Optional[int]:
-        """Time of the earliest pending event, or None if the queue is empty."""
-        self._drop_cancelled()
-        return self._heap[0].time_ns if self._heap else None
+        """Time of the earliest pending event, or None if the queue is empty.
+        Cancelled events met at the head are dropped on the way."""
+        heap = self._heap
+        while heap:
+            time_ns, _seq, event = heap[0]
+            if not event.cancelled:
+                return time_ns
+            heapq.heappop(heap)
+        return None
 
     def pop_due(self, now_ns: int) -> Optional[Event]:
         """Pop the earliest event with ``time_ns <= now_ns``, if any."""
-        self._drop_cancelled()
-        if self._heap and self._heap[0].time_ns <= now_ns:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time_ns, _seq, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                continue
+            if time_ns > now_ns:
+                return None
+            heapq.heappop(heap)
             self._live -= 1
             # Mark consumed so a late handle.cancel() is a no-op.
             event.cancelled = True
@@ -128,7 +134,7 @@ class EventQueue:
         """Drop every pending event, and its callback with it: a handle a
         device still holds then keeps no callback, and so no device,
         alive."""
-        for event in self._heap:
+        for _time_ns, _seq, event in self._heap:
             event.callback = None
             event.cancelled = True
         self._heap.clear()

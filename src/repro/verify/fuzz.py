@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -283,35 +284,46 @@ def make_injector(kind: str) -> Callable:
 
     Each corruption is detectable under *every* accounting scheme — the
     mutation tests hold the checker to zero false negatives on these.
+
+    A corruption replaces a method on the instance it patches, so the
+    replacement must not hold that instance (or the machine) strongly:
+    the two would form a cycle that keeps the whole run alive after it
+    ends.  It captures the class's function, a weak reference to the
+    instance and the plain values it needs.
     """
     if kind == "double-tick":
         def hook(machine):
             acct = machine.kernel.accounting
-            original = acct.on_tick
+            on_tick = type(acct).on_tick
+            scheme = weakref.ref(acct)
 
             def dishonest_on_tick(task, mode, cpu=0):
-                original(task, mode, cpu)
-                original(task, mode, cpu)
+                on_tick(scheme(), task, mode, cpu)
+                on_tick(scheme(), task, mode, cpu)
 
             acct.on_tick = dishonest_on_tick
     elif kind == "drop-exit":
         def hook(machine):
             kernel = machine.kernel
-            original = kernel.do_exit
+            do_exit = type(kernel).do_exit
+            owner = weakref.ref(kernel)
+            tick_ns = machine.cfg.tick_ns
 
             def dishonest_do_exit(task, *args, **kwargs):
-                task.acct_stime_ns += machine.cfg.tick_ns
-                return original(task, *args, **kwargs)
+                task.acct_stime_ns += tick_ns
+                return do_exit(owner(), task, *args, **kwargs)
 
             kernel.do_exit = dishonest_do_exit
     elif kind == "oracle-skim":
         def hook(machine):
             kernel = machine.kernel
-            original = kernel.consume
+            consume = type(kernel).consume
+            owner = weakref.ref(kernel)
 
             def skimming_consume(task, ns, cycles, user_mode, provenance,
                                  kind_):
-                original(task, ns, cycles, user_mode, provenance, kind_)
+                consume(owner(), task, ns, cycles, user_mode, provenance,
+                        kind_)
                 for bucket, charged in list(task.oracle_ns.items()):
                     if charged > 0:
                         task.oracle_ns[bucket] = charged - 1
@@ -386,20 +398,33 @@ def _run_injected(scenario: Scenario) -> ScenarioReport:
 
 
 def run_spec_with_hook(spec: ExperimentSpec, machine_hook):
-    """``run_spec`` with a machine hook (used by the corruption leg)."""
+    """``run_spec`` with a machine hook (used by the corruption leg).
+
+    The hooked machine is closed when the run ends, also when it raises,
+    so a corrupted run frees itself like any other."""
     from ..analysis.experiment import run_experiment
 
     kwargs: Dict[str, Any] = {}
     if spec.max_ns is not None:
         kwargs["max_ns"] = spec.max_ns
-    return run_experiment(
-        spec.build_program(),
-        attack=spec.build_attack(),
-        cfg=spec.cfg,
-        run_attacker_to_completion=spec.run_attacker_to_completion,
-        check_invariants=spec.check_invariants,
-        machine_hook=machine_hook,
-        **kwargs)
+    machines = []
+
+    def hook(machine):
+        machines.append(machine)
+        machine_hook(machine)
+
+    try:
+        return run_experiment(
+            spec.build_program(),
+            attack=spec.build_attack(),
+            cfg=spec.cfg,
+            run_attacker_to_completion=spec.run_attacker_to_completion,
+            check_invariants=spec.check_invariants,
+            machine_hook=hook,
+            **kwargs)
+    finally:
+        for machine in machines:
+            machine.close()
 
 
 def _check_batch_conformance(scenario: Scenario, report: ScenarioReport,

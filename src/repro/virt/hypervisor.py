@@ -159,7 +159,7 @@ class VirtualMachine:
             if now > machine.cfg.max_time_ns:
                 raise SimulationError(
                     f"guest {self.name!r} exceeded max_time_ns at {now}ns")
-            machine._drain_due_events()
+            next_time = machine._drain_due_events()
             current = kernel.current
             if (kernel.need_resched or current is None
                     or current.state is not TaskState.RUNNING):
@@ -168,7 +168,6 @@ class VirtualMachine:
             now = clock.now  # schedule() may have charged switch cost
             if now >= deadline:
                 return now - start, False
-            next_time = machine.events.next_time()
             if current is None:
                 # Nothing runnable: a halted vCPU traps to the hypervisor
                 # instead of idling on the physical core.

@@ -27,6 +27,7 @@ from repro.faults import sweep_plan
 from repro.programs.workloads import make_ourprogram
 from repro.runner import ExperimentSpec, run_spec
 from repro.timesync import sweep_timesync
+from repro.verify.fuzz import INJECT_KINDS, Scenario, run_scenario
 
 SCALE = 0.05
 W = paper_workload_params(SCALE)["W"]
@@ -66,6 +67,21 @@ def test_a_finished_run_leaves_no_cyclic_garbage(name):
     spec = POINTS[name]
     run_spec(spec)  # the first run of a plane may import its modules
     assert _left_for_the_collector(lambda: run_spec(spec)) == 0
+
+
+@pytest.mark.parametrize("kind", INJECT_KINDS)
+def test_a_corrupted_run_leaves_no_cyclic_garbage(kind):
+    """The fuzzer's corruption leg: a checked point whose accounting is
+    deliberately corrupted raises, and still frees itself."""
+    scenario = Scenario(seed=1, program="O",
+                        program_kwargs={"iterations": 50}, inject=kind)
+
+    def run():
+        report = run_scenario(scenario)
+        assert report.ok, report.failures
+
+    run()
+    assert _left_for_the_collector(run) == 0
 
 
 def test_closed_machine_keeps_its_readings():
