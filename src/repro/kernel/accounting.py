@@ -107,6 +107,13 @@ class AccountingScheme:
 
     def charge(self, task: Optional["Task"], mode: CPUMode, ns: int,
                kind: ChargeKind, cpu: int = 0) -> None:
+        """Attribute ``ns`` of ``kind`` time to ``task``.
+
+        A scheme with ``charges_work = False`` is called for
+        :attr:`ChargeKind.IRQ` slices only, so its ``charge`` must ignore
+        every other kind; a subclass whose ``charge`` records work must set
+        ``charges_work = True`` again, or its work charges never arrive.
+        """
         raise NotImplementedError
 
     def on_tick(self, task: Optional["Task"], mode: CPUMode,

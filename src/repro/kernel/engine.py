@@ -21,6 +21,7 @@ here, at its natural architectural point:
 from __future__ import annotations
 
 import enum
+from functools import partial
 from collections import deque
 from types import GeneratorType
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
@@ -854,13 +855,10 @@ class ExecutionEngine:
         kernel = self.kernel
         kernel.trace("debug", "watchpoint hit", task.pid)
         task.debug_exceptions += 1
-
-        def done() -> None:
-            kernel.post_signal(task, SIGTRAP)
-
         st.segments.append(Segment(
             kernel.costs.debug_exception_cycles, False, Provenance.TRACER,
-            ChargeKind.SYSCALL, on_done=done))
+            ChargeKind.SYSCALL, on_done=partial(kernel.post_signal, task,
+                                                SIGTRAP)))
 
     def _start_minor_fault(self, task: "Task", st: ExecState, op: Mem) -> None:
         kernel = self.kernel

@@ -13,6 +13,7 @@ need.  The accounting-relevant paths are deliberately explicit:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import MachineConfig
@@ -344,18 +345,8 @@ class Kernel:
     def trace(self, category: str, message,
               pid: Optional[int] = None, **data) -> None:
         """Emit a trace record.  ``message`` may be a zero-argument callable
-        (evaluated only if the record is stored) for hot call sites.
-
-        A record the log does not store only bumps its category's counter;
-        that is done here, without the call into :meth:`TraceLog.emit`,
-        because the fork, exit and signal paths each trace on every pass.
-        """
-        log = self.trace_log
-        if log._store_all or category in log._stored:
-            log.emit(self.clock._now, category, message, pid, **data)
-        else:
-            counters = log._counters
-            counters[category] = counters.get(category, 0) + 1
+        (evaluated only if the record is stored) for hot call sites."""
+        self.trace_log.emit(self.clock._now, category, message, pid, **data)
 
     # ------------------------------------------------------------------
     # time consumption (the single charging point)
@@ -506,12 +497,7 @@ class Kernel:
         prev = self.current
         clock = self.clock
         if prev is not None:
-            # _update_curr(prev), inlined: every switch passes here.
-            now = clock._now
-            delta = now - prev.last_dispatch_ns
-            if delta > 0:
-                self.scheduler.update_curr(prev, delta)
-            prev.last_dispatch_ns = now
+            self._update_curr(prev)
             state = prev.state
             if state is _RUNNING:
                 prev.state = state = _READY
@@ -688,16 +674,13 @@ class Kernel:
         prov = Provenance.TRACER if sig in (SIGTRAP, SIGSTOP, SIGCONT) \
             else Provenance.SYSTEM
         st = task.exec_state
-
-        def apply() -> None:
-            self._apply_signal_action(task, sig, action)
-
         cycles = self.costs.signal_deliver_cycles
         if action is SignalAction.TRAP:
             # ptrace_stop() runs in the tracee: billed to the victim.
             cycles += self.costs.ptrace_stop_cycles
-        st.segments.append(Segment(cycles, False, prov, ChargeKind.SYSCALL,
-                                   on_done=apply))
+        st.segments.append(Segment(
+            cycles, False, prov, ChargeKind.SYSCALL,
+            on_done=partial(self._apply_signal_action, task, sig, action)))
 
     def _apply_signal_action(self, task: Task, sig: int,
                              action: SignalAction) -> None:

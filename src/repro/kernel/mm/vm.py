@@ -65,9 +65,6 @@ class VMRegion:
     def end(self, page_size: int) -> int:
         return self.start + self.npages * page_size
 
-    def contains(self, vaddr: int, page_size: int) -> bool:
-        return self.start <= vaddr < self.end(page_size)
-
     def __repr__(self) -> str:
         return f"VMRegion({self.name!r}, 0x{self.start:x}, {self.npages}p)"
 
@@ -111,8 +108,12 @@ class AddressSpace:
         return region
 
     def region_at(self, vaddr: int) -> Optional[VMRegion]:
+        # Every classified access asks this: the bounds test is written
+        # out rather than calling region.end().
+        page_size = self.page_size
         for region in self.regions:
-            if region.contains(vaddr, self.page_size):
+            start = region.start
+            if start <= vaddr < start + region.npages * page_size:
                 return region
         return None
 

@@ -19,6 +19,7 @@ the engine converts them to negative return values, like the real ABI.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from ..errors import (
@@ -187,15 +188,12 @@ def _nanosleep_cost(kernel: "Kernel", task: Task, duration_ns: int) -> int:
 
 
 def sys_nanosleep(kernel: "Kernel", task: Task, duration_ns: int):
+    """A continuation: the engine starts it at the instant the call's cost
+    completes, which arms the wake-up and parks the caller."""
     deadline = kernel.clock._now + duration_ns
     channel = f"sleep:{task.pid}:{deadline}"
-    kernel.events.schedule(deadline,
-                           lambda: kernel.wake_channel(channel, None),
+    kernel.events.schedule(deadline, partial(kernel.wake_channel, channel),
                            name="sleep-wake")
-    return _sleep(channel)
-
-
-def _sleep(channel: str):
     yield Block(channel)
     return 0
 
@@ -312,8 +310,8 @@ def sys_clock_gettime(kernel: "Kernel", task: Task):
 def _ptrace_target(kernel: "Kernel", task: Task, pid: int,
                    must_be_traced: bool = True,
                    must_be_stopped: bool = True) -> Task:
-    target = kernel.tasks.get(pid)
-    if target is None or target.state is _ZOMBIE or target.state is _DEAD:
+    target = kernel.task_by_pid(pid)
+    if target is None or not target.alive:
         raise NoSuchProcess(f"pid {pid}")
     if must_be_traced and target.tracer is not task:
         raise PermissionDenied(f"pid {pid} is not traced by caller")
@@ -406,18 +404,12 @@ def sys_dl_unload(kernel: "Kernel", task: Task, lib):
 def sys_proc_threads(kernel: "Kernel", task: Task, pid: int):
     """List the alive thread ids of ``pid``'s thread group (like reading
     /proc/<pid>/task)."""
-    target = kernel.tasks.get(pid)
-    if target is None or target.state is _ZOMBIE or target.state is _DEAD:
+    target = kernel.task_by_pid(pid)
+    if target is None or not target.alive:
         raise NoSuchProcess(f"pid {pid}")
-    # A loop, not a comprehension: the thrashing tracer reads this on
-    # every pass of its loop.
     tgid = target.tgid
-    tids = []
-    for t in kernel.tasks.values():
-        if t.tgid == tgid and t.state is not _ZOMBIE and t.state is not _DEAD:
-            tids.append(t.pid)
-    tids.sort()
-    return tids
+    return sorted([t.pid for t in kernel.tasks.values()
+                   if t.tgid == tgid and t.alive])
 
 
 def sys_proc_stat(kernel: "Kernel", task: Task, pid: Optional[int] = None):

@@ -1,11 +1,14 @@
 """Unit tests for the accounting schemes — the paper's central mechanism."""
 
+import copy
+
 import pytest
 
 from repro.config import default_config
 from repro.errors import ConfigError
 from repro.hw.cpu import CPUMode
 from repro.kernel.accounting import (
+    AccountingScheme,
     ChargeKind,
     CpuUsage,
     TickAccounting,
@@ -122,6 +125,38 @@ class TestTscAccounting:
         acct = TscAccounting(TICK)
         acct.charge(None, CPUMode.KERNEL, 999, ChargeKind.IRQ)
         assert acct.system_ns == 0  # not process-aware: just idle time
+
+
+def _all_schemes(cls=AccountingScheme):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_schemes(sub)
+
+
+class TestChargesWork:
+    """``charges_work = False`` lets the kernel skip a scheme's ``charge``
+    for everything but interrupt slices; that is only sound while the
+    scheme's ``charge`` really ignores those slices."""
+
+    @pytest.mark.parametrize("process_aware", [False, True])
+    def test_schemes_that_skip_work_ignore_non_irq_charges(
+            self, task, process_aware):
+        skipping = [cls for cls in _all_schemes() if not cls.charges_work]
+        assert TickAccounting in skipping
+        slots = Task.__slots__
+        for cls in skipping:
+            acct = cls(TICK, process_aware)
+            before = copy.deepcopy(vars(acct))
+            task_before = [getattr(task, name, None) for name in slots]
+            for kind in ChargeKind:
+                if kind is ChargeKind.IRQ:
+                    continue
+                for mode in CPUMode:
+                    acct.charge(task, mode, 1_000_000, kind)
+                    acct.charge(None, mode, 1_000_000, kind)
+            assert vars(acct) == before, cls.__name__
+            assert [getattr(task, name, None) for name in slots] \
+                == task_before, cls.__name__
 
 
 class TestFactory:

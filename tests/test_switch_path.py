@@ -13,10 +13,12 @@ move those counts, or the per-layer figures of two commits stop being
 comparable; the second half of this file pins them.
 """
 
+import os
 import sys
 
 import pytest
 
+import repro
 import repro.runner.specs as specs
 from repro.analysis.figures import watched_variable
 from repro.hw.machine import Machine
@@ -31,6 +33,8 @@ from repro.kernel.mm.manager import MemoryManager
 from repro.kernel.sched import CfsScheduler, O1Scheduler, RoundRobinScheduler
 from repro.runner import ExperimentSpec
 from repro.sim.events import EventQueue
+
+_SOURCE = os.path.dirname(repro.__file__) + os.sep
 
 #: Python calls one fork → exit → wait round trip may make.
 FORK_BUDGET = 95
@@ -51,13 +55,19 @@ def trap_point(iterations):
 
 def python_calls(spec):
     """(Python calls, result) of one run of ``spec``, counted with a
-    ``sys.setprofile`` hook that sees every call and generator resume."""
+    ``sys.setprofile`` hook that sees every call and generator resume.
+
+    Only calls into the simulator's own code count: calls into the
+    standard library (enum descriptors, generated dataclass methods) vary
+    with the interpreter, and the budget measures the simulator's work.
+    A comprehension in the simulator's code still counts as a call before
+    Python 3.12, which inlines it, so newer interpreters count no more."""
     specs.run_spec(spec)  # the first run of a plane may import its modules
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and frame.f_code.co_filename.startswith(_SOURCE):
             calls += 1
 
     previous = sys.getprofile()
