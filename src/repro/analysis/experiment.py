@@ -121,6 +121,15 @@ def _group_oracle_seconds(machine: Machine, task: Task) -> Dict[str, float]:
     return totals
 
 
+def _guest_shared(task: Task, key: str) -> Optional[Dict[str, Any]]:
+    """The dict a task's program left under ``key`` in its shared guest
+    context (None if it left none, e.g. it was killed first)."""
+    if task.guest_ctx is None:
+        return None
+    found = task.guest_ctx.shared.get(key)
+    return found if isinstance(found, dict) else None
+
+
 def run_experiment(program: Program,
                    attack: Optional[Attack] = None,
                    cfg: Optional[MachineConfig] = None,
@@ -207,11 +216,7 @@ def _run_on(machine: Machine, program: Program, attack: Attack,
             attacker_usage = attacker_usage + own + CpuUsage(
                 atask.acct_cutime_ns, atask.acct_cstime_ns)
 
-    rusage = None
-    if victim.guest_ctx is not None:
-        logged = victim.guest_ctx.shared.get("rusage")
-        if isinstance(logged, dict):
-            rusage = logged
+    rusage = _guest_shared(victim, "rusage")
 
     if machine.watchdog is not None:
         # Close the trailing trust interval before the final sweep so the

@@ -15,17 +15,18 @@ does on real hardware, free of host-interpreter jitter.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..config import MachineConfig, default_config
-from ..errors import DeadlockError, SimulationError
+from ..errors import SimulationError
 from ..faults.plan import normalize_plan
 from ..kernel.kernel import Kernel
-from ..kernel.process import Task, TaskState
+from ..kernel.process import TaskState
 from ..kernel.shell import Shell
 from ..sim.clock import Clock
 from ..sim.events import EventQueue
 from ..sim.rng import DeterministicRng
+from ..sim.runloop import RunLoop
 from ..sim.tracing import TraceLog
 from ..timesync.spec import normalize_timesync
 from .cpu import CPU
@@ -41,7 +42,7 @@ _RUNNING = TaskState.RUNNING
 _IDLE_SLICE_NS = 10_000_000
 
 
-class Machine:
+class Machine(RunLoop):
     """A complete simulated computer."""
 
     def __init__(self, cfg: Optional[MachineConfig] = None,
@@ -243,8 +244,15 @@ class Machine:
             next_time = events.next_time()
         return next_time
 
-    def step(self) -> bool:
-        """One loop iteration.  Returns False when nothing can progress."""
+    def step(self, until: Optional[int] = None) -> bool:
+        """One loop iteration.  Returns False when nothing can progress.
+
+        ``until`` ends a vCPU slice there (uniprocessor only): the engine
+        stops at it; once the due events and the switch have run, a clock
+        at or past it (that work may overshoot) ends the step; and an idle
+        CPU returns False instead of idling forward — a halted vCPU hands
+        its core back to the hypervisor.
+        """
         if self.cfg.nproc > 1:
             return self._step_smp()
         clock = self.clock
@@ -262,14 +270,17 @@ class Machine:
             kernel.schedule()
             current = kernel.current
 
-        checker = self.invariant_checker
+        if until is not None:
+            if clock._now >= until:
+                return True
+            if current is None:
+                return False
+            if next_time is None or next_time > until:
+                next_time = until
         if current is None:
             if next_time is None:
                 return False  # fully idle, nothing scheduled
-            idle_ns = next_time - clock._now
-            clock.advance_to(next_time)
-            if checker is not None and idle_ns > 0:
-                checker.on_idle_advance(idle_ns)
+            self._idle_to(next_time)
             return True
 
         budget = (next_time - clock._now
@@ -277,9 +288,16 @@ class Machine:
         if budget <= 0:
             return True  # events due right now; drained next iteration
         kernel.engine.run(current, budget)
+        checker = self.invariant_checker
         if checker is not None:
             checker.on_step()
         return True
+
+    def _idle_to(self, target_ns: int) -> None:
+        idle_ns = target_ns - self.clock._now
+        self.clock.advance_to(target_ns)
+        if self.invariant_checker is not None and idle_ns > 0:
+            self.invariant_checker.on_idle_advance(idle_ns)
 
     # ------------------------------------------------------------------
     # the SMP loop (lockstep time slices on one virtual clock)
@@ -371,47 +389,6 @@ class Machine:
                         f"{current.pid if current else None})")
             else:
                 spins = 0
-
-    def run_for(self, duration_ns: int) -> None:
-        """Advance virtual time by ``duration_ns``."""
-        deadline = self.clock.now + duration_ns
-        while self.clock.now < deadline:
-            if not self.step():
-                idle_ns = deadline - self.clock.now
-                self.clock.advance_to(deadline)
-                if self.invariant_checker is not None and idle_ns > 0:
-                    self.invariant_checker.on_idle_advance(idle_ns)
-                return
-
-    def run_until(self, predicate: Callable[[], bool],
-                  max_ns: Optional[int] = None) -> None:
-        """Run until ``predicate()`` holds.  Raises on deadline/deadlock."""
-        deadline = (self.clock.now + max_ns) if max_ns is not None else None
-        clock = self.clock
-        while not predicate():
-            if deadline is not None and clock._now >= deadline:
-                raise SimulationError(
-                    f"run_until deadline exceeded at {self.clock.now}ns")
-            if not self.step():
-                raise DeadlockError(
-                    "nothing can progress but the predicate is unsatisfied")
-
-    def run_until_exit(self, tasks: Sequence[Task],
-                       max_ns: Optional[int] = None) -> None:
-        """Run until every task in ``tasks`` has exited."""
-        targets = list(tasks)
-        zombie = TaskState.ZOMBIE
-        dead = TaskState.DEAD
-
-        def done() -> bool:
-            # Checked before every step: a plain loop, not all(genexpr).
-            for t in targets:
-                state = t.state
-                if state is not zombie and state is not dead:
-                    return False
-            return True
-
-        self.run_until(done, max_ns=max_ns)
 
     def run_to_completion(self, max_ns: Optional[int] = None) -> None:
         """Run until no task is alive."""

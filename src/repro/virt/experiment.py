@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
-from ..analysis.experiment import DEFAULT_MAX_NS, ExperimentResult
+from ..analysis.experiment import (
+    DEFAULT_MAX_NS,
+    ExperimentResult,
+    _group_oracle_seconds,
+    _group_usage,
+    _guest_shared,
+)
 from ..config import MachineConfig, default_config, default_invariants
 from ..errors import SimulationError
 from ..kernel.accounting import CpuUsage
@@ -136,39 +142,20 @@ def _run_scenario(hv: Hypervisor, victim_program, attack: Optional[str],
 
     hv.run_until_exit([victim_task], max_ns=max_ns)
     wall_ns = hv.clock.now
-    hv.sync_ledgers()
     hv.check_invariants()
-    for guest in hv.vms:
-        guest.machine.check_invariants()
+    for vm in hv.vms:
+        vm.machine.check_invariants()
 
     # Guest-internal view of the victim job (what the customer's own OS
     # would report) vs the hypervisor's billed view (what the provider
     # meters) — the §III-B divergence, one level up.
-    guest_kernel = victim_vm.machine.kernel
-    guest_usage = CpuUsage()
-    for member in guest_kernel.thread_group(victim_task):
-        guest_usage = guest_usage + guest_kernel.accounting.usage(member)
-
-    oracle_seconds: Dict[str, float] = {}
-    for member in guest_kernel.thread_group(victim_task):
-        for (_user, prov), ns in member.oracle_ns.items():
-            oracle_seconds[prov.value] = (oracle_seconds.get(prov.value, 0.0)
-                                          + ns / 1e9)
+    guest = victim_vm.machine
+    guest_usage = _group_usage(guest, victim_task)
+    oracle_seconds = _group_oracle_seconds(guest, victim_task)
     oracle_seconds["vm_ran"] = victim_vm.ran_ns / 1e9
     oracle_seconds["vm_idle"] = victim_vm.idle_ns / 1e9
     oracle_seconds["vm_steal"] = victim_vm.steal_ns / 1e9
-
-    rusage = None
-    if victim_task.guest_ctx is not None:
-        logged = victim_task.guest_ctx.shared.get("rusage")
-        if isinstance(logged, dict):
-            rusage = logged
-
-    estimator_shared: Dict[str, int] = {}
-    if estimator_task.guest_ctx is not None:
-        found = estimator_task.guest_ctx.shared.get("steal_estimator")
-        if isinstance(found, dict):
-            estimator_shared = found
+    estimator_shared = _guest_shared(estimator_task, "steal_estimator") or {}
 
     host_wall = wall_ns - victim_vm.attach_host_ns
     conservation_gap = host_wall - (victim_vm.ran_ns + victim_vm.idle_ns
@@ -185,8 +172,8 @@ def _run_scenario(hv: Hypervisor, victim_program, attack: Optional[str],
         "victim_preemptions": victim_vm.preemptions,
         "victim_guest_utime_ns": guest_usage.utime_ns,
         "victim_guest_stime_ns": guest_usage.stime_ns,
-        "victim_guest_jiffies": guest_kernel.timekeeper.jiffies,
-        "victim_guest_steal_ns": guest_kernel.timekeeper.steal_ns,
+        "victim_guest_jiffies": guest.kernel.timekeeper.jiffies,
+        "victim_guest_steal_ns": guest.kernel.timekeeper.steal_ns,
         "conservation_gap_ns": conservation_gap,
         "est_steal_ns": int(estimator_shared.get("est_steal_ns", 0)),
         "reported_steal_ns": int(estimator_shared.get("reported_steal_ns",
@@ -203,11 +190,10 @@ def _run_scenario(hv: Hypervisor, victim_program, attack: Optional[str],
         attacker_usage = CpuUsage(attacker_vm.billed_utime_ns,
                                   attacker_vm.billed_stime_ns)
         attack_shared: Dict[str, int] = {}
-        atask = next(iter(attacker_vm.machine.kernel.tasks.values()), None)
         for task in attacker_vm.machine.kernel.tasks.values():
-            ctx = task.guest_ctx
-            if ctx is not None and "vm_sched_attack" in ctx.shared:
-                attack_shared = ctx.shared["vm_sched_attack"]
+            found = _guest_shared(task, "vm_sched_attack")
+            if found is not None:
+                attack_shared = found
                 break
         stats.update({
             "attacker_ran_ns": attacker_vm.ran_ns,
@@ -231,7 +217,7 @@ def _run_scenario(hv: Hypervisor, victim_program, attack: Optional[str],
         usage=CpuUsage(victim_vm.billed_utime_ns, victim_vm.billed_stime_ns),
         attacker_usage=attacker_usage,
         wall_ns=wall_ns,
-        rusage=rusage,
+        rusage=_guest_shared(victim_task, "rusage"),
         oracle_seconds=oracle_seconds,
         stats=stats,
     )

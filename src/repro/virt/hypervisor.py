@@ -38,15 +38,15 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..config import MachineConfig, default_config
-from ..errors import DeadlockError, SimulationError
+from ..errors import SimulationError
 from ..faults.plan import normalize_plan
 from ..hw.cpu import CPUMode
 from ..hw.machine import Machine
-from ..kernel.process import Task, TaskState
 from ..sim.clock import Clock
+from ..sim.runloop import RunLoop
 from .credit import PRI_UNDER, CreditScheduler
 
 #: Guest-side cost of a paravirtual call (vmcall + hypervisor dispatch).
@@ -138,54 +138,32 @@ class VirtualMachine:
     # -- execution ----------------------------------------------------------
 
     def run_slice(self, budget_ns: int) -> "tuple[int, bool]":
-        """Run the guest for at most ``budget_ns`` (guest ns == host ns).
+        """Run the guest for at most ``budget_ns`` (guest ns == host ns)
+        through its own uniprocessor :meth:`Machine.step
+        <repro.hw.machine.Machine.step>`.
 
         Returns ``(consumed_ns, idled)``; ``idled`` means the guest went
         fully idle (halted) before the budget ran out, handing the core
-        back to the hypervisor.  Consumption may overshoot the budget by a
-        guest context-switch charge — the engine itself stops exactly at
-        the boundary, mirroring :meth:`repro.hw.machine.Machine.step`.
+        back to the hypervisor.  Consumption may overshoot the budget by
+        the guest work due when a step starts (an interrupt handler, the
+        context switch it asks for); the engine itself stops exactly at
+        the boundary.
         """
         machine = self.machine
-        kernel = machine.kernel
         clock = machine.clock
-        start = clock.now
+        start = clock._now
         deadline = start + budget_ns
-        checker = machine.invariant_checker
-        while True:
-            now = clock.now
-            if now >= deadline:
-                return now - start, False
-            if now > machine.cfg.max_time_ns:
-                raise SimulationError(
-                    f"guest {self.name!r} exceeded max_time_ns at {now}ns")
-            next_time = machine._drain_due_events()
-            current = kernel.current
-            if (kernel.need_resched or current is None
-                    or current.state is not TaskState.RUNNING):
-                kernel.schedule()
-                current = kernel.current
-            now = clock.now  # schedule() may have charged switch cost
-            if now >= deadline:
-                return now - start, False
-            if current is None:
-                # Nothing runnable: a halted vCPU traps to the hypervisor
-                # instead of idling on the physical core.
-                return now - start, True
-            stop = deadline if next_time is None else min(next_time, deadline)
-            budget = stop - now
-            if budget <= 0:
-                continue  # events due right now; drained next iteration
-            kernel.engine.run(current, budget)
-            if checker is not None:
-                checker.on_step()
+        while clock._now < deadline:
+            if not machine.step(deadline):
+                return clock._now - start, True
+        return clock._now - start, False
 
     def __repr__(self) -> str:
         return (f"VirtualMachine({self.name!r}, {self.state.value}, "
                 f"ran={self.ran_ns}ns steal={self.steal_ns}ns)")
 
 
-class Hypervisor:
+class Hypervisor(RunLoop):
     """Multiplexes VirtualMachines on one simulated physical core."""
 
     def __init__(self, cfg: Optional[HypervisorConfig] = None,
@@ -255,11 +233,17 @@ class Hypervisor:
 
     def create_vm(self, name: str, cfg: Optional[MachineConfig] = None,
                   weight: int = 256) -> VirtualMachine:
-        """Boot a guest machine and attach it as a vCPU."""
+        """Boot a guest machine and attach it as a vCPU.  A vCPU is one
+        CPU: the guest runs through the uniprocessor loop, so a config with
+        ``nproc > 1`` is refused rather than run on its CPU 0 alone."""
         if any(vm.name == name for vm in self.vms):
             raise SimulationError(f"vm name {name!r} already in use")
-        machine = Machine(cfg or default_config(),
-                          invariants=self._guest_invariants)
+        cfg = cfg or default_config()
+        if cfg.nproc != 1:
+            raise SimulationError(
+                f"a vCPU is one CPU: guest {name!r} asks for "
+                f"nproc={cfg.nproc}")
+        machine = Machine(cfg, invariants=self._guest_invariants)
         vm = VirtualMachine(name, machine, weight, self)
         self.scheduler.register(vm)
         self._install_pv_interface(vm)
@@ -440,12 +424,7 @@ class Hypervisor:
             wake = self._earliest_wake()
             if wake is None:
                 return False  # every guest parked forever
-            target = min(wake, self._next_tick_ns)
-            idle = target - now
-            self.clock.advance_to(target)
-            self.host_idle_ns += idle
-            if self.invariant_checker is not None:
-                self.invariant_checker.on_host_idle(idle)
+            self._idle_to(min(wake, self._next_tick_ns))
             return True
 
         stop = min(self._next_tick_ns, self._slice_end_ns)
@@ -464,44 +443,17 @@ class Hypervisor:
             self._block_vm(cur)
         return True
 
-    def run_for(self, duration_ns: int) -> None:
-        """Advance host time by ``duration_ns``."""
-        deadline = self.clock.now + duration_ns
-        while self.clock.now < deadline:
-            if not self.step():
-                idle = deadline - self.clock.now
-                self.clock.advance_to(deadline)
-                self.host_idle_ns += idle
-                if self.invariant_checker is not None and idle > 0:
-                    self.invariant_checker.on_host_idle(idle)
-                self.sync_ledgers()
-                return
+    def _idle_to(self, target_ns: int) -> None:
+        """No vCPU runs until host time ``target_ns``: the core idles."""
+        idle = target_ns - self.clock.now
+        self.clock.advance_to(target_ns)
+        self.host_idle_ns += idle
+        if self.invariant_checker is not None and idle > 0:
+            self.invariant_checker.on_host_idle(idle)
 
-    def run_until(self, predicate: Callable[[], bool],
-                  max_ns: Optional[int] = None) -> None:
-        """Run until ``predicate()`` holds; raises on deadline/deadlock."""
-        deadline = (self.clock.now + max_ns) if max_ns is not None else None
-        while not predicate():
-            if deadline is not None and self.clock.now >= deadline:
-                raise SimulationError(
-                    f"hypervisor run_until deadline exceeded at "
-                    f"{self.clock.now}ns")
-            if not self.step():
-                raise DeadlockError(
-                    "no vCPU can progress but the predicate is unsatisfied")
+    def _run_ended(self) -> None:
+        """A run ends with every vCPU ledger synced to host-now."""
         self.sync_ledgers()
-
-    def run_until_exit(self, tasks: Sequence[Task],
-                       max_ns: Optional[int] = None) -> None:
-        """Run until every guest task in ``tasks`` has exited (the tasks
-        may live in different guests)."""
-        targets = list(tasks)
-
-        def done() -> bool:
-            return all(t.state in (TaskState.ZOMBIE, TaskState.DEAD)
-                       for t in targets)
-
-        self.run_until(done, max_ns=max_ns)
 
     # -- reporting ---------------------------------------------------------------
 

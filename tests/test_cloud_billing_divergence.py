@@ -14,6 +14,7 @@ import pytest
 
 from repro.cloud import CloudProvider, VmInstance
 from repro.config import default_config
+from repro.errors import SimulationError
 from repro.programs.workloads import make_busyloop, make_ourprogram
 
 TICK = 10_000_000  # default hypervisor accounting tick
@@ -83,6 +84,13 @@ class TestVirtualizedDivergence:
         inst = provider.launch_instance("vm-1", "alice")
         assert isinstance(inst, VmInstance)
         assert provider.machine is None
+
+    def test_multi_cpu_guest_config_rejected(self):
+        provider = CloudProvider(default_config(nproc=2),
+                                 virtualization=True)
+        with pytest.raises(SimulationError, match="a vCPU is one CPU"):
+            provider.launch_instance("vm-smp", "alice")
+        assert provider.instances == {}
 
     def test_solo_vm_tariffs_agree(self):
         _, victim = _virt_run()

@@ -31,13 +31,12 @@ from repro.verify.fuzz import generate_scenario, run_scenario
 
 SCALE = 0.05
 
-#: spec_key() of five pinned specs.  Identity hashes cover repro_version,
+#: spec_key() of the pinned specs.  Identity hashes cover repro_version,
 #: so these are re-stamped at every version bump
 #: (1.4.0 -> 1.5.0 -> ... -> 1.8.0 -> 1.9.0) after verifying they
 #: matched the pre-SMP tree at equal version; the version-free checks
 #: below (key neutrality, result/fuzz/trace digests) are the pre-SMP
-#: goldens verbatim.  The vm spec is key-only (hypervisor runs are
-#: covered by their own suite); the other four also pin the full result
+#: goldens verbatim.  Every pinned spec also pins its full result
 #: document below.
 GOLDEN_SPEC_KEYS = {
     "O:none": "bcf1f6853804cab45ca25a6d70d8d5e04e3df752a9be346b6ce31301efc6d1a3",
@@ -47,6 +46,12 @@ GOLDEN_SPEC_KEYS = {
         "8111cb618f143ef6ed1daf087137e9b4524a8155d7dd2442ccddc77de724d2c8",
     "vm:W:none":
         "62e281f1ec803639c41398d63a9d3e0c844e7e5f6363d17acfe0ecb8845e6bad",
+    "vm:W:vm-sched":
+        "f1ffe95a519ce0ef0a73dd95ee7b39e3b967c4aac3ceefdb182d3e65a82a4db3",
+    "vm:W:vm-sched:steal-lie":
+        "3d6a96e00934b52ad5c6ff782bed7a4a4bfdcb1efe5a945f849b06ad6dbc02e2",
+    "vm:W:vm-sched:1ms-slices":
+        "9d79801e124ac0ade051313bf5cd07856aaf051b310f42e9f2e66a0882fd6ec2",
 }
 
 #: sha256 over json.dumps(result.to_dict(), sort_keys, compact) — every
@@ -57,6 +62,18 @@ GOLDEN_RESULT_DIGESTS = {
     "O:shell": "fc4b443340626515b9c1634f9cc0baf6febbdbf85eaf9393a3065be8f6fed0b1",
     "W:scheduling":
         "4dbc31766c3b39f90c036c40e4b32248c36e4f11767c71e496d0732447d8a280",
+    # Hypervisor runs, recorded before vCPU slices ran through
+    # Machine.step: a guest CPU must bill exactly as its own loop did.
+    # The 1 ms slices (947 vCPU switches) end most guest engine runs at
+    # the slice boundary rather than at a guest event.
+    "vm:W:none":
+        "b12b1d4f8b889de51107fe8fe8cedb321871b5ca433ea2b150be77eaa6af51a3",
+    "vm:W:vm-sched":
+        "4bc48962f4fe2c507830f4769eb67a9954974c3358c1588721acc4c038f04525",
+    "vm:W:vm-sched:steal-lie":
+        "f128fad454fc59c569b8590f15e7be69d1a77b64a80049e49a2c4c39083ec8e6",
+    "vm:W:vm-sched:1ms-slices":
+        "5cd49e42e3a378a10dde37af2981a2b981c23db54cf450039d2f961e78e8428c",
 }
 
 #: ScenarioReport.digest() for the scenario random.Random(777) draws.
@@ -82,6 +99,17 @@ def _pinned_specs():
             attack_kwargs={"nice": -20, "forks": 400}),
         "vm:W:none": ExperimentSpec(
             program="W", program_kwargs=params["W"], vm={}),
+        "vm:W:vm-sched": ExperimentSpec(
+            program="W", program_kwargs=params["W"], vm={},
+            attack="vm-sched"),
+        "vm:W:vm-sched:steal-lie": ExperimentSpec(
+            program="W", program_kwargs=params["W"], vm={},
+            attack="vm-sched", faults={"steal_lie_factor": 0.5},
+            check_invariants=True),
+        "vm:W:vm-sched:1ms-slices": ExperimentSpec(
+            program="W", program_kwargs=params["W"],
+            vm={"slice_ns": 1_000_000, "tick_ns": 333_333},
+            attack="vm-sched", check_invariants=True),
     }
 
 

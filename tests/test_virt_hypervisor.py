@@ -185,6 +185,74 @@ class TestVcpuTimeModel:
         assert abs(vm.billed_total_ns - vm.ran_ns) <= 2 * TICK
 
 
+class TestRunSlice:
+    """``VirtualMachine.run_slice``: the guest runs for a budget of host
+    time and hands the core back when the budget is spent or it halts."""
+
+    def _busy_guest(self, hv, tasks=1):
+        vm = hv.create_vm("busy")
+        install_standard_libraries(vm.machine.kernel.libraries)
+        shell = vm.machine.new_shell()
+        for _ in range(tasks):
+            shell.run_command(busy())
+        return vm
+
+    def test_busy_guest_consumes_exactly_its_budget(self):
+        vm = self._busy_guest(Hypervisor(), tasks=2)
+        clock = vm.machine.clock
+        for _ in range(40):
+            start = clock.now
+            assert vm.run_slice(333_333) == (333_333, False)
+            assert clock.now - start == 333_333
+
+    def test_work_due_at_the_slice_start_may_overshoot(self):
+        # A slice that opens on a guest tick runs the tick handler, and the
+        # context switch it asks for, to completion even past a budget
+        # shorter than that work.
+        vm = self._busy_guest(Hypervisor(), tasks=2)
+        machine = vm.machine
+        kernel = machine.kernel
+        tick = machine.cfg.tick_ns
+        costs = machine.cfg.costs
+        switch_ns = machine.cpu.cycles_to_ns(
+            costs.context_switch_cycles + costs.schedule_pick_cycles)
+        for k in range(1, 20):
+            vm.run_slice(k * tick - machine.clock.now)
+            switches = kernel.context_switches
+            start = machine.clock.now
+            consumed, idled = vm.run_slice(100)
+            assert idled is False
+            assert consumed == machine.clock.now - start
+            assert 100 < consumed < 100 + 10_000
+            if kernel.context_switches > switches:
+                assert consumed > switch_ns
+                return
+        pytest.fail("no slice opening on a tick switched guest tasks")
+
+    def test_halted_guest_returns_idled_without_advancing(self):
+        def sleeper(ctx):
+            yield Compute(1_000_000)
+            yield Syscall("nanosleep", (200_000_000,))
+
+        vm, _ = boot(Hypervisor(), "s", Program("sleeper", sleeper))
+        clock = vm.machine.clock
+        consumed, idled = vm.run_slice(50_000_000)
+        assert idled is True
+        assert 0 < consumed < 50_000_000
+        halted_at = clock.now
+        assert vm.run_slice(50_000_000) == (0, True)
+        assert clock.now == halted_at
+
+    def test_guest_event_inside_the_slice_fires_and_slice_continues(self):
+        vm = self._busy_guest(Hypervisor())
+        tick = vm.machine.cfg.tick_ns
+        timekeeper = vm.machine.kernel.timekeeper
+        jiffies = timekeeper.jiffies
+        budget = 3 * tick + tick // 2
+        assert vm.run_slice(budget) == (budget, False)
+        assert timekeeper.jiffies - jiffies == 3
+
+
 class TestParavirtInterface:
     def test_pv_calls_see_host_time_and_steal(self):
         hv = Hypervisor()
@@ -228,6 +296,13 @@ class TestHypervisorLifecycle:
         assert hv.vm("a") is vm
         with pytest.raises(KeyError):
             hv.vm("nope")
+
+    def test_multi_cpu_guest_rejected(self):
+        # A vCPU is one CPU: an nproc=2 guest would run on its CPU 0 alone.
+        hv = Hypervisor()
+        with pytest.raises(SimulationError, match="a vCPU is one CPU"):
+            hv.create_vm("smp", cfg=default_config(nproc=2))
+        assert hv.vms == []
 
     def test_invalid_config_rejected(self):
         with pytest.raises(SimulationError):
