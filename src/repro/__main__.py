@@ -91,9 +91,9 @@ def _make_runner(args: argparse.Namespace, quiet: bool = False):
 
 
 def _apply_invariants_flag(args: argparse.Namespace) -> None:
-    """``--check-invariants`` flips the process-wide default, so every
-    serially-run experiment (figures, gallery) gets the checker.  The
-    checker loads here, at dispatch, not inside the first run."""
+    """``--check-invariants`` flips the process-wide default for the
+    command, so every serially-run experiment (figures, gallery) gets the
+    checker.  The checker loads here, at dispatch, not in the first run."""
     if getattr(args, "check_invariants", False):
         from .verify.invariants import set_default_invariants
 
@@ -737,12 +737,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from .hw.machine import Machine
     from .config import default_config
     from .kernel import procfs
-    from .programs.stdlib import install_standard_libraries
+    from .analysis.experiment import open_shell
     from .analysis.figures import paper_workloads
 
     machine = Machine(default_config())
-    install_standard_libraries(machine.kernel.libraries)
-    shell = machine.new_shell()
+    shell = open_shell(machine)
     for program in paper_workloads(scale=1.0).values():
         shell.run_command(program)
     machine.run_for(int(args.seconds * 1e9))
@@ -984,8 +983,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .config import default_invariants, set_default_invariants
     from .errors import ReproError
 
+    previous = default_invariants()  # restored: flags end with the command
     try:
         return args.func(args)
     except ReproError as exc:
@@ -993,6 +994,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # traceback — scripts and CI gate on the code.
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_default_invariants(previous)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main()

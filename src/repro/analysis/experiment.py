@@ -10,7 +10,8 @@ provenance-exact view (what actually happened).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from functools import partial
+from typing import Any, Dict, Optional, Tuple
 
 from ..attacks.base import Attack, NoAttack
 from ..config import MachineConfig, default_config, default_invariants
@@ -130,6 +131,14 @@ def _guest_shared(task: Task, key: str) -> Optional[Dict[str, Any]]:
     return found if isinstance(found, dict) else None
 
 
+def open_shell(machine: Machine, extra_libraries=()):
+    """Install the standard and ``extra_libraries``, open a shell."""
+    install_standard_libraries(machine.kernel.libraries)
+    for library in extra_libraries:
+        machine.kernel.libraries.install(library, replace=True)
+    return machine.new_shell()
+
+
 def run_experiment(program: Program,
                    attack: Optional[Attack] = None,
                    cfg: Optional[MachineConfig] = None,
@@ -140,7 +149,8 @@ def run_experiment(program: Program,
                    check_invariants: Optional[bool] = None,
                    machine_hook=None,
                    faults=None,
-                   timesync=None) -> ExperimentResult:
+                   timesync=None,
+                   vm=None) -> ExperimentResult:
     """Execute ``program`` under ``attack`` on a fresh machine.
 
     ``extra_libraries`` installs additional shared objects (e.g. a plugin
@@ -160,6 +170,11 @@ def run_experiment(program: Program,
     including the cross-host billing skew — land in ``stats`` when the
     spec is active.
 
+    ``vm`` (a mapping, ``{}`` for defaults) runs the program as the
+    victim VM's workload on a :class:`~repro.virt.experiment.VmHost`,
+    with ``cfg`` as the guest config; ``hypervisor_config`` there lists
+    what a VM run refuses.
+
     The machine is closed (:meth:`Machine.close`) when the run ends, so it
     is freed as soon as this returns.  A machine handed to
     ``machine_hook`` is left open: the hook's caller may keep it, step it
@@ -168,35 +183,42 @@ def run_experiment(program: Program,
     attack = attack or NoAttack()
     if check_invariants is None:
         check_invariants = default_invariants()
-    machine = Machine(cfg or default_config(), trace=trace,
-                      invariants=bool(check_invariants), faults=faults,
-                      timesync=timesync)
-    if machine_hook is not None:
-        machine_hook(machine)
+    cfg = cfg or default_config()
+    if vm is None:
+        host = Machine(cfg, trace=trace, invariants=bool(check_invariants),
+                       faults=faults, timesync=timesync)
+        if machine_hook is not None:
+            machine_hook(host)
+        shell = open_shell(host, extra_libraries)
+        section = partial(_machine_section, host)
+    else:
+        from ..virt.experiment import VmHost
+
+        host = VmHost(vm, cfg, bool(check_invariants), faults,
+                      extra_libraries, trace=trace, timesync=timesync,
+                      machine_hook=machine_hook,
+                      run_attacker_to_completion=run_attacker_to_completion)
+        shell, section = host.shell, host.section
     try:
-        return _run_on(machine, program, attack, run_attacker_to_completion,
-                       max_ns, extra_libraries)
+        return _run_on(host, shell, program, attack,
+                       run_attacker_to_completion, max_ns, section)
     finally:
         if machine_hook is None:
-            machine.close()
+            host.close()
 
 
-def _run_on(machine: Machine, program: Program, attack: Attack,
+def _run_on(host, shell, program: Program, attack: Attack,
             run_attacker_to_completion: Optional[bool], max_ns: int,
-            extra_libraries) -> ExperimentResult:
-    """The body of :func:`run_experiment` on a booted machine."""
-    install_standard_libraries(machine.kernel.libraries)
-    for library in extra_libraries:
-        machine.kernel.libraries.install(library, replace=True)
-    shell = machine.new_shell()
-
-    attack.install(machine, shell)
-    attack.pre_launch(machine, shell)
+            section) -> ExperimentResult:
+    """The body of :func:`run_experiment` on a booted host; ``section``
+    is the host's result section (bill, oracle seconds and stats)."""
+    attack.install(host, shell)
+    attack.pre_launch(host, shell)
     victim = shell.run_command(program)
-    attack.engage(machine, victim)
+    attack.engage(host, victim)
 
-    machine.run_until_exit([victim], max_ns=max_ns)
-    victim_wall_ns = machine.clock.now
+    host.run_until_exit([victim], max_ns=max_ns)
+    victim_wall_ns = host.clock.now
 
     # The scheduling experiments report the attacker's own CPU time at its
     # exit (Fig. 7/8 plot both bars), so optionally let it finish.
@@ -205,19 +227,26 @@ def _run_on(machine: Machine, program: Program, attack: Attack,
     if run_attacker_to_completion and attack.attacker_tasks:
         live = [t for t in attack.attacker_tasks if t.alive]
         if live:
-            machine.run_until_exit(live, max_ns=max_ns)
-    attack.cleanup(machine)
+            host.run_until_exit(live, max_ns=max_ns)
+    attack.cleanup(host)
 
-    attacker_usage: Optional[CpuUsage] = None
-    if attack.attacker_tasks:
-        attacker_usage = CpuUsage()
-        for atask in attack.attacker_tasks:
-            own = machine.kernel.accounting.usage(atask)
-            attacker_usage = attacker_usage + own + CpuUsage(
-                atask.acct_cutime_ns, atask.acct_cstime_ns)
+    attacker_usage = attack.billed_usage(host)
+    usage, oracle_seconds, stats = section(victim, attack)
+    return ExperimentResult(
+        program=program.name,
+        attack=attack.name,
+        usage=usage,
+        attacker_usage=attacker_usage,
+        wall_ns=victim_wall_ns,
+        rusage=_guest_shared(victim, "rusage"),
+        oracle_seconds=oracle_seconds,
+        stats=stats,
+    )
 
-    rusage = _guest_shared(victim, "rusage")
 
+def _machine_section(machine: Machine, victim: Task, attack: Attack
+                     ) -> Tuple[CpuUsage, Dict[str, float], Dict[str, int]]:
+    """A bare machine's result section."""
     if machine.watchdog is not None:
         # Close the trailing trust interval before the final sweep so the
         # uncertainty totals in stats cover the whole run.
@@ -264,13 +293,5 @@ def _run_on(machine: Machine, program: Program, attack: Attack,
             stats["attacker_oracle_ns"] = sum(
                 sum(t.oracle_ns.values()) for t in attack.attacker_tasks)
 
-    return ExperimentResult(
-        program=program.name,
-        attack=attack.name,
-        usage=_group_usage(machine, victim),
-        attacker_usage=attacker_usage,
-        wall_ns=victim_wall_ns,
-        rusage=rusage,
-        oracle_seconds=_group_oracle_seconds(machine, victim),
-        stats=stats,
-    )
+    return (_group_usage(machine, victim),
+            _group_oracle_seconds(machine, victim), stats)

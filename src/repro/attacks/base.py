@@ -15,7 +15,9 @@ lifecycle mirrors how a dishonest provider operates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
+
+from ..kernel.accounting import CpuUsage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hw.machine import Machine
@@ -73,6 +75,15 @@ class Attack:
         """Stop any machinery still running."""
 
     # -- reporting --------------------------------------------------------------
+
+    def billed_usage(self, machine: "Machine") -> Optional[CpuUsage]:
+        """What the platform billed the attacker: its tasks' own usage
+        plus their reaped children's (None when it ran no task)."""
+        if not self.attacker_tasks:
+            return None
+        usage = machine.kernel.accounting.usage
+        return sum((usage(t) + CpuUsage(t.acct_cutime_ns, t.acct_cstime_ns)
+                    for t in self.attacker_tasks), CpuUsage())
 
     @property
     def name(self) -> str:

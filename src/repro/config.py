@@ -276,9 +276,9 @@ def default_config(**changes) -> MachineConfig:
     return cfg
 
 
-#: Process-wide default consulted by ``run_experiment`` and
-#: ``run_vm_experiment`` when their ``check_invariants`` argument is left
-#: as None (the CLI's ``--check-invariants`` sets it).  It lives here, not
+#: Process-wide default consulted by ``run_experiment`` when its
+#: ``check_invariants`` argument is left as None (the CLI's
+#: ``--check-invariants`` sets it for one command).  It lives here, not
 #: beside the checker, so a run that does not check loads no checker.
 _DEFAULT_INVARIANTS = False
 

@@ -950,8 +950,7 @@ class Kernel:
         #     a run's group usage);
         #   * the invariant checker's per-task, billing-gap and run-queue
         #     walks over self.tasks;
-        #   * run_experiment's SMP migrations sum;
-        #   * run_vm_experiment's guest_ctx scan, which skips None.
+        #   * run_experiment's SMP migrations sum.
         # None of them touches what only a runnable task uses, so that is
         # released here: the frame stack and segment queue (with the exit
         # cost queued after do_exit, which never runs), the guest view,

@@ -152,8 +152,8 @@ def audit_result(result: ExperimentResult,
 def audit_vm_result(result: ExperimentResult,
                     tolerance_fraction: float = 0.05,
                     tolerance_floor_ns: Optional[int] = None) -> StealReport:
-    """Audit a :func:`~repro.virt.experiment.run_vm_experiment` result from
-    the victim tenant's point of view."""
+    """Audit a VM run's result (``run_experiment(..., vm=...)``) from the
+    victim tenant's point of view."""
     stats: Mapping[str, int] = result.stats
     if "victim_ran_ns" not in stats:
         raise ValueError("not a VM experiment result (no victim_ran_ns)")

@@ -71,7 +71,8 @@ ATTACK_CLASSES: Dict[str, Callable[..., Attack]] = {
 
 
 class SpecError(ReproError):
-    """An :class:`ExperimentSpec` references an unknown program/attack."""
+    """An :class:`ExperimentSpec` references an unknown program/attack,
+    passes it bad kwargs, or asks its host for what it cannot run."""
 
 
 @dataclass(frozen=True)
@@ -139,17 +140,30 @@ class ExperimentSpec:
         except KeyError:
             raise SpecError(f"unknown program {self.program!r}; "
                             f"have {sorted(PROGRAM_FACTORIES)}") from None
-        return factory(**dict(self.program_kwargs))
+        return _construct(factory, self.program_kwargs, "program")
 
     def build_attack(self) -> Optional[Attack]:
         if self.attack is None or self.attack == "none":
             return None
+        registry = ATTACK_CLASSES
+        if self.vm is not None:
+            # The VM plane loads with the first VM spec, not with this one.
+            from ..virt.experiment import VM_ATTACK_CLASSES as registry
         try:
-            cls = ATTACK_CLASSES[self.attack]
+            cls = registry[self.attack]
         except KeyError:
             raise SpecError(f"unknown attack {self.attack!r}; "
-                            f"have {sorted(ATTACK_CLASSES)}") from None
-        return cls(**dict(self.attack_kwargs))
+                            f"have {sorted(registry)}") from None
+        return _construct(cls, self.attack_kwargs, "attack")
+
+
+def _construct(factory: Callable[..., Any], kwargs: Mapping[str, Any],
+               kind: str) -> Any:
+    """``factory(**kwargs)``; kwargs it refuses raise :class:`SpecError`."""
+    try:
+        return factory(**dict(kwargs))
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad {kind} kwargs: {exc}") from None
 
 
 #: Leaf types ``_canonical`` returns untouched.  Exact types only: a
@@ -281,13 +295,8 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
     if attack in ("none", ""):
         attack = None
     vm = doc.get("vm")
-    if attack is not None and vm is None and attack not in ATTACK_CLASSES:
-        raise SpecError(f"unknown attack {attack!r}; "
-                        f"have {sorted(ATTACK_CLASSES)}")
-    program = doc["program"]
-    if vm is None and program not in PROGRAM_FACTORIES:
-        raise SpecError(f"unknown program {program!r}; "
-                        f"have {sorted(PROGRAM_FACTORIES)}")
+    if vm is not None and not isinstance(vm, Mapping):
+        raise SpecError("'vm' must be a mapping of hypervisor knobs")
 
     def mapping_field(name):
         value = doc.get(name)
@@ -316,23 +325,8 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
                 raise SpecError(f"bad {plan_type.KIND}: {exc}") from None
             value = dict(value)
         plans[name] = value
-    if vm is not None:
-        if not isinstance(vm, Mapping):
-            raise SpecError("'vm' must be a mapping of hypervisor knobs")
-        # Fail at submission, not deep inside a worker thread: mirror the
-        # validation run_vm_experiment would do.
-        from ..virt.experiment import VM_ATTACK_NAMES, VM_PARAM_KEYS
-
-        bad_vm = set(vm) - VM_PARAM_KEYS
-        if bad_vm:
-            raise SpecError(f"unknown vm fields {sorted(bad_vm)}; "
-                            f"have {sorted(VM_PARAM_KEYS)}")
-        if attack is not None and attack not in VM_ATTACK_NAMES:
-            raise SpecError(f"unknown vm attack {attack!r}; "
-                            f"have {sorted(VM_ATTACK_NAMES)} or 'none'")
-
     spec = ExperimentSpec(
-        program=program,
+        program=doc["program"],
         program_kwargs=mapping_field("program_kwargs"),
         attack=attack,
         attack_kwargs=mapping_field("attack_kwargs"),
@@ -345,16 +339,16 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
         label=str(doc.get("label", "")),
         **plans,
     )
-    # Fail fast on constructor-level garbage (bad program kwargs are only
-    # caught at build time otherwise — deep inside a worker thread).
-    if vm is None:
-        try:
-            spec.build_program()
-            spec.build_attack()
-        except SpecError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"bad program/attack kwargs: {exc}") from None
+    # Fail at submission, not deep inside a worker thread: build what the
+    # run would build, and check a vm spec's host as the run would.
+    spec.build_program()
+    spec.build_attack()
+    if spec.vm is not None:
+        from ..virt.experiment import hypervisor_config
+
+        hypervisor_config(
+            spec.vm, spec.resolved_config(), timesync=spec.timesync,
+            run_attacker_to_completion=spec.run_attacker_to_completion)
     return spec
 
 
@@ -366,40 +360,18 @@ def run_spec(spec: ExperimentSpec):
     (tests/test_runner_equivalence.py) holds this to field-by-field
     equality.
     """
-    from ..analysis.experiment import run_experiment
+    from ..analysis.experiment import DEFAULT_MAX_NS, run_experiment
 
-    kwargs: Dict[str, Any] = {}
-    if spec.max_ns is not None:
-        kwargs["max_ns"] = spec.max_ns
-    if spec.faults is not None:
-        kwargs["faults"] = spec.faults
-    if spec.vm is not None:
-        from ..virt.experiment import run_vm_experiment
-
-        if spec.nproc != 1:
-            raise SpecError("vm specs do not support nproc > 1 yet; "
-                            "the hypervisor multiplexes vCPUs onto one pCPU")
-        if spec.timesync is not None:
-            raise SpecError("vm specs do not support timesync yet; the "
-                            "time plane disciplines the bare-metal host")
-        return run_vm_experiment(
-            program=spec.program,
-            program_kwargs=spec.program_kwargs,
-            attack=spec.attack,
-            attack_kwargs=spec.attack_kwargs,
-            vm=spec.vm,
-            cfg=spec.cfg,
-            check_invariants=spec.check_invariants,
-            **kwargs)
-    if spec.timesync is not None:
-        kwargs["timesync"] = spec.timesync
     return run_experiment(
         spec.build_program(),
         attack=spec.build_attack(),
         cfg=spec.resolved_config(),
         run_attacker_to_completion=spec.run_attacker_to_completion,
         check_invariants=spec.check_invariants,
-        **kwargs)
+        faults=spec.faults,
+        timesync=spec.timesync,
+        vm=spec.vm,
+        max_ns=spec.max_ns or DEFAULT_MAX_NS)
 
 
 def grid(programs, attacks, cfg: Optional[MachineConfig] = None,

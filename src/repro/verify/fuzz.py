@@ -402,11 +402,8 @@ def run_spec_with_hook(spec: ExperimentSpec, machine_hook):
 
     The hooked machine is closed when the run ends, also when it raises,
     so a corrupted run frees itself like any other."""
-    from ..analysis.experiment import run_experiment
+    from ..analysis.experiment import DEFAULT_MAX_NS, run_experiment
 
-    kwargs: Dict[str, Any] = {}
-    if spec.max_ns is not None:
-        kwargs["max_ns"] = spec.max_ns
     machines = []
 
     def hook(machine):
@@ -421,7 +418,7 @@ def run_spec_with_hook(spec: ExperimentSpec, machine_hook):
             run_attacker_to_completion=spec.run_attacker_to_completion,
             check_invariants=spec.check_invariants,
             machine_hook=hook,
-            **kwargs)
+            max_ns=spec.max_ns or DEFAULT_MAX_NS)
     finally:
         for machine in machines:
             machine.close()

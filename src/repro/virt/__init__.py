@@ -10,9 +10,9 @@ steal-time estimator (after Verdú et al., arXiv:1810.01139) is the
 tenant's defense.
 
 Entry points: build a :class:`Hypervisor`, :meth:`~Hypervisor.create_vm`
-guests, run; or call :func:`run_vm_experiment` for the packaged
-victim-vs-attacker scenario (also reachable via ``ExperimentSpec(vm=...)``
-and the ``repro vm`` CLI).
+guests, run; or pass ``vm=...`` to ``run_experiment`` (or an
+``ExperimentSpec``, or run ``repro vm``) for the packaged scenario, with
+:class:`VmSchedAttack` as the tick-dodging co-resident.
 """
 
 from .credit import (
@@ -22,7 +22,7 @@ from .credit import (
     PRIORITY_NAMES,
     CreditScheduler,
 )
-from .experiment import VM_ATTACK_NAMES, VM_PARAM_KEYS, run_vm_experiment
+from .experiment import VM_PARAM_KEYS, VmSchedAttack
 from .guests import make_steal_estimator, make_vm_sched_attacker
 from .hypervisor import (
     Hypervisor,
@@ -37,9 +37,8 @@ __all__ = [
     "PRI_UNDER",
     "PRIORITY_NAMES",
     "CreditScheduler",
-    "VM_ATTACK_NAMES",
     "VM_PARAM_KEYS",
-    "run_vm_experiment",
+    "VmSchedAttack",
     "make_steal_estimator",
     "make_vm_sched_attacker",
     "Hypervisor",

@@ -1,223 +1,212 @@
-"""Run one VM-level metering scenario end to end.
+"""Host one VM-level metering run.
 
-The standard scenario is the VM analogue of the paper's §IV-B1: a *victim*
-VM runs one of the evaluation workloads (plus the steal-time estimator
-daemon), optionally co-resident with an *attacker* VM running the
-tick-dodging guest.  The result is packaged as a plain
-:class:`~repro.analysis.experiment.ExperimentResult` — ``usage`` is what
-the hypervisor's tick-sampled metering bills the victim VM (the provider's
-view), ``oracle_seconds`` carries the exact vCPU ledger alongside the
-guest-side provenance oracle, and ``stats`` records the steal estimate so
-figures and sweeps flow through the existing runner/cache machinery
-unchanged.
+A VM run is the VM analogue of the paper's §IV-B1: a *victim* VM runs one
+of the evaluation workloads (plus the steal-time estimator daemon),
+optionally co-resident with an *attacker* VM running the tick-dodging
+guest (:class:`VmSchedAttack`).  ``run_experiment(..., vm=...)`` boots a
+:class:`VmHost` in place of a bare machine and drives it through the same
+body; only the result section differs.  Its ``usage`` is the hypervisor's
+tick-sampled bill for the victim VM (the provider's view), and its
+``oracle_seconds`` and ``stats`` add the exact vCPU ledger and the steal
+estimate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from ..analysis.experiment import (
-    DEFAULT_MAX_NS,
-    ExperimentResult,
     _group_oracle_seconds,
     _group_usage,
     _guest_shared,
+    open_shell,
 )
-from ..config import MachineConfig, default_config, default_invariants
+from ..attacks.base import Attack, AttackTraits
+from ..config import MachineConfig
 from ..errors import SimulationError
 from ..kernel.accounting import CpuUsage
-from ..programs.stdlib import install_standard_libraries
+from ..runner.specs import SpecError
+from ..timesync.spec import TimeSyncSpec
 from .guests import make_steal_estimator, make_vm_sched_attacker
 from .hypervisor import Hypervisor, HypervisorConfig
 
-#: Scenario knobs an :class:`~repro.runner.ExperimentSpec`'s ``vm`` mapping
-#: may carry (everything else is rejected, so typos fail loudly).
-VM_PARAM_KEYS = frozenset({
-    "tick_ns", "slice_ns", "credits_per_tick", "refill_every_ticks",
-    "credit_cap_ticks", "boost",
-    "victim_weight", "attacker_weight", "margin_ns",
-    "estimator_interval_ns",
-})
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..kernel.process import Task
+    from .hypervisor import VirtualMachine
 
-#: Spec names accepted for the VM scheduling attack.
-VM_ATTACK_NAMES = ("vm-sched", "sched")
+#: The ``vm`` knobs that are :class:`HypervisorConfig` fields.
+_HOST_KEYS = ("tick_ns", "slice_ns", "credits_per_tick",
+              "refill_every_ticks", "credit_cap_ticks", "boost")
 
-
-def _hypervisor_config(params: Mapping[str, Any]) -> HypervisorConfig:
-    kwargs = {key: params[key] for key in
-              ("tick_ns", "slice_ns", "credits_per_tick",
-               "refill_every_ticks", "credit_cap_ticks", "boost")
-              if key in params}
-    return HypervisorConfig(**kwargs)
+#: Scenario knobs a ``vm`` mapping may carry (everything else is rejected,
+#: so typos fail loudly).
+VM_PARAM_KEYS = frozenset(_HOST_KEYS + (
+    "victim_weight", "attacker_weight", "margin_ns", "estimator_interval_ns"))
 
 
-def run_vm_experiment(program: str = "W",
-                      program_kwargs: Optional[Mapping[str, Any]] = None,
-                      attack: Optional[str] = None,
-                      attack_kwargs: Optional[Mapping[str, Any]] = None,
-                      vm: Optional[Mapping[str, Any]] = None,
-                      cfg: Optional[MachineConfig] = None,
-                      max_ns: int = DEFAULT_MAX_NS,
-                      check_invariants: Optional[bool] = None,
-                      faults=None) -> ExperimentResult:
-    """Execute one VM scenario on a fresh hypervisor.
-
-    ``program``/``program_kwargs`` name the victim workload by registry key
-    (same registry as process-level specs).  ``attack`` is ``None``/"none"
-    for the solo control run or ``"vm-sched"``/``"sched"`` for the
-    tick-dodging co-resident, with ``attack_kwargs`` holding
-    ``burn_fraction`` (default 0.75).  ``vm`` carries the hypervisor and
-    scenario knobs (:data:`VM_PARAM_KEYS`); ``cfg`` is the *guest* machine
-    config.  ``max_ns`` bounds **host** time.  ``faults`` (FaultPlan or
-    mapping) applies its hypervisor-level fault — the lying steal clock;
-    guest machines stay fault-free (see :class:`Hypervisor`).  The
-    hypervisor and its guests are closed when the run ends
-    (:meth:`Hypervisor.close`), so they are freed as soon as this returns.
-    """
-    from ..runner.specs import PROGRAM_FACTORIES, SpecError
-
-    params = dict(vm or {})
-    unknown = set(params) - VM_PARAM_KEYS
+def hypervisor_config(vm: Mapping[str, Any], guest_cfg: MachineConfig,
+                      timesync=None, run_attacker_to_completion=None,
+                      trace=(), machine_hook=None) -> HypervisorConfig:
+    """The host config a ``vm`` mapping asks for.  Raises
+    :class:`SpecError` for an unknown or invalid knob, and for what a VM
+    run cannot honour: a guest with ``nproc > 1`` (a vCPU is one CPU), an
+    active ``timesync``, a waited-for attacker (the attacker VM never
+    exits), ``trace`` and ``machine_hook``."""
+    unknown = set(vm) - VM_PARAM_KEYS
     if unknown:
         raise SpecError(f"unknown vm parameter(s) {sorted(unknown)}; "
                         f"have {sorted(VM_PARAM_KEYS)}")
-    if attack in (None, "none"):
-        attack = None
-    elif attack not in VM_ATTACK_NAMES:
-        raise SpecError(f"unknown vm attack {attack!r}; "
-                        f"have {sorted(VM_ATTACK_NAMES)} or 'none'")
-
-    if check_invariants is None:
-        check_invariants = default_invariants()
-
+    refused = [name for name, asked in (
+        ("nproc > 1", guest_cfg.nproc != 1),
+        ("timesync", TimeSyncSpec.normalize(timesync) is not None),
+        ("run_attacker_to_completion", bool(run_attacker_to_completion)),
+        ("trace", bool(trace)),
+        ("machine_hook", machine_hook is not None)) if asked]
+    if refused:
+        raise SpecError(f"vm runs do not support {', '.join(refused)}")
     try:
-        factory = PROGRAM_FACTORIES[program]
-    except KeyError:
-        raise SpecError(f"unknown program {program!r}; "
-                        f"have {sorted(PROGRAM_FACTORIES)}") from None
-    victim_program = factory(**dict(program_kwargs or {}))
-
-    hv = Hypervisor(_hypervisor_config(params),
-                    invariants=bool(check_invariants), faults=faults)
-    try:
-        return _run_scenario(hv, victim_program, attack,
-                             dict(attack_kwargs or {}), params,
-                             cfg or default_config(), max_ns)
-    finally:
-        hv.close()
+        cfg = HypervisorConfig(**{key: vm[key] for key in _HOST_KEYS
+                                  if key in vm})
+        cfg.validate()
+    except (SimulationError, TypeError) as exc:
+        raise SpecError(f"bad vm config: {exc}") from None
+    return cfg
 
 
-def _run_scenario(hv: Hypervisor, victim_program, attack: Optional[str],
-                  akw: Dict[str, Any], params: Mapping[str, Any],
-                  guest_cfg: MachineConfig, max_ns: int) -> ExperimentResult:
-    """The body of :func:`run_vm_experiment` on a booted hypervisor."""
-    from ..runner.specs import SpecError
+class VmHost(Hypervisor):
+    """The hypervisor of one VM run, booted with the victim VM (whose
+    ``shell`` launches the workload) and its steal estimator."""
 
-    hv_cfg = hv.cfg
-    victim_vm = hv.create_vm("victim", cfg=guest_cfg,
-                             weight=params.get("victim_weight", 256))
-    install_standard_libraries(victim_vm.machine.kernel.libraries)
-    victim_shell = victim_vm.machine.new_shell()
-    estimator_task = victim_shell.run_command(
-        make_steal_estimator(params.get("estimator_interval_ns", 2_000_000)))
-    victim_task = victim_shell.run_command(victim_program)
+    def __init__(self, vm: Mapping[str, Any], guest_cfg: MachineConfig,
+                 invariants: bool, faults=None, extra_libraries=(),
+                 **run_args: Any) -> None:
+        cfg = hypervisor_config(vm, guest_cfg, **run_args)
+        estimator = make_steal_estimator(
+            vm.get("estimator_interval_ns", 2_000_000))
+        super().__init__(cfg, invariants=invariants, faults=faults)
+        self.params = vm
+        self.guest_cfg = guest_cfg
+        self.victim_vm = self.create_vm("victim", cfg=guest_cfg,
+                                        weight=vm.get("victim_weight", 256))
+        self.shell = open_shell(self.victim_vm.machine, extra_libraries)
+        self.estimator = self.shell.run_command(estimator)
 
-    attacker_vm = None
-    attack_name = "none"
-    if attack is not None:
-        attack_name = "vm-sched"
-        burn_fraction = akw.pop("burn_fraction", 0.75)
-        margin_ns = akw.pop("margin_ns", params.get("margin_ns",
-                                                    hv_cfg.tick_ns // 20))
-        if akw:
-            raise SpecError(f"unknown vm attack kwarg(s) {sorted(akw)}")
-        attacker_vm = hv.create_vm(
-            "attacker", cfg=guest_cfg,
-            weight=params.get("attacker_weight", 256))
-        install_standard_libraries(attacker_vm.machine.kernel.libraries)
-        attacker_shell = attacker_vm.machine.new_shell()
-        attacker_shell.run_command(make_vm_sched_attacker(
-            tick_ns=hv_cfg.tick_ns, burn_fraction=burn_fraction,
-            margin_ns=margin_ns, cpu_freq_hz=guest_cfg.cpu_freq_hz))
+    def section(self, victim: "Task", attack: Attack
+                ) -> Tuple[CpuUsage, Dict[str, float], Dict[str, int]]:
+        """The VM result section: the victim VM's hypervisor bill."""
+        victim_vm = self.victim_vm
+        self.check_invariants()  # the sweep runs every guest's own too
 
-    hv.run_until_exit([victim_task], max_ns=max_ns)
-    wall_ns = hv.clock.now
-    hv.check_invariants()
-    for vm in hv.vms:
-        vm.machine.check_invariants()
+        # Guest-internal view of the victim job (what the customer's own
+        # OS would report) vs the hypervisor's billed view (what the
+        # provider meters) — the §III-B divergence, one level up.
+        guest = victim_vm.machine
+        guest_usage = _group_usage(guest, victim)
+        oracle_seconds = _group_oracle_seconds(guest, victim)
+        oracle_seconds["vm_ran"] = victim_vm.ran_ns / 1e9
+        oracle_seconds["vm_idle"] = victim_vm.idle_ns / 1e9
+        oracle_seconds["vm_steal"] = victim_vm.steal_ns / 1e9
+        estimator_shared = _guest_shared(self.estimator,
+                                         "steal_estimator") or {}
 
-    # Guest-internal view of the victim job (what the customer's own OS
-    # would report) vs the hypervisor's billed view (what the provider
-    # meters) — the §III-B divergence, one level up.
-    guest = victim_vm.machine
-    guest_usage = _group_usage(guest, victim_task)
-    oracle_seconds = _group_oracle_seconds(guest, victim_task)
-    oracle_seconds["vm_ran"] = victim_vm.ran_ns / 1e9
-    oracle_seconds["vm_idle"] = victim_vm.idle_ns / 1e9
-    oracle_seconds["vm_steal"] = victim_vm.steal_ns / 1e9
-    estimator_shared = _guest_shared(estimator_task, "steal_estimator") or {}
+        host_wall = self.clock.now - victim_vm.attach_host_ns
+        conservation_gap = host_wall - (victim_vm.ran_ns + victim_vm.idle_ns
+                                        + victim_vm.steal_ns)
+        stats: Dict[str, int] = {
+            "exit_code": victim.exit_code,
+            "hv_ticks": self.ticks,
+            "hv_idle_ticks": self.idle_ticks,
+            "vcpu_switches": self.vcpu_switches,
+            "victim_ran_ns": victim_vm.ran_ns,
+            "victim_idle_ns": victim_vm.idle_ns,
+            "victim_steal_ns": victim_vm.steal_ns,
+            "victim_sampled_ticks": victim_vm.sampled_ticks,
+            "victim_preemptions": victim_vm.preemptions,
+            "victim_guest_utime_ns": guest_usage.utime_ns,
+            "victim_guest_stime_ns": guest_usage.stime_ns,
+            "victim_guest_jiffies": guest.kernel.timekeeper.jiffies,
+            "victim_guest_steal_ns": guest.kernel.timekeeper.steal_ns,
+            "conservation_gap_ns": conservation_gap,
+            "est_steal_ns": int(estimator_shared.get("est_steal_ns", 0)),
+            "reported_steal_ns": int(estimator_shared.get(
+                "reported_steal_ns", 0)),
+            "steal_samples": int(estimator_shared.get("samples", 0)),
+        }
+        if self.fault_plan is not None:
+            stats["fault_steal_lie_ns"] = self.steal_lie_ns
+            checker = self.invariant_checker
+            if checker is not None:
+                stats["tolerated_violations"] = len(
+                    checker.tolerated_violations)
+        if isinstance(attack, VmSchedAttack):
+            shared = _guest_shared(attack.task, "vm_sched_attack") or {}
+            stats.update({
+                "attacker_ran_ns": attack.vm.ran_ns,
+                "attacker_steal_ns": attack.vm.steal_ns,
+                "attacker_sampled_ticks": attack.vm.sampled_ticks,
+                "attacker_burned_ns": int(shared.get("burned_ns", 0)),
+                "attacker_iterations": int(shared.get("iterations", 0)),
+                "attacker_overshoots": int(shared.get("overshoots", 0)),
+            })
 
-    host_wall = wall_ns - victim_vm.attach_host_ns
-    conservation_gap = host_wall - (victim_vm.ran_ns + victim_vm.idle_ns
-                                    + victim_vm.steal_ns)
-    stats: Dict[str, int] = {
-        "exit_code": victim_task.exit_code,
-        "hv_ticks": hv.ticks,
-        "hv_idle_ticks": hv.idle_ticks,
-        "vcpu_switches": hv.vcpu_switches,
-        "victim_ran_ns": victim_vm.ran_ns,
-        "victim_idle_ns": victim_vm.idle_ns,
-        "victim_steal_ns": victim_vm.steal_ns,
-        "victim_sampled_ticks": victim_vm.sampled_ticks,
-        "victim_preemptions": victim_vm.preemptions,
-        "victim_guest_utime_ns": guest_usage.utime_ns,
-        "victim_guest_stime_ns": guest_usage.stime_ns,
-        "victim_guest_jiffies": guest.kernel.timekeeper.jiffies,
-        "victim_guest_steal_ns": guest.kernel.timekeeper.steal_ns,
-        "conservation_gap_ns": conservation_gap,
-        "est_steal_ns": int(estimator_shared.get("est_steal_ns", 0)),
-        "reported_steal_ns": int(estimator_shared.get("reported_steal_ns",
-                                                      0)),
-        "steal_samples": int(estimator_shared.get("samples", 0)),
-    }
-    if hv.fault_plan is not None:
-        stats["fault_steal_lie_ns"] = hv.steal_lie_ns
-        checker = hv.invariant_checker
-        if checker is not None:
-            stats["tolerated_violations"] = len(checker.tolerated_violations)
-    attacker_usage = None
-    if attacker_vm is not None:
-        attacker_usage = CpuUsage(attacker_vm.billed_utime_ns,
-                                  attacker_vm.billed_stime_ns)
-        attack_shared: Dict[str, int] = {}
-        for task in attacker_vm.machine.kernel.tasks.values():
-            found = _guest_shared(task, "vm_sched_attack")
-            if found is not None:
-                attack_shared = found
-                break
-        stats.update({
-            "attacker_ran_ns": attacker_vm.ran_ns,
-            "attacker_steal_ns": attacker_vm.steal_ns,
-            "attacker_sampled_ticks": attacker_vm.sampled_ticks,
-            "attacker_burned_ns": int(attack_shared.get("burned_ns", 0)),
-            "attacker_iterations": int(attack_shared.get("iterations", 0)),
-            "attacker_overshoots": int(attack_shared.get("overshoots", 0)),
-        })
+        if conservation_gap != 0:
+            # check_invariants() already raised when enabled; this is the
+            # unconditional backstop for runs without the checker.
+            raise SimulationError(
+                f"vCPU ledger conservation broken: ran+idle+steal misses "
+                f"host wall by {conservation_gap}ns")
+        return (CpuUsage(victim_vm.billed_utime_ns,
+                         victim_vm.billed_stime_ns),
+                oracle_seconds, stats)
 
-    if conservation_gap != 0:
-        # check_invariants() already raised when enabled; this is the
-        # unconditional backstop for runs without the checker.
-        raise SimulationError(
-            f"vCPU ledger conservation broken: ran+idle+steal misses host "
-            f"wall by {conservation_gap}ns")
 
-    return ExperimentResult(
-        program=victim_program.name,
-        attack=attack_name,
-        usage=CpuUsage(victim_vm.billed_utime_ns, victim_vm.billed_stime_ns),
-        attacker_usage=attacker_usage,
-        wall_ns=wall_ns,
-        rusage=_guest_shared(victim_task, "rusage"),
-        oracle_seconds=oracle_seconds,
-        stats=stats,
+class VmSchedAttack(Attack):
+    """The VM-level §IV-B1 analogue: ``engage`` boots a co-resident VM
+    (weighted by the ``vm`` mapping's ``attacker_weight``) whose guest
+    burns ``burn_fraction`` of each hypervisor tick and sleeps across its
+    edge, ``margin_ns`` clear of it (None: the mapping's ``margin_ns``,
+    else a twentieth of a tick)."""
+
+    traits = AttackTraits(
+        name="vm-sched",
+        paper_section="IV-B1 (VM level)",
+        inflates="utime",
+        vulnerability="whole-tick sampling in the hypervisor's vCPU billing",
+        strength="tunable",
+        side_effects="co-resident VMs accrue steal time",
+        requires_root=False,
     )
+
+    def __init__(self, burn_fraction: float = 0.75,
+                 margin_ns: Optional[int] = None) -> None:
+        super().__init__()
+        if not 0.0 <= burn_fraction <= 1.0:
+            raise ValueError(f"burn_fraction must be in [0, 1], "
+                             f"got {burn_fraction}")
+        self.burn_fraction = burn_fraction
+        self.margin_ns = margin_ns
+        self.vm: Optional["VirtualMachine"] = None
+        self.task: Optional["Task"] = None
+
+    def engage(self, host: VmHost, victim: "Task") -> None:
+        super().engage(host, victim)
+        tick_ns = host.cfg.tick_ns
+        margin_ns = self.margin_ns
+        if margin_ns is None:
+            margin_ns = host.params.get("margin_ns", tick_ns // 20)
+        self.vm = host.create_vm(
+            "attacker", cfg=host.guest_cfg,
+            weight=host.params.get("attacker_weight", 256))
+        self.task = open_shell(self.vm.machine).run_command(
+            make_vm_sched_attacker(
+                tick_ns=tick_ns, burn_fraction=self.burn_fraction,
+                margin_ns=margin_ns,
+                cpu_freq_hz=host.guest_cfg.cpu_freq_hz))
+
+    def billed_usage(self, host: VmHost) -> CpuUsage:
+        """The ticks the hypervisor billed the attacker VM."""
+        return CpuUsage(self.vm.billed_utime_ns, self.vm.billed_stime_ns)
+
+
+#: VM-level attack registry key → class, for specs with a ``vm`` mapping.
+VM_ATTACK_CLASSES = {"vm-sched": VmSchedAttack, "sched": VmSchedAttack}

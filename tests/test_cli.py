@@ -104,6 +104,16 @@ class TestCommands:
     def test_sweep_unknown_attack_rejected(self, capsys):
         assert main(["sweep", "--attacks", "nope", "--quiet"]) == 2
 
+    def test_check_invariants_ends_with_the_command(self, capsys):
+        """The flag holds for its own command: later runs in the same
+        process are back on the default."""
+        from repro.config import default_invariants
+
+        assert main(["sweep", "--programs", "O", "--attacks", "none",
+                     "--scale", "0.02", "--quiet",
+                     "--check-invariants"]) == 0
+        assert default_invariants() is False
+
     def test_figure_with_cache_dir(self, capsys, tmp_path):
         argv = ["figure", "fig4", "--scale", "0.05",
                 "--cache-dir", str(tmp_path / "cache")]

@@ -16,22 +16,26 @@ from repro.attacks import SchedulingAttack, ShellAttack, ThrashingAttack
 from repro.config import default_config
 from repro.programs.workloads import make_paper_program, watched_variable
 from repro.runner import BatchRunner, ExperimentSpec, run_spec
+from repro.virt import VmSchedAttack
 
 #: The equivalence grid: enough diversity to cover user-time, system-time
-#: and scheduling behaviour while staying fast.
+#: and scheduling behaviour while staying fast.  The last two points run
+#: under the hypervisor (``vm`` is their mapping; None is a bare machine).
 GRID = [
-    ("O", "none", {}, 0.04),
-    ("O", "shell", {"payload_cycles": 40_000_000}, 0.04),
-    ("P", "none", {}, 0.1),
-    ("W", "thrashing", {}, 0.03),
-    ("B", "none", {}, 0.02),
-    ("W", "scheduling", {"nice": -20, "forks": 300}, 0.05),
+    ("O", "none", {}, 0.04, None),
+    ("O", "shell", {"payload_cycles": 40_000_000}, 0.04, None),
+    ("P", "none", {}, 0.1, None),
+    ("W", "thrashing", {}, 0.03, None),
+    ("B", "none", {}, 0.02, None),
+    ("W", "scheduling", {"nice": -20, "forks": 300}, 0.05, None),
+    ("W", "none", {}, 0.05, {}),
+    ("W", "vm-sched", {"burn_fraction": 0.5}, 0.05, {}),
 ]
 
 
 def _grid_specs():
     specs = []
-    for program, attack, attack_kwargs, scale in GRID:
+    for program, attack, attack_kwargs, scale, vm in GRID:
         if attack == "thrashing":
             attack_kwargs = dict(attack_kwargs,
                                  watch_symbol=watched_variable(program))
@@ -40,7 +44,9 @@ def _grid_specs():
             program_kwargs=paper_workload_params(scale)[program],
             attack=None if attack == "none" else attack,
             attack_kwargs=attack_kwargs,
-            label=f"{program}:{attack}@{scale}"))
+            vm=vm,
+            label=f"{'vm:' if vm is not None else ''}"
+                  f"{program}:{attack}@{scale}"))
     return specs
 
 
@@ -48,11 +54,11 @@ def _serial_reference(spec: ExperimentSpec) -> ExperimentResult:
     """The hand-built serial path the runner must match."""
     program = make_paper_program(spec.program, **dict(spec.program_kwargs))
     attacks = {"shell": ShellAttack, "scheduling": SchedulingAttack,
-               "thrashing": ThrashingAttack}
+               "thrashing": ThrashingAttack, "vm-sched": VmSchedAttack}
     attack = None
     if spec.attack is not None:
         attack = attacks[spec.attack](**dict(spec.attack_kwargs))
-    return run_experiment(program, attack=attack, cfg=spec.cfg)
+    return run_experiment(program, attack=attack, cfg=spec.cfg, vm=spec.vm)
 
 
 def assert_results_equal(expected: ExperimentResult,
@@ -72,7 +78,8 @@ class TestRunSpecEquivalence:
     """run_spec (the worker entry) == run_experiment, in-process."""
 
     @pytest.mark.parametrize("index", range(len(GRID)),
-                             ids=[f"{p}-{a}" for p, a, _, _ in GRID])
+                             ids=[f"{'vm-' if vm is not None else ''}{p}-{a}"
+                                  for p, a, _, _, vm in GRID])
     def test_point(self, index):
         spec = _grid_specs()[index]
         assert_results_equal(_serial_reference(spec), run_spec(spec),
@@ -104,7 +111,8 @@ class TestParallelEquivalence:
     def test_cached_results_equal_live(self, tmp_path):
         from repro.runner import ResultCache
 
-        specs = _grid_specs()[:3]
+        grid = _grid_specs()
+        specs = grid[:3] + grid[-2:]  # three bare points, both VM points
         cache = ResultCache(tmp_path / "cache")
         live = BatchRunner(jobs=2, cache=cache).run_results(specs)
         warm_runner = BatchRunner(jobs=1, cache=cache)

@@ -2,6 +2,7 @@
 audit, spec/cache integration, and the ``repro vm`` CLI."""
 
 import json
+from http.client import HTTPConnection
 
 import pytest
 
@@ -12,25 +13,35 @@ from repro.metering.steal import (
     audit_vm_result,
 )
 from repro.runner import ExperimentSpec
-from repro.runner.specs import SpecError, run_spec, spec_identity, spec_key
-from repro.virt import run_vm_experiment
+from repro.runner.specs import (
+    SpecError,
+    run_spec,
+    spec_from_dict,
+    spec_identity,
+    spec_key,
+)
+from repro.timesync import sweep_timesync
 
 WKW = {"loops": 800}
 TICK = 10_000_000
 
 
+def run_vm(**fields):
+    """One VM spec for W at ``WKW`` (``vm={}`` unless given)."""
+    fields.setdefault("vm", {})
+    return run_spec(ExperimentSpec(program="W", program_kwargs=WKW,
+                                   **fields))
+
+
 @pytest.fixture(scope="module")
 def baseline():
-    return run_vm_experiment(program="W", program_kwargs=WKW,
-                             check_invariants=True)
+    return run_vm(check_invariants=True)
 
 
 @pytest.fixture(scope="module")
 def attacked():
-    return run_vm_experiment(program="W", program_kwargs=WKW,
-                             attack="sched",
-                             attack_kwargs={"burn_fraction": 0.75},
-                             check_invariants=True)
+    return run_vm(attack="sched", attack_kwargs={"burn_fraction": 0.75},
+                  check_invariants=True)
 
 
 class TestVmSchedAttack:
@@ -66,19 +77,15 @@ class TestVmSchedAttack:
 
     def test_unknown_vm_param_rejected(self):
         with pytest.raises(SpecError):
-            run_vm_experiment(program="W", program_kwargs=WKW,
-                              vm={"tick_nss": 1})
+            run_vm(vm={"tick_nss": 1})
 
     def test_unknown_vm_attack_rejected(self):
         with pytest.raises(SpecError):
-            run_vm_experiment(program="W", program_kwargs=WKW,
-                              attack="shell")
+            run_vm(attack="shell")
 
     def test_unknown_attack_kwarg_rejected(self):
         with pytest.raises(SpecError):
-            run_vm_experiment(program="W", program_kwargs=WKW,
-                              attack="sched",
-                              attack_kwargs={"burn": 0.5})
+            run_vm(attack="sched", attack_kwargs={"burn": 0.5})
 
 
 class TestStealAudit:
@@ -141,6 +148,58 @@ class TestVmSpecs:
         result = run_spec(self._spec(vm={"tick_ns": 5_000_000}))
         # Finer tick → bill quantised to the finer grid.
         assert result.usage.total_ns % 5_000_000 == 0
+
+
+#: VM spec documents a submission must refuse, as it refuses the same
+#: mistakes on a bare spec.
+BAD_VM_DOCS = {
+    "unknown-program": {"program": "nope", "vm": {}},
+    "bad-program-kwargs": {"program": "W", "vm": {},
+                           "program_kwargs": {"bogus": 1}},
+    "bad-attack-kwargs": {"program": "W", "vm": {}, "attack": "vm-sched",
+                          "attack_kwargs": {"bogus": 1}},
+    "nproc-2": {"program": "W", "vm": {}, "nproc": 2},
+    "negative-tick": {"program": "W", "vm": {"tick_ns": -5}},
+    "active-timesync": {"program": "W", "vm": {},
+                        "timesync": sweep_timesync(1_000_000).to_dict()},
+}
+
+
+class TestVmSpecDocuments:
+    @pytest.mark.parametrize("name", sorted(BAD_VM_DOCS))
+    def test_rejected_at_submission(self, name):
+        with pytest.raises(SpecError):
+            spec_from_dict(BAD_VM_DOCS[name])
+
+    def test_good_vm_doc_accepted(self):
+        spec = spec_from_dict({"program": "W", "program_kwargs": WKW,
+                               "vm": {"tick_ns": 5_000_000},
+                               "attack": "sched",
+                               "attack_kwargs": {"burn_fraction": 0.5}})
+        assert spec.vm == {"tick_ns": 5_000_000}
+
+    def test_serve_post_is_400(self, tmp_path):
+        from repro.serve import MeteringService, ReproServer, UsageStore
+
+        service = MeteringService(UsageStore(str(tmp_path / "u.db")), jobs=1)
+        server = ReproServer(service)
+        server.start_background()
+        try:
+            tid = service.register_tenant("alpha")["tenant_id"]
+            conn = HTTPConnection("127.0.0.1", server.server_address[1],
+                                  timeout=30)
+            conn.request("POST", f"/v1/tenants/{tid}/jobs", json.dumps(
+                {"spec": BAD_VM_DOCS["negative-tick"], "wait": True}),
+                {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+            conn.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert response.status == 400, doc
+        assert "tick_ns" in doc["error"]
 
 
 class TestVmFigure:
