@@ -15,13 +15,20 @@ here, at its natural architectural point:
   time attributed to the *calling code's provenance*, so injected code's
   syscalls are visible to the oracle;
 * signals are delivered at the return-to-user boundary, costing kernel time
-  in the target's context, as on real hardware.
+  in the target's context, as on real hardware;
+* a ``CallLib`` to a leaf library function (a cost plus a pure result) is
+  charged on the spot, with no frame; a ``Repeat`` loop runs as a
+  :class:`RepeatFrame` whose pure stretches are charged in closed form,
+  while the op that straddles the budget's end, or is not pure, still
+  takes the paths above.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from functools import partial
+from itertools import accumulate
 from collections import deque
 from types import GeneratorType
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
@@ -42,8 +49,10 @@ from ..programs.ops import (
     Mem,
     Op,
     Provenance,
+    Repeat,
     Syscall,
 )
+from ..programs.base import LeafFunction
 from .accounting import ChargeKind
 from .mm.manager import FaultKind
 from .process import TaskState
@@ -229,6 +238,186 @@ class ExecState:
         self.blocked_frame: Optional[Frame] = None
 
 
+class ChargeBatch:
+    """Charges the run loop has made but not yet handed to the kernel.
+
+    Within one engine run no event can fire (the machine hands the engine
+    a budget that ends exactly at the next event), and every component of
+    ``kernel.consume`` — clock advance, TSC retire, accounting charge,
+    oracle charge, invariant ledger — is an order-independent sum per
+    (user_mode, provenance, kind) key.  So the loop sums slices here and
+    :meth:`flush` issues one ``kernel.consume`` per key, in the order the
+    keys were first charged.  The active key's sums sit in ``ns`` and
+    ``cycles``; :meth:`switch` folds them into ``more`` when another key
+    is charged.  Each engine keeps one batch, empty between runs.
+    """
+
+    __slots__ = ("ns", "cycles", "user", "prov", "kind", "more")
+
+    def __init__(self) -> None:
+        self.ns = 0
+        self.cycles = 0
+        self.user = True
+        #: The active key's provenance; None <=> the active key is empty.
+        self.prov: Optional[Provenance] = None
+        self.kind: Optional[ChargeKind] = None
+        #: Folded keys in first-charged order: key -> [ns, cycles].
+        self.more: Optional[dict] = None
+
+    def switch(self, user: bool, prov: Provenance, kind: ChargeKind) -> None:
+        """Make (user, prov, kind) the active key, folding the old one."""
+        if self.prov is not None:
+            more = self.more
+            if more is None:
+                more = self.more = {}
+            key = (self.user, self.prov, self.kind)
+            entry = more.get(key)
+            if entry is None:
+                more[key] = [self.ns, self.cycles]
+            else:
+                entry[0] += self.ns
+                entry[1] += self.cycles
+            self.ns = 0
+            self.cycles = 0
+        self.user = user
+        self.prov = prov
+        self.kind = kind
+
+    def flush(self, kernel: "Kernel", task: "Task") -> None:
+        """One ``kernel.consume`` per key, in first-charged order: the
+        folded keys, then the active one unless it was folded before."""
+        more = self.more
+        if more is not None:
+            self.more = None
+            if self.prov is not None:
+                entry = more.get((self.user, self.prov, self.kind))
+                if entry is not None:
+                    entry[0] += self.ns
+                    entry[1] += self.cycles
+                    self.ns = 0
+                    self.cycles = 0
+                    self.prov = None
+            for (user, prov, kind), (ns, cycles) in more.items():
+                kernel.consume(task, ns, cycles, user, prov, kind)
+        if self.prov is not None:
+            kernel.consume(task, self.ns, self.cycles, self.user, self.prov,
+                           self.kind)
+            self.ns = 0
+            self.cycles = 0
+            self.prov = None
+
+    def clear(self) -> None:
+        """Drop every charge unflushed."""
+        self.ns = 0
+        self.cycles = 0
+        self.prov = None
+        self.more = None
+
+
+class RepeatFrame(Frame):
+    """A :class:`~repro.programs.ops.Repeat` loop in progress.
+
+    The engine hands out ``body[done % len(body)]`` op by op, or advances
+    ``done`` over a whole stretch at once (:meth:`ExecutionEngine._stretch`).
+    Its ops run with the provenance of the frame that yielded the loop.
+    """
+
+    __slots__ = ("body", "done", "total", "plan")
+
+    gen = None
+    lib = None
+    user_mode = True
+    started = True
+
+    def __init__(self, op: Repeat, provenance: Provenance) -> None:
+        self.provenance = provenance
+        self.name = "repeat"
+        self.body = op.body
+        self.done = 0
+        self.total = len(op.body) * op.times
+        self.plan: Optional[RepeatPlan] = None
+
+
+class RepeatPlan:
+    """What a stretch of one loop body costs, op by op, in closed form.
+
+    Built for one link map version and clock frequency.  ``ns_at[i]`` is
+    the time ops ``[0, i)`` of the body take; per charge key ``q``,
+    ``key_ns[q][i]`` and ``key_cycles[q][i]`` split it by key.  The body's
+    charges (an op charges up to two: a leaf call its PLT overhead, then
+    the leaf) are numbered in order; ``unit_at[i]`` is the number before
+    op ``i`` and ``key_units[q]`` lists the ones charged to key ``q``.
+    ``impure`` lists the calls that resolve to no leaf, and ``mems`` the
+    body's accesses as (index, vaddr, write).
+    """
+
+    __slots__ = ("link_map", "version", "freq", "ns_at", "keys", "key_ns",
+                 "key_cycles", "unit_at", "key_units", "impure", "mems",
+                 "mem_at")
+
+    def __init__(self, body: Tuple[Op, ...], provenance: Provenance,
+                 link_map, freq: int, mem_cost: int, plt_cost: int) -> None:
+        self.link_map = link_map
+        self.version = link_map.version if link_map is not None else None
+        self.freq = freq
+        keys = [(True, provenance, _KIND_USER)]
+        # Per distinct op: its charges as ((key index, ns, cycles), ...),
+        # or None for a call that resolves to no leaf.
+        charges = {}
+        for op in body:
+            if op in charges:
+                continue
+            cls = op.__class__
+            if cls is Compute:
+                costs = ((0, op.cycles),)
+            elif cls is Mem:
+                costs = ((0, mem_cost * op.repeat),)
+            else:  # CallLib
+                found = (link_map.lookup(op.symbol)
+                         if link_map is not None else None)
+                fn = found[1] if found is not None else None
+                if fn.__class__ is not LeafFunction:
+                    charges[op] = None
+                    continue
+                key = (True, fn.provenance, _KIND_USER)
+                if key not in keys:
+                    keys.append(key)
+                costs = ((0, plt_cost), (keys.index(key), fn.cost(op.args)))
+            charges[op] = tuple(
+                (q, (cycles * NS_PER_SEC + freq - 1) // freq, cycles)
+                for q, cycles in costs if cycles)
+        self.impure = [i for i, op in enumerate(body) if charges[op] is None]
+        self.mems = [(i, op.vaddr, op.write) for i, op in enumerate(body)
+                     if op.__class__ is Mem]
+        self.mem_at = [i for i, _, _ in self.mems]
+        n = len(body)
+        key_ns = [[0] * n for _ in keys]
+        key_cycles = [[0] * n for _ in keys]
+        key_units: List[List[int]] = [[] for _ in keys]
+        self.unit_at = unit_at = [0]
+        units = 0
+        for i, op in enumerate(body):
+            for q, ns, cycles in charges[op] or ():
+                key_ns[q][i] += ns
+                key_cycles[q][i] += cycles
+                key_units[q].append(units)
+                units += 1
+            unit_at.append(units)
+        self.ns_at = list(accumulate(map(sum, zip(*key_ns)), initial=0))
+        # Only keys the body charges take part in a stretch.
+        used = [q for q in range(len(keys)) if key_units[q]]
+        self.keys = [keys[q] for q in used]
+        self.key_ns = [list(accumulate(key_ns[q], initial=0)) for q in used]
+        self.key_cycles = [list(accumulate(key_cycles[q], initial=0))
+                           for q in used]
+        self.key_units = [key_units[q] for q in used]
+
+    def stale(self, link_map, freq: int) -> bool:
+        return (link_map is not self.link_map or freq != self.freq
+                or (link_map is not None
+                    and link_map.version != self.version))
+
+
 class ExecutionEngine:
     """Runs tasks' op streams against the kernel and hardware."""
 
@@ -247,6 +436,7 @@ class ExecutionEngine:
             exit_, (exit_ * NS_PER_SEC + freq - 1) // freq,
             kernel.syscalls.handlers, kernel.syscalls.invocations,
             CPUMode.USER, CPUMode.KERNEL, TaskState.RUNNING, TaskState.READY)
+        self._batch = ChargeBatch()
 
     # -- public entry point ------------------------------------------------
 
@@ -269,64 +459,16 @@ class ExecutionEngine:
             raise SimulationError(f"task {task.pid} has no exec state")
         segments = st.segments
         consumed = 0
-
-        # Deferred-charge batching.  Within one engine run no event can fire
-        # (the machine hands us a budget that ends exactly at the next
-        # event), and every component of kernel.consume — clock advance, TSC
-        # retire, accounting charge, oracle charge, invariant ledger — is an
-        # order-independent sum per (user_mode, provenance, kind) key.  So
-        # the loop accumulates slices locally — the active key inline, any
-        # other keys folded into a small dict — and issues one
-        # kernel.consume per key at the next flush point.  A flush MUST
-        # precede anything that could observe the clock, the TSC, the
-        # accounts or the trace log mid-run: returning to the machine loop,
-        # running a syscall body or sending into its continuation (they read
-        # the clock), a syscall error trace, task exit, non-benign segment
+        # Charges are batched (see ChargeBatch).  A flush MUST precede
+        # anything that could observe the clock, the TSC, the accounts or
+        # the trace log mid-run: returning to the machine loop, running a
+        # syscall body or sending into its continuation (they read the
+        # clock), a syscall error trace, task exit, non-benign segment
         # on_done callbacks (faults, signal actions), and the cold _dispatch
         # paths (Block, ReplaceImage).
-        b_ns = 0
-        b_cycles = 0
-        b_user = True
-        b_kind = None
-        b_prov: Optional[Provenance] = None  # None <=> active batch is empty
-        b_more = None  # folded non-active batches: key -> [ns, cycles]
-
-        def fold() -> None:
-            nonlocal b_ns, b_cycles, b_prov, b_more
-            if b_more is None:
-                b_more = {}
-            entry = b_more.get((b_user, b_prov, b_kind))
-            if entry is None:
-                b_more[(b_user, b_prov, b_kind)] = [b_ns, b_cycles]
-            else:
-                entry[0] += b_ns
-                entry[1] += b_cycles
-            b_ns = 0
-            b_cycles = 0
-            b_prov = None
-
-        def flush() -> None:
-            # One consume per key, in the order the keys were first
-            # charged: the folded keys, then the active one unless it was
-            # folded before.
-            nonlocal b_ns, b_cycles, b_prov, b_more
-            if b_more is not None:
-                if b_prov is not None:
-                    entry = b_more.get((b_user, b_prov, b_kind))
-                    if entry is not None:
-                        entry[0] += b_ns
-                        entry[1] += b_cycles
-                        b_ns = 0
-                        b_cycles = 0
-                        b_prov = None
-                for (user, prov, kind), (ns, cycles) in b_more.items():
-                    kernel.consume(task, ns, cycles, user, prov, kind)
-                b_more = None
-            if b_prov is not None:
-                kernel.consume(task, b_ns, b_cycles, b_user, b_prov, b_kind)
-                b_ns = 0
-                b_cycles = 0
-                b_prov = None
+        batch = self._batch
+        if batch.prov is not None or batch.more is not None:
+            batch.clear()  # left over by a run that raised
 
         while True:
             state = task.state
@@ -351,44 +493,39 @@ class ExecutionEngine:
                 if cycles_left == 0:
                     segments.popleft()
                     if seg.on_done is not None:
-                        if not seg.benign_done and (b_prov is not None
-                                                    or b_more is not None):
-                            flush()
+                        if not seg.benign_done and (batch.prov is not None
+                                                    or batch.more is not None):
+                            batch.flush(kernel, task)
                         seg.on_done()
                     continue
-                if b_prov is not None and (
-                        b_user is not user_mode
-                        or b_prov is not seg.provenance
-                        or b_kind is not seg.kind):
-                    fold()
+                prov = seg.provenance
+                kind = seg.kind
+                if batch.prov is None:
+                    batch.user = user_mode
+                    batch.prov = prov
+                    batch.kind = kind
+                elif (batch.prov is not prov or batch.user is not user_mode
+                        or batch.kind is not kind):
+                    batch.switch(user_mode, prov, kind)
                 avail = (budget_ns - consumed) * freq // NS_PER_SEC
                 if avail <= 0:
                     # Sub-cycle remainder: burn it as zero-work time so the
                     # clock reaches the next event and the machine can make
                     # progress.
-                    if b_prov is None:
-                        b_user = user_mode
-                        b_prov = seg.provenance
-                        b_kind = seg.kind
-                    b_ns += budget_ns - consumed
+                    batch.ns += budget_ns - consumed
                     consumed = budget_ns
                     continue
                 run = cycles_left if cycles_left < avail else avail
                 ns = (run * NS_PER_SEC + freq - 1) // freq
                 seg.cycles_left = cycles_left - run
-                if b_prov is None:
-                    b_user = user_mode
-                    b_prov = seg.provenance
-                    b_kind = seg.kind
-                b_ns += ns
-                b_cycles += run
+                batch.ns += ns
+                batch.cycles += run
                 consumed += ns
                 if run == cycles_left:
                     segments.popleft()
                     if seg.on_done is not None:
-                        if not seg.benign_done and (b_prov is not None
-                                                    or b_more is not None):
-                            flush()
+                        if not seg.benign_done:
+                            batch.flush(kernel, task)
                         seg.on_done()
                 continue
 
@@ -400,43 +537,67 @@ class ExecutionEngine:
                 continue
 
             if st.pending_mem is not None:
-                self._continue_mem(task, st, flush)
+                self._continue_mem(task, st, batch)
                 continue
 
             # -- pull the next op ------------------------------------------
             frames = st.frames
             if not frames:
                 # The root generator ran off its end without exit(): exit(0).
-                flush()
+                batch.flush(kernel, task)
                 kernel.do_exit(task, 0)
                 continue
             frame = frames[-1]
             if frame.user_mode:
-                value, st.send_value = st.send_value, None
-                try:
-                    if frame.started:
-                        op = frame.gen.send(value)
-                    else:
-                        frame.started = True
-                        op = frame.gen.send(None)
+                if frame.__class__ is RepeatFrame:
+                    # Every loop-top check holds here, so the ops ahead may
+                    # run as one stretch (see _stretch); the op after the
+                    # stretch, if the budget is not spent, is handed out
+                    # below like any yielded op.
+                    st.send_value = None  # call results are discarded
+                    done = frame.done
+                    if done < frame.total and not task.debug.armed:
+                        consumed += self._stretch(task, frame,
+                                                  budget_ns - consumed, freq)
+                        if frame.done != done:
+                            cpu.mode = mode_user
+                            done = frame.done
+                    if done == frame.total:
+                        frames.pop()
+                        continue
+                    if consumed >= budget_ns:
+                        continue
+                    body = frame.body
+                    op = body[done % len(body)]
+                    frame.done = done + 1
                     op_cls = op.__class__
-                except StopIteration as stop:
-                    frames.pop()
-                    st.send_value = stop.value
-                    if not frames and task.alive:
-                        # Root frame finished without exit(): implicit
-                        # exit(status).
-                        flush()
-                        code = stop.value if isinstance(stop.value, int) else 0
-                        kernel.do_exit(task, code)
-                    continue
+                else:
+                    value, st.send_value = st.send_value, None
+                    try:
+                        if frame.started:
+                            op = frame.gen.send(value)
+                        else:
+                            frame.started = True
+                            op = frame.gen.send(None)
+                        op_cls = op.__class__
+                    except StopIteration as stop:
+                        frames.pop()
+                        st.send_value = stop.value
+                        if not frames and task.alive:
+                            # Root frame finished without exit(): implicit
+                            # exit(status).
+                            batch.flush(kernel, task)
+                            code = (stop.value if isinstance(stop.value, int)
+                                    else 0)
+                            kernel.do_exit(task, code)
+                        continue
             elif frame.gen is None:
                 # A syscall frame between phases: advance it below.
                 op_cls = None
             else:
                 # A syscall continuation; it may read the clock/TSC.
-                if b_prov is not None or b_more is not None:
-                    flush()
+                if batch.prov is not None or batch.more is not None:
+                    batch.flush(kernel, task)
                 value, st.send_value = st.send_value, None
                 try:
                     op = frame.gen.send(value)
@@ -472,19 +633,17 @@ class ExecutionEngine:
                 if cycles_left:
                     prov = frame.provenance
                     kind = _KIND_USER if user_mode else _KIND_SYSCALL
-                    if b_prov is not None and (
-                            b_user is not user_mode
-                            or b_prov is not prov
-                            or b_kind is not kind):
-                        fold()
+                    if batch.prov is None:
+                        batch.user = user_mode
+                        batch.prov = prov
+                        batch.kind = kind
+                    elif (batch.prov is not prov or batch.user is not user_mode
+                            or batch.kind is not kind):
+                        batch.switch(user_mode, prov, kind)
                     avail = (budget_ns - consumed) * freq // NS_PER_SEC
                     if avail <= 0:
                         # Sub-cycle remainder (see the segment loop above).
-                        if b_prov is None:
-                            b_user = user_mode
-                            b_prov = prov
-                            b_kind = kind
-                        b_ns += budget_ns - consumed
+                        batch.ns += budget_ns - consumed
                         consumed = budget_ns
                         segments.append(Segment(cycles_left, user_mode,
                                                 prov, kind))
@@ -496,12 +655,8 @@ class ExecutionEngine:
                     else:
                         run = cycles_left
                     ns = (run * NS_PER_SEC + freq - 1) // freq
-                    if b_prov is None:
-                        b_user = user_mode
-                        b_prov = prov
-                        b_kind = kind
-                    b_ns += ns
-                    b_cycles += run
+                    batch.ns += ns
+                    batch.cycles += run
                     consumed += ns
                 continue
             if op_cls is Mem:
@@ -528,18 +683,16 @@ class ExecutionEngine:
                         cpu.mode = mode_user
                         if cycles_left:
                             prov = frame.provenance
-                            if b_prov is not None and (
-                                    b_user is not True
-                                    or b_prov is not prov
-                                    or b_kind is not _KIND_USER):
-                                fold()
+                            if batch.prov is None:
+                                batch.user = True
+                                batch.prov = prov
+                                batch.kind = _KIND_USER
+                            elif (batch.prov is not prov or batch.user is not True
+                                    or batch.kind is not _KIND_USER):
+                                batch.switch(True, prov, _KIND_USER)
                             ns = (cycles_left * NS_PER_SEC + freq - 1) // freq
-                            if b_prov is None:
-                                b_user = True
-                                b_prov = prov
-                                b_kind = _KIND_USER
-                            b_ns += ns
-                            b_cycles += cycles_left
+                            batch.ns += ns
+                            batch.cycles += cycles_left
                             consumed += ns
                         st.send_value = None
                         continue
@@ -553,62 +706,83 @@ class ExecutionEngine:
                 continue
             if op_cls is CallLib:
                 # Fast path: resolve, charge the whole PLT overhead into
-                # the batch and push the callee — what the slow path's
+                # the batch and enter the callee — what the slow path's
                 # PLT segment plus benign push on_done would do, provided
-                # that segment could not be preempted or split.
+                # that segment could not be preempted or split.  A leaf
+                # callee whose cycles fit too is charged on the spot, with
+                # no frame; one that straddles the budget's end runs as a
+                # frame, so the split lands where it always did.
                 state = task.state
                 if (not kernel.need_resched and not segments
                         and (state is running or state is ready)):
                     ctx = task.guest_ctx
                     link_map = (ctx.shared.get("_link_map")
                                 if ctx is not None else None)
-                    if link_map is not None:
-                        try:
-                            lib, fn = link_map.resolve(op.symbol)
-                        except FileNotFound:
-                            lib = None
-                        if lib is not None:
-                            avail = ((budget_ns - consumed)
-                                     * freq // NS_PER_SEC)
-                            if plt_cost <= avail:
-                                cpu.mode = mode_user
-                                if plt_cost:
-                                    prov = frame.provenance
-                                    if b_prov is not None and (
-                                            b_user is not True
-                                            or b_prov is not prov
-                                            or b_kind is not _KIND_USER):
-                                        fold()
-                                    ns = ((plt_cost * NS_PER_SEC + freq - 1)
-                                          // freq)
-                                    if b_prov is None:
-                                        b_user = True
-                                        b_prov = prov
-                                        b_kind = _KIND_USER
-                                    b_ns += ns
-                                    b_cycles += plt_cost
+                    found = (link_map.lookup(op.symbol)
+                             if link_map is not None else None)
+                    if (found is not None and plt_cost
+                            <= (budget_ns - consumed) * freq // NS_PER_SEC):
+                        lib, fn = found
+                        cpu.mode = mode_user
+                        if plt_cost:
+                            prov = frame.provenance
+                            if batch.prov is None:
+                                batch.user = True
+                                batch.prov = prov
+                                batch.kind = _KIND_USER
+                            elif (batch.prov is not prov or batch.user is not True
+                                    or batch.kind is not _KIND_USER):
+                                batch.switch(True, prov, _KIND_USER)
+                            ns = (plt_cost * NS_PER_SEC + freq - 1) // freq
+                            batch.ns += ns
+                            batch.cycles += plt_cost
+                            consumed += ns
+                        if fn.__class__ is LeafFunction:
+                            cycles = fn.cycles
+                            if cycles.__class__ is not int:
+                                cycles = cycles(*op.args)
+                            ns = (cycles * NS_PER_SEC + freq - 1) // freq
+                            if ns <= budget_ns - consumed:
+                                if cycles:
+                                    prov = fn.provenance
+                                    if batch.prov is None:
+                                        batch.user = True
+                                        batch.prov = prov
+                                        batch.kind = _KIND_USER
+                                    elif (batch.prov is not prov or batch.user is not True
+                                            or batch.kind is not _KIND_USER):
+                                        batch.switch(True, prov, _KIND_USER)
+                                    batch.ns += ns
+                                    batch.cycles += cycles
                                     consumed += ns
-                                frames.append(Frame(
-                                    fn.instantiate(ctx, *op.args),
-                                    fn.provenance,
-                                    f"{lib.name}:{op.symbol}", lib=lib))
+                                st.send_value = fn.result(*op.args)
                                 continue
+                        frames.append(Frame(
+                            fn.instantiate(ctx, *op.args), fn.provenance,
+                            f"{lib.name}:{op.symbol}", lib=lib))
+                        continue
                 self._call_lib(task, st, frame, op.symbol, op.args,
-                               after=None, flush=flush)
+                               after=None, batch=batch)
                 continue
             if op_cls is CallNext:
                 if frame.lib is None:
                     raise SimulationError(
                         "CallNext outside a library function frame")
                 self._call_lib(task, st, frame, op.symbol, op.args,
-                               after=frame.lib, flush=flush)
+                               after=frame.lib, batch=batch)
                 continue
             if op_cls is Syscall:
                 frame = SyscallFrame(op.name, op.args, handlers.get(op.name),
                                      frame.provenance)
                 frames.append(frame)
+            elif op_cls is Repeat:
+                if not frame.user_mode:
+                    raise SimulationError(
+                        "kernel frames may not yield Repeat ops")
+                frames.append(RepeatFrame(op, frame.provenance))
+                continue
             elif op_cls is not None:
-                flush()
+                batch.flush(kernel, task)
                 self._dispatch(task, st, frame, op)
                 continue
 
@@ -630,7 +804,7 @@ class ExecutionEngine:
                 elif phase == _START:
                     handler = frame.handler
                     if handler is None:
-                        flush()
+                        batch.flush(kernel, task)
                         kernel.trace("syscall", f"ENOSYS {frame.name}",
                                      task.pid)
                         frame.finish(-38)  # ENOSYS
@@ -642,7 +816,7 @@ class ExecutionEngine:
                         try:
                             cycles = cycles(kernel, task, *frame.args)
                         except KernelError as err:
-                            flush()
+                            batch.flush(kernel, task)
                             frame.finish(self._syscall_failed(task, frame,
                                                               err))
                             continue
@@ -651,8 +825,8 @@ class ExecutionEngine:
                 elif phase == _BODY:
                     # The body runs at the instant its cost completed and
                     # may read the clock, the TSC or the accounts.
-                    if b_prov is not None or b_more is not None:
-                        flush()
+                    if batch.prov is not None or batch.more is not None:
+                        batch.flush(kernel, task)
                     try:
                         result = frame.handler.body(kernel, task, *frame.args)
                         if result.__class__ is not GeneratorType:
@@ -690,22 +864,20 @@ class ExecutionEngine:
                 cpu.mode = mode_kernel
                 if cycles:
                     prov = frame.provenance
-                    if b_prov is not None and (
-                            b_user is not False
-                            or b_prov is not prov
-                            or b_kind is not _KIND_SYSCALL):
-                        fold()
-                    if b_prov is None:
-                        b_user = False
-                        b_prov = prov
-                        b_kind = _KIND_SYSCALL
+                    if batch.prov is None:
+                        batch.user = False
+                        batch.prov = prov
+                        batch.kind = _KIND_SYSCALL
+                    elif (batch.prov is not prov or batch.user is not False
+                            or batch.kind is not _KIND_SYSCALL):
+                        batch.switch(False, prov, _KIND_SYSCALL)
                     # ``ns`` fits the budget exactly when ``cycles`` fits
                     # the ``avail`` the Compute path computes.
                     if budget_ns - consumed < ns:
                         avail = (budget_ns - consumed) * freq // NS_PER_SEC
                         if avail <= 0:
                             # Sub-cycle remainder (see the segment loop).
-                            b_ns += budget_ns - consumed
+                            batch.ns += budget_ns - consumed
                             consumed = budget_ns
                             segments.append(Segment(cycles, False, prov,
                                                     _KIND_SYSCALL))
@@ -713,20 +885,20 @@ class ExecutionEngine:
                             segments.append(Segment(cycles - avail, False,
                                                     prov, _KIND_SYSCALL))
                             ns = (avail * NS_PER_SEC + freq - 1) // freq
-                            b_ns += ns
-                            b_cycles += avail
+                            batch.ns += ns
+                            batch.cycles += avail
                             consumed += ns
                         break
-                    b_ns += ns
-                    b_cycles += cycles
+                    batch.ns += ns
+                    batch.cycles += cycles
                     consumed += ns
                 if (consumed >= budget_ns or task.pending_signals
                         or frame.gen is not None):
                     # A continuation resumes through the generator path.
                     break
 
-        if b_prov is not None or b_more is not None:
-            flush()
+        if batch.prov is not None or batch.more is not None:
+            batch.flush(kernel, task)
         checker = kernel.invariants
         if checker is not None:
             # Under invariant checking, hold the engine to its own
@@ -757,8 +929,7 @@ class ExecutionEngine:
         raise SimulationError(f"unknown op {op!r}")
 
     def _call_lib(self, task: "Task", st: ExecState, frame: Frame,
-                  symbol: str, args, after,
-                  flush: Callable[[], None]) -> None:
+                  symbol: str, args, after, batch: "ChargeBatch") -> None:
         kernel = self.kernel
         link_map = task.guest_ctx.shared.get("_link_map") if task.guest_ctx else None
         if link_map is None:
@@ -772,7 +943,7 @@ class ExecutionEngine:
         except FileNotFound:
             # Undefined symbol at call time: the process dies like a
             # lazy-binding failure would.
-            flush()
+            batch.flush(kernel, task)
             kernel.trace("link", f"undefined symbol {symbol}", task.pid)
             kernel.do_exit(task, 127)
             return
@@ -783,6 +954,121 @@ class ExecutionEngine:
             kernel.costs.lib_call_cycles, True, frame.provenance,
             ChargeKind.USER, on_done=lambda: st.frames.append(callee),
             benign_done=True))
+
+    # -- repeat loops ---------------------------------------------------------------
+
+    def _stretch(self, task: "Task", frame: RepeatFrame, left: int,
+                 freq: int) -> int:
+        """Advance ``frame`` over the ops ahead in one step; return the ns.
+
+        The stretch ends before the first op that is not pure or does not
+        fit in the ``left`` ns of budget, so that op runs through the
+        ordinary paths, split at the exact cycle where it straddles a tick.
+        Pure ops cannot fault, trap, block or run non-leaf code: every
+        ``Compute``, a ``Mem`` whose page classifies HIT (the caller checks
+        that no debug register is armed) and a ``CallLib`` that resolves to
+        a leaf.  Each op is charged exactly as the op-by-op paths charge
+        it: its own ceil(cycles·1e9/freq) ns per charge, each key's totals
+        in first-charged order, the referenced/dirty bits set once per
+        distinct access.  The caller ensures nothing is queued, pending or
+        rescheduled and that the task is runnable, as at any op pull.
+        """
+        space = task.mm
+        ctx = task.guest_ctx
+        if space is None or ctx is None:
+            return 0
+        link_map = ctx.shared.get("_link_map")
+        plan = frame.plan
+        if plan is None or plan.stale(link_map, freq):
+            plan = frame.plan = RepeatPlan(
+                frame.body, frame.provenance, link_map, freq,
+                self._loop_constants[1], self._loop_constants[2])
+        n = len(frame.body)
+        done = frame.done
+        p = done % n
+        limit = frame.total - done
+        # The budget: ops run while they fit, and the run ends at an op
+        # that ends exactly on the budget.  Body-relative, op m ends at
+        # (m // n) * total + ns_at[m % n]; find the last such end <= the
+        # budget's, or the first one equal to it.
+        ns_at = plan.ns_at
+        total_ns = ns_at[n]
+        if total_ns:
+            laps, part = divmod(ns_at[p] + left - 1, total_ns)
+            part += 1
+            i = bisect_left(ns_at, part)
+            fit = laps * n + (i if ns_at[i] == part else i - 1) - p
+            if fit < limit:
+                limit = fit
+        impure = plan.impure
+        if impure:
+            i = bisect_left(impure, p)
+            gap = impure[i] - p if i < len(impure) else impure[0] + n - p
+            if gap < limit:
+                limit = gap
+        mems = plan.mems
+        if mems and limit > 0:
+            classify = self.kernel.mm.classify
+            count = len(mems)
+            first = bisect_left(plan.mem_at, p)
+            seen = set()
+            for j in range(first, first + count):
+                if j < count:
+                    i, vaddr, _ = mems[j]
+                    gap = i - p
+                else:
+                    i, vaddr, _ = mems[j - count]
+                    gap = i + n - p
+                if gap >= limit:
+                    break
+                if vaddr not in seen:
+                    seen.add(vaddr)
+                    if classify(space, vaddr) is not _FAULT_HIT:
+                        limit = gap
+                        break
+        if limit <= 0:
+            return 0
+
+        laps, end = divmod(p + limit, n)
+        unit_at = plan.unit_at
+        start = unit_at[p]
+        units = laps * unit_at[n] + unit_at[end] - start
+        order = []
+        for q, key_units in enumerate(plan.key_units):
+            k = bisect_left(key_units, start)
+            gap = (key_units[k] - start if k < len(key_units)
+                   else key_units[0] + unit_at[n] - start)
+            if gap < units:
+                order.append((gap, q))
+        order.sort()
+        batch = self._batch
+        for _, q in order:
+            user, prov, kind = plan.keys[q]
+            if (batch.prov is not prov or batch.user is not user
+                    or batch.kind is not kind):
+                batch.switch(user, prov, kind)
+            key_ns = plan.key_ns[q]
+            key_cycles = plan.key_cycles[q]
+            batch.ns += laps * key_ns[n] + key_ns[end] - key_ns[p]
+            batch.cycles += (laps * key_cycles[n] + key_cycles[end]
+                             - key_cycles[p])
+        if mems:
+            note_access = self.kernel.mm.note_access
+            noted = set()
+            for j in range(first, first + count):
+                if j < count:
+                    i, vaddr, write = mems[j]
+                    gap = i - p
+                else:
+                    i, vaddr, write = mems[j - count]
+                    gap = i + n - p
+                if gap >= limit:
+                    break
+                if (vaddr, write) not in noted:
+                    noted.add((vaddr, write))
+                    note_access(space, vaddr, write)
+        frame.done = done + limit
+        return laps * total_ns + ns_at[end] - ns_at[p]
 
     # -- syscalls ------------------------------------------------------------------
 
@@ -796,7 +1082,7 @@ class ExecutionEngine:
     # -- memory ---------------------------------------------------------------------
 
     def _continue_mem(self, task: "Task", st: ExecState,
-                      flush: Callable[[], None]) -> None:
+                      batch: "ChargeBatch") -> None:
         kernel = self.kernel
         pending = st.pending_mem
         op = pending.op
@@ -808,7 +1094,7 @@ class ExecutionEngine:
         kind = mm.classify(space, op.vaddr)
         if kind is FaultKind.SEGV:
             st.pending_mem = None
-            flush()
+            batch.flush(kernel, task)
             kernel.trace("fault", f"SIGSEGV at 0x{op.vaddr:x}", task.pid)
             kernel.post_signal(task, SIGSEGV)
             return

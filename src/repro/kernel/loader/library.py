@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional
 
-from ...programs.base import GuestFunction
+from ...programs.base import GuestFunction, LeafFunction
 from ...programs.ops import Provenance
 
 
@@ -34,6 +34,16 @@ def code_identity(factory) -> str:
             except ValueError:  # pragma: no cover - empty cell
                 parts.append("<empty>")
     return ":".join(parts)
+
+
+def function_identity(fn: GuestFunction) -> str:
+    """:func:`code_identity` of a guest function: a leaf is measured by its
+    result function and its cost, any other function by its factory."""
+    if isinstance(fn, LeafFunction):
+        cycles = fn.cycles
+        cost = str(cycles) if cycles.__class__ is int else code_identity(cycles)
+        return f"leaf:{code_identity(fn.result)}:{cost}"
+    return code_identity(fn.factory)
 
 
 class SharedLibrary:
@@ -71,10 +81,10 @@ class SharedLibrary:
         hasher.update(f"{self.name}:{self.version}".encode("utf-8"))
         parts = []
         for symbol in sorted(self.symbols):
-            parts.append(f"{symbol}={code_identity(self.symbols[symbol].factory)}")
+            parts.append(f"{symbol}={function_identity(self.symbols[symbol])}")
         for label, fn in (("ctor", self.constructor), ("dtor", self.destructor)):
             if fn is not None:
-                parts.append(f"{label}={code_identity(fn.factory)}")
+                parts.append(f"{label}={function_identity(fn)}")
         hasher.update("|".join(parts).encode("utf-8"))
         return hasher.hexdigest()
 

@@ -11,7 +11,7 @@ to the process's account".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ...config import CostModel
 from ...errors import FileNotFound, SimulationError
@@ -22,10 +22,21 @@ from .registry import LibraryRegistry, parse_ld_preload
 
 
 class LinkMap:
-    """Ordered list of loaded libraries for one process."""
+    """Ordered list of loaded libraries for one process.
+
+    Resolutions are cached until the map changes; ``version`` counts the
+    changes, so a caller may keep what it derived from a resolution for as
+    long as the version holds.
+    """
 
     def __init__(self, libs: List[SharedLibrary]) -> None:
         self._libs: List[SharedLibrary] = list(libs)
+        self._resolved: Dict[str, Tuple[SharedLibrary, GuestFunction]] = {}
+        self.version = 0
+
+    def _changed(self) -> None:
+        self._resolved = {}
+        self.version += 1
 
     @property
     def libs(self) -> List[SharedLibrary]:
@@ -34,6 +45,7 @@ class LinkMap:
     def append(self, lib: SharedLibrary) -> None:
         """dlopen: add a library at the end of the search order."""
         self._libs.append(lib)
+        self._changed()
 
     def remove(self, lib: SharedLibrary) -> None:
         """dlclose: drop a library from the map."""
@@ -41,14 +53,25 @@ class LinkMap:
             self._libs.remove(lib)
         except ValueError:
             raise SimulationError(f"{lib.name} not in link map") from None
+        self._changed()
 
     def resolve(self, symbol: str) -> Tuple[SharedLibrary, GuestFunction]:
         """First definition of ``symbol`` in search order."""
-        for lib in self._libs:
-            fn = lib.symbols.get(symbol)
-            if fn is not None:
-                return lib, fn
-        raise FileNotFound(f"undefined symbol {symbol!r}")
+        found = self.lookup(symbol)
+        if found is None:
+            raise FileNotFound(f"undefined symbol {symbol!r}")
+        return found
+
+    def lookup(self, symbol: str) -> Optional[Tuple[SharedLibrary, GuestFunction]]:
+        """:meth:`resolve`, or None for an undefined symbol."""
+        found = self._resolved.get(symbol)
+        if found is None:
+            for lib in self._libs:
+                fn = lib.symbols.get(symbol)
+                if fn is not None:
+                    found = self._resolved[symbol] = (lib, fn)
+                    break
+        return found
 
     def resolve_after(self, symbol: str,
                       after: Optional[SharedLibrary]) -> Tuple[SharedLibrary, GuestFunction]:

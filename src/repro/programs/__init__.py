@@ -15,9 +15,10 @@ from .ops import (
     Mem,
     Op,
     Provenance,
+    Repeat,
     Syscall,
 )
-from .base import GuestContext, GuestFunction, Program
+from .base import GuestContext, GuestFunction, LeafFunction, Program
 
 __all__ = [
     "CallLib",
@@ -27,8 +28,10 @@ __all__ = [
     "Mem",
     "Op",
     "Provenance",
+    "Repeat",
     "Syscall",
     "GuestContext",
     "GuestFunction",
+    "LeafFunction",
     "Program",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from .ops import Op, Provenance
+from .ops import Compute, Op, Provenance
 
 
 #: Type of guest code bodies: a generator yielding ops and receiving syscall
@@ -45,6 +45,40 @@ class GuestFunction:
 
     def __repr__(self) -> str:
         return f"GuestFunction({self.name!r}, {self.provenance.value})"
+
+
+class LeafFunction(GuestFunction):
+    """A library function that is one block of work and a pure result.
+
+    ``cycles`` is its cost: an int, or a function of the call's arguments.
+    ``result`` maps the arguments to the return value.  A leaf touches no
+    memory, makes no call and keeps no state, so the engine may charge a
+    call to it directly, without a frame or a generator
+    (:meth:`instantiate` still gives the generator the engine falls back
+    to when the call straddles the end of its budget).
+    """
+
+    __slots__ = ("cycles", "result")
+
+    def __init__(self, name: str, cycles, result: Callable[..., object],
+                 provenance: Provenance = Provenance.LIB) -> None:
+        super().__init__(name, None, provenance)
+        self.cycles = cycles
+        self.result = result
+
+    def cost(self, args: Tuple) -> int:
+        """Cycles one call with ``args`` burns."""
+        cycles = self.cycles
+        return cycles if cycles.__class__ is int else cycles(*args)
+
+    def instantiate(self, ctx: "GuestContext", *args) -> GuestGen:
+        return _run_leaf(self, args)
+
+
+def _run_leaf(leaf: LeafFunction, args: Tuple) -> GuestGen:
+    """Any leaf's body as a generator: its cost, then its result."""
+    yield Compute(leaf.cost(args))
+    return leaf.result(*args)
 
 
 class Program:

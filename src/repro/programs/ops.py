@@ -3,7 +3,9 @@
 A guest program is a generator yielding these ops.  ``Compute`` is divisible
 (the timer interrupt can preempt it mid-block); the others are atomic from
 the guest's point of view but may trigger arbitrary kernel activity (page
-faults, watchpoint exceptions, blocking syscalls).
+faults, watchpoint exceptions, blocking syscalls).  ``Repeat`` hands the
+engine a whole loop of ``Compute``/``Mem``/``CallLib`` ops at once, so it
+can advance the loop's pure stretches in closed form.
 
 Every op carries a :class:`Provenance` describing *whose* code it is.  The
 ground-truth oracle (``repro.metering.oracle``) uses provenance to attribute
@@ -160,3 +162,32 @@ class CallNext(Op):
 
     def __repr__(self) -> str:
         return f"CallNext({self.symbol!r})"
+
+
+class Repeat(Op):
+    """Run ``body`` (a tuple of ops) ``times`` times, in order.
+
+    The body may hold only ``Compute``, ``Mem`` and ``CallLib`` ops, and a
+    ``CallLib``'s arguments must not depend on earlier results: the results
+    of calls inside the body are discarded.  The engine hands the ops out
+    exactly as if the program had yielded them one by one, except that it
+    may charge a stretch of them in one step when nothing in the stretch
+    can fault, trap or run non-leaf library code (see docs/internals.md).
+    """
+
+    __slots__ = ("body", "times")
+
+    def __init__(self, body: Tuple[Op, ...], times: int) -> None:
+        body = tuple(body)
+        for op in body:
+            if op.__class__ not in (Compute, Mem, CallLib):
+                raise ValueError(
+                    f"Repeat bodies hold Compute, Mem and CallLib ops, "
+                    f"not {op!r}")
+        if times < 0:
+            raise ValueError(f"Repeat times must be >= 0, got {times}")
+        self.body = body
+        self.times = int(times)
+
+    def __repr__(self) -> str:
+        return f"Repeat({len(self.body)} ops x{self.times})"

@@ -16,7 +16,7 @@ from typing import Tuple
 from ..kernel.loader.library import SharedLibrary
 from ..kernel.loader.registry import LibraryRegistry
 from ..kernel.mm.vm import HEAP_BASE
-from .base import GuestContext, GuestFunction
+from .base import GuestContext, GuestFunction, LeafFunction
 from .ops import Compute, Mem, Provenance, Syscall
 
 # -- cycle costs --------------------------------------------------------------
@@ -120,41 +120,40 @@ def _libc_dtor(ctx: GuestContext):
 
 
 # -- libm ------------------------------------------------------------------------
+#
+# libm and libcrypto functions are leaves: a cycle cost plus a pure result.
 
-def _sqrt(ctx: GuestContext, x: float = 2.0):
-    yield Compute(SQRT_CYCLES)
+def _sqrt(x: float = 2.0) -> float:
     return float(abs(x)) ** 0.5
 
 
-def _sin(ctx: GuestContext, x: float = 0.0):
-    yield Compute(TRIG_CYCLES)
+def _sin(x: float = 0.0) -> float:
     return x - x ** 3 / 6.0  # small-angle flavour; value is irrelevant
 
 
-def _cos(ctx: GuestContext, x: float = 0.0):
-    yield Compute(TRIG_CYCLES)
+def _cos(x: float = 0.0) -> float:
     return 1.0 - x ** 2 / 2.0
 
 
-def _exp(ctx: GuestContext, x: float = 0.0):
-    yield Compute(EXP_CYCLES)
+def _exp(x: float = 0.0) -> float:
     return 1.0 + x + x ** 2 / 2.0
 
 
-def _log(ctx: GuestContext, x: float = 1.0):
-    yield Compute(EXP_CYCLES)
+def _log(x: float = 1.0) -> float:
     return x - 1.0
 
 
 # -- libcrypto --------------------------------------------------------------------
 
-def _md5_block(ctx: GuestContext, blocks: int = 1):
-    yield Compute(MD5_BLOCK_CYCLES * max(1, blocks))
-    return blocks
+def _md5_cycles(blocks: int = 1) -> int:
+    return MD5_BLOCK_CYCLES * max(1, blocks)
 
 
-def _sha256_block(ctx: GuestContext, blocks: int = 1):
-    yield Compute(SHA256_BLOCK_CYCLES * max(1, blocks))
+def _sha256_cycles(blocks: int = 1) -> int:
+    return SHA256_BLOCK_CYCLES * max(1, blocks)
+
+
+def _blocks(blocks: int = 1) -> int:
     return blocks
 
 
@@ -180,6 +179,10 @@ def _fn(name: str, factory) -> GuestFunction:
     return GuestFunction(name, factory, Provenance.LIB)
 
 
+def _leaf(name: str, cycles, result) -> LeafFunction:
+    return LeafFunction(name, cycles, result, Provenance.LIB)
+
+
 def make_libc() -> SharedLibrary:
     return SharedLibrary(
         "libc",
@@ -201,11 +204,11 @@ def make_libm() -> SharedLibrary:
     return SharedLibrary(
         "libm",
         symbols={
-            "sqrt": _fn("libm.sqrt", _sqrt),
-            "sin": _fn("libm.sin", _sin),
-            "cos": _fn("libm.cos", _cos),
-            "exp": _fn("libm.exp", _exp),
-            "log": _fn("libm.log", _log),
+            "sqrt": _leaf("libm.sqrt", SQRT_CYCLES, _sqrt),
+            "sin": _leaf("libm.sin", TRIG_CYCLES, _sin),
+            "cos": _leaf("libm.cos", TRIG_CYCLES, _cos),
+            "exp": _leaf("libm.exp", EXP_CYCLES, _exp),
+            "log": _leaf("libm.log", EXP_CYCLES, _log),
         },
         version="2.9",
     )
@@ -215,8 +218,10 @@ def make_libcrypto() -> SharedLibrary:
     return SharedLibrary(
         "libcrypto",
         symbols={
-            "md5_block": _fn("libcrypto.md5_block", _md5_block),
-            "sha256_block": _fn("libcrypto.sha256_block", _sha256_block),
+            "md5_block": _leaf("libcrypto.md5_block", _md5_cycles,
+                               _blocks),
+            "sha256_block": _leaf("libcrypto.sha256_block",
+                                  _sha256_cycles, _blocks),
         },
         version="0.9.8",
     )

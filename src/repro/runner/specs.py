@@ -193,6 +193,29 @@ def _config_doc(cfg: Any) -> Any:
     return _canonical(cfg)
 
 
+#: Canonical documents of the machine configs seen so far, by ``repr``.
+#: Configs are frozen, so a repr names one document; unlike ``==`` (and
+#: the hash), it also tells ``hz=250`` from ``hz=250.0``, which the JSON
+#: document does too.
+_CONFIG_DOCS: Dict[str, Dict[str, Any]] = {}
+_CONFIG_DOCS_MAX = 256
+
+
+def _machine_config_doc(cfg: MachineConfig) -> Dict[str, Any]:
+    """A fresh copy of ``cfg``'s canonical document, built once per
+    config.  The document nests dicts of scalars one level deep (one per
+    config section), so copying two levels leaves the cache untouched
+    whatever the caller does with the copy."""
+    key = repr(cfg)
+    doc = _CONFIG_DOCS.get(key)
+    if doc is None:
+        if len(_CONFIG_DOCS) >= _CONFIG_DOCS_MAX:
+            _CONFIG_DOCS.clear()
+        doc = _CONFIG_DOCS[key] = _config_doc(cfg)
+    return {name: dict(value) if value.__class__ is dict else value
+            for name, value in doc.items()}
+
+
 #: The spec fields that carry a plan mapping, with the plan type each one
 #: normalizes through (an empty plan is identical to None).
 PLAN_FIELDS: Tuple[Tuple[str, Type[FrozenPlan]], ...] = (
@@ -208,7 +231,7 @@ def spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
     ``check_invariants`` is deliberately excluded — the checker observes
     the run without altering it, so results are interchangeable.
     """
-    cfg_doc = _config_doc(spec.resolved_config())
+    cfg_doc = _machine_config_doc(spec.resolved_config())
     if cfg_doc.get("nproc") == 1:
         # A single CPU is the pre-SMP machine: drop the field so the
         # document (and hence the cache key) is byte-identical to specs
