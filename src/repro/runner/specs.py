@@ -375,13 +375,14 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
     return spec
 
 
-def run_spec(spec: ExperimentSpec):
+def run_spec(spec: ExperimentSpec, machine_hook=None):
     """Execute one spec on a fresh machine — the worker-side entry point.
 
     Equivalent to building the program/attack by hand and calling
     :func:`repro.analysis.experiment.run_experiment`; the equivalence suite
     (tests/test_runner_equivalence.py) holds this to field-by-field
-    equality.
+    equality.  ``machine_hook`` is handed to ``run_experiment`` as is (the
+    machine it receives is left open).
     """
     from ..analysis.experiment import DEFAULT_MAX_NS, run_experiment
 
@@ -391,6 +392,7 @@ def run_spec(spec: ExperimentSpec):
         cfg=spec.resolved_config(),
         run_attacker_to_completion=spec.run_attacker_to_completion,
         check_invariants=spec.check_invariants,
+        machine_hook=machine_hook,
         faults=spec.faults,
         timesync=spec.timesync,
         vm=spec.vm,

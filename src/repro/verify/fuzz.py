@@ -398,12 +398,12 @@ def _run_injected(scenario: Scenario) -> ScenarioReport:
 
 
 def run_spec_with_hook(spec: ExperimentSpec, machine_hook):
-    """``run_spec`` with a machine hook (used by the corruption leg).
+    """``run_spec`` with a machine hook (used by the corruption leg): the
+    same machine ``run_spec`` builds — config, nproc, fault plan, time
+    plane and VM host — handed to ``machine_hook`` before it runs.
 
     The hooked machine is closed when the run ends, also when it raises,
     so a corrupted run frees itself like any other."""
-    from ..analysis.experiment import DEFAULT_MAX_NS, run_experiment
-
     machines = []
 
     def hook(machine):
@@ -411,14 +411,7 @@ def run_spec_with_hook(spec: ExperimentSpec, machine_hook):
         machine_hook(machine)
 
     try:
-        return run_experiment(
-            spec.build_program(),
-            attack=spec.build_attack(),
-            cfg=spec.cfg,
-            run_attacker_to_completion=spec.run_attacker_to_completion,
-            check_invariants=spec.check_invariants,
-            machine_hook=hook,
-            max_ns=spec.max_ns or DEFAULT_MAX_NS)
+        return run_spec(spec, machine_hook=hook)
     finally:
         for machine in machines:
             machine.close()

@@ -250,3 +250,26 @@ def test_racing_first_touch_scenario_passes_cross_scheduler():
     faults = {s: run["stats"]["minor_faults"]
               for s, run in report.runs.items()}
     assert max(faults.values()) > min(faults.values())
+
+
+def test_hooked_run_builds_the_machine_run_spec_builds():
+    """The corruption leg's hooked run gets the fault plan and the
+    watchdog of its spec, so its counters match ``run_spec``'s."""
+    from repro.faults import sweep_plan
+    from repro.runner.specs import ExperimentSpec, run_spec
+    from repro.verify.fuzz import run_spec_with_hook
+
+    spec = ExperimentSpec(
+        program="O",
+        program_kwargs=dict(paper_workload_params(0.05)["O"]),
+        faults=sweep_plan(0.3, watchdog=True).to_dict())
+    hooked = []
+    result = run_spec_with_hook(spec, hooked.append)
+    plain = run_spec(spec)
+    assert len(hooked) == 1
+    counters = {name: value for name, value in plain.stats.items()
+                if name.startswith(("fault_", "watchdog_"))}
+    assert counters["fault_ticks_lost"] > 0
+    assert counters["watchdog_checks"] > 0
+    assert {name: result.stats.get(name) for name in counters} == counters
+    assert result.to_dict() == plain.to_dict()
