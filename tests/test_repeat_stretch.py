@@ -313,7 +313,7 @@ def test_leaf_call_on_a_budget_end_matches_a_generator(first_budget, where):
 # ---------------------------------------------------------------------------
 
 #: Python calls a Whetstone run may make per tick, whatever its length.
-CALLS_PER_TICK_BUDGET = 160
+CALLS_PER_TICK_BUDGET = 180
 
 
 def python_calls(spec):
