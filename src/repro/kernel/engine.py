@@ -980,17 +980,18 @@ class ExecutionEngine:
         link_map = ctx.shared.get("_link_map")
         plan = frame.plan
         if plan is None or plan.stale(link_map, freq):
-            plan = frame.plan = RepeatPlan(
-                frame.body, frame.provenance, link_map, freq,
-                self._loop_constants[1], self._loop_constants[2])
+            _, mem_cost, plt_cost = self._loop_constants[:3]
+            plan = frame.plan = RepeatPlan(frame.body, frame.provenance,
+                                           link_map, freq, mem_cost, plt_cost)
         n = len(frame.body)
         done = frame.done
         p = done % n
         limit = frame.total - done
         # The budget: ops run while they fit, and the run ends at an op
-        # that ends exactly on the budget.  Body-relative, op m ends at
-        # (m // n) * total + ns_at[m % n]; find the last such end <= the
-        # budget's, or the first one equal to it.
+        # that ends exactly on the budget.  Counting from the body's
+        # start, the first m ops end at (m // n) * total + ns_at[m % n];
+        # take the largest m whose end is within the budget, or the
+        # smallest whose end equals it.
         ns_at = plan.ns_at
         total_ns = ns_at[n]
         if total_ns:

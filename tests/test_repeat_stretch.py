@@ -9,12 +9,9 @@ Whetstone run does per tick.
 """
 
 import json
-import os
-import sys
 
 import pytest
 
-import repro
 import repro.runner.specs as specs
 from repro import Machine, default_config
 from repro.analysis.experiment import DEFAULT_MAX_NS, run_experiment
@@ -46,8 +43,7 @@ from repro.runner import ExperimentSpec
 from repro.timesync.spec import sweep_timesync
 
 from .guest_helpers import run_all, spawn_fn
-
-_SOURCE = os.path.dirname(repro.__file__) + os.sep
+from .test_switch_path import python_calls
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +310,6 @@ def test_leaf_call_on_a_budget_end_matches_a_generator(first_budget, where):
 
 #: Python calls a Whetstone run may make per tick, whatever its length.
 CALLS_PER_TICK_BUDGET = 180
-
-
-def python_calls(spec):
-    """(Python calls into the simulator, result) of one run of ``spec``;
-    see tests/test_switch_path.py."""
-    specs.run_spec(spec)
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(_SOURCE):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        result = specs.run_spec(spec)
-    finally:
-        sys.setprofile(previous)
-    return calls, result
 
 
 @pytest.mark.parametrize("hz", [100, 1000])
