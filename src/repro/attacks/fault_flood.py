@@ -2,10 +2,12 @@
 
 A memory hog "requests more than [the machine's RAM] ... continuously
 writes data and reads them later", keeping physical memory exhausted.  The
-victim pays three ways: its pages get evicted and major-fault back in
-(handler time + swap I/O waits), its own allocations enter direct reclaim
-(LRU scanning billed as its stime), and the stream of disk-completion
-interrupts lands on it while the hog sleeps on I/O.
+victim keeps its pages: in fig11 none of the paper programs takes a major
+fault.  It pays for the thrash around it instead.  The stream of swap-I/O
+completion interrupts lands on it while the hog sleeps on I/O, and a tick
+inside such a handler window samples it in kernel mode.  The hog's I/O
+wake-ups preempt it far more often, adding switch and timer work.  Its own
+first-touch faults enter direct reclaim (LRU scanning billed as its stime).
 
 The paper also notes the natural cap: push too far and the OOM killer
 terminates a process — which the simulated kernel will also do.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.experiment import run_experiment
+from repro.analysis.figures import run_figure
 from repro.attacks import (
     ExceptionFloodAttack,
     InterruptFloodAttack,
@@ -152,6 +153,22 @@ class TestExceptionFlood:
         result = run_experiment(make_ourprogram(iterations=300),
                                 ExceptionFloodAttack(), cfg=self._cfg())
         assert result.stats["exit_code"] == 0
+
+    def test_fig11_victims_take_no_major_fault(self):
+        """What the attack's docs say of fig11 at the benchmark's scale:
+        no victim page is swapped back in; the extra stime comes with IRQ
+        time and extra system time in the oracle."""
+        fig = run_figure("fig11", scale=0.4)
+        for name, (normal, attacked) in fig.pairs.items():
+            before = fig.results[f"{name}:normal"]
+            after = fig.results[f"{name}:attacked"]
+            assert before.rusage["majflt"] == after.rusage["majflt"] == 0
+            assert after.stats["swap_outs"] > 200
+            assert attacked.stime_s > normal.stime_s
+            assert "irq" not in before.oracle_seconds
+            assert after.oracle_seconds["irq"] > 0.001
+            assert (after.oracle_seconds["system"]
+                    > before.oracle_seconds["system"])
 
 
 class TestComparisonMatrix:
