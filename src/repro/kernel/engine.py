@@ -21,6 +21,13 @@ here, at its natural architectural point:
   :class:`RepeatFrame` whose pure stretches are charged in closed form,
   while the op that straddles the budget's end, or is not pure, still
   takes the paths above.
+
+Each of these decides only what to charge: cycles, mode, provenance,
+kind, and what follows once the charge completes.  One charge step in
+:meth:`ExecutionEngine.run` does the charging for all of them: it
+converts the cycles to ceil(cycles·1e9/freq) ns, charges what fits the
+budget, burns a sub-cycle remainder and queues the rest as a
+:class:`Segment`.
 """
 
 from __future__ import annotations
@@ -424,16 +431,11 @@ class ExecutionEngine:
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
         costs = kernel.costs
-        freq = kernel.cpu.freq_hz  # every CPU runs at the configured clock
-        entry = costs.syscall_entry_cycles
-        exit_ = costs.syscall_exit_cycles
         #: What every run() call reads before its loop, in one tuple:
         #: unpacking it is cheaper than a dozen attribute loads per run.
-        #: The syscall entry/exit costs come with their length in ns.
         self._loop_constants = (
             kernel.mm, costs.mem_access_cycles, costs.lib_call_cycles,
-            entry, (entry * NS_PER_SEC + freq - 1) // freq,
-            exit_, (exit_ * NS_PER_SEC + freq - 1) // freq,
+            costs.syscall_entry_cycles, costs.syscall_exit_cycles,
             kernel.syscalls.handlers, kernel.syscalls.invocations,
             CPUMode.USER, CPUMode.KERNEL, TaskState.RUNNING, TaskState.READY)
         self._batch = ChargeBatch()
@@ -451,13 +453,14 @@ class ExecutionEngine:
         cpu = kernel.cpu
         freq = cpu.freq_hz
         start_ns = kernel.clock._now
-        (mm, mem_cost, plt_cost, entry_cycles, entry_ns, exit_cycles, exit_ns,
-         handlers, invocations, mode_user, mode_kernel, running,
+        (mm, mem_cost, plt_cost, entry_cycles, exit_cycles, handlers,
+         invocations, mode_user, mode_kernel, running,
          ready) = self._loop_constants
         st = task.exec_state
         if st is None:
             raise SimulationError(f"task {task.pid} has no exec state")
         segments = st.segments
+        frames = st.frames
         consumed = 0
         # Charges are batched (see ChargeBatch).  A flush MUST precede
         # anything that could observe the clock, the TSC, the accounts or
@@ -485,154 +488,276 @@ class ExecutionEngine:
                 reason = _BUDGET
                 break
 
+            # Each branch below decides only what to charge: ``cycles`` in
+            # user or kernel mode, to (``prov``, ``kind``), and what
+            # follows once the charge completes: the head segment ``seg``
+            # is popped and its on_done run; a call ``then`` enters its
+            # callee ``fn``.  A branch with nothing to charge continues.
+            # The charge step at the end of the loop does the charging.
+            seg = then = None
             if segments:
+                # The loop top has just made every check.
                 seg = segments[0]
+                cycles = seg.cycles_left
                 user_mode = seg.user_mode
-                cpu.mode = mode_user if user_mode else mode_kernel
-                cycles_left = seg.cycles_left
-                if cycles_left == 0:
-                    segments.popleft()
-                    if seg.on_done is not None:
-                        if not seg.benign_done and (batch.prov is not None
-                                                    or batch.more is not None):
-                            batch.flush(kernel, task)
-                        seg.on_done()
-                    continue
                 prov = seg.provenance
                 kind = seg.kind
-                if batch.prov is None:
-                    batch.user = user_mode
-                    batch.prov = prov
-                    batch.kind = kind
-                elif (batch.prov is not prov or batch.user is not user_mode
-                        or batch.kind is not kind):
-                    batch.switch(user_mode, prov, kind)
-                avail = (budget_ns - consumed) * freq // NS_PER_SEC
-                if avail <= 0:
-                    # Sub-cycle remainder: burn it as zero-work time so the
-                    # clock reaches the next event and the machine can make
-                    # progress.
-                    batch.ns += budget_ns - consumed
-                    consumed = budget_ns
-                    continue
-                run = cycles_left if cycles_left < avail else avail
-                ns = (run * NS_PER_SEC + freq - 1) // freq
-                seg.cycles_left = cycles_left - run
-                batch.ns += ns
-                batch.cycles += run
-                consumed += ns
-                if run == cycles_left:
-                    segments.popleft()
-                    if seg.on_done is not None:
-                        if not seg.benign_done:
-                            batch.flush(kernel, task)
-                        seg.on_done()
-                continue
-
-            # Return-to-user boundary: deliver pending signals first (the
-            # delivery segment is kernel-mode, so a key-change flush happens
-            # before it runs, and its apply() callback is non-benign).
-            if task.pending_signals:
+            elif task.pending_signals:
+                # Return-to-user boundary: deliver pending signals first (the
+                # delivery segment is kernel-mode, so a key-change flush
+                # happens before it runs, and its apply() callback is
+                # non-benign).
                 kernel.deliver_signals(task)
                 continue
-
-            if st.pending_mem is not None:
-                self._continue_mem(task, st, batch)
-                continue
-
-            # -- pull the next op ------------------------------------------
-            frames = st.frames
-            if not frames:
-                # The root generator ran off its end without exit(): exit(0).
-                batch.flush(kernel, task)
-                kernel.do_exit(task, 0)
-                continue
-            frame = frames[-1]
-            if frame.user_mode:
-                if frame.__class__ is RepeatFrame:
-                    # Every loop-top check holds here, so the ops ahead may
-                    # run as one stretch (see _stretch); the op after the
-                    # stretch, if the budget is not spent, is handed out
-                    # below like any yielded op.
-                    st.send_value = None  # call results are discarded
-                    done = frame.done
-                    if done < frame.total and not task.debug.armed:
-                        consumed += self._stretch(task, frame,
-                                                  budget_ns - consumed, freq)
-                        if frame.done != done:
-                            cpu.mode = mode_user
-                            done = frame.done
-                    if done == frame.total:
-                        frames.pop()
-                        continue
-                    if consumed >= budget_ns:
-                        continue
-                    body = frame.body
-                    op = body[done % len(body)]
-                    frame.done = done + 1
-                    op_cls = op.__class__
+            elif st.pending_mem is not None:
+                cycles = self._continue_mem(task, st, batch)
+                if cycles is None:
+                    continue
+                user_mode = True
+                prov = frames[-1].provenance if frames else Provenance.USER
+                kind = _KIND_USER
+            else:
+                # -- pull the next op --------------------------------------
+                if not frames:
+                    # The root generator ran off its end without exit():
+                    # exit(0).
+                    batch.flush(kernel, task)
+                    kernel.do_exit(task, 0)
+                    continue
+                frame = frames[-1]
+                if frame.user_mode:
+                    if frame.__class__ is RepeatFrame:
+                        # Every loop-top check holds here, so the ops ahead
+                        # may run as one stretch (see _stretch); the op
+                        # after the stretch, if the budget is not spent, is
+                        # handed out below like any yielded op.
+                        st.send_value = None  # call results are discarded
+                        done = frame.done
+                        if done < frame.total and not task.debug.armed:
+                            consumed += self._stretch(
+                                task, frame, budget_ns - consumed, freq)
+                            if frame.done != done:
+                                cpu.mode = mode_user
+                                done = frame.done
+                        if done == frame.total:
+                            frames.pop()
+                            continue
+                        if consumed >= budget_ns:
+                            continue
+                        body = frame.body
+                        op = body[done % len(body)]
+                        frame.done = done + 1
+                        op_cls = op.__class__
+                    else:
+                        value, st.send_value = st.send_value, None
+                        try:
+                            if frame.started:
+                                op = frame.gen.send(value)
+                            else:
+                                frame.started = True
+                                op = frame.gen.send(None)
+                            op_cls = op.__class__
+                        except StopIteration as stop:
+                            frames.pop()
+                            st.send_value = stop.value
+                            if not frames and task.alive:
+                                # Root frame finished without exit():
+                                # implicit exit(status).
+                                batch.flush(kernel, task)
+                                code = (stop.value
+                                        if isinstance(stop.value, int) else 0)
+                                kernel.do_exit(task, code)
+                            continue
+                elif frame.gen is None:
+                    # A syscall frame between phases: advance it below.
+                    op_cls = None
                 else:
+                    # A syscall continuation; it may read the clock/TSC.
+                    if batch.prov is not None or batch.more is not None:
+                        batch.flush(kernel, task)
                     value, st.send_value = st.send_value, None
                     try:
-                        if frame.started:
-                            op = frame.gen.send(value)
-                        else:
-                            frame.started = True
-                            op = frame.gen.send(None)
+                        op = frame.gen.send(value)
                         op_cls = op.__class__
                     except StopIteration as stop:
-                        frames.pop()
-                        st.send_value = stop.value
-                        if not frames and task.alive:
-                            # Root frame finished without exit(): implicit
-                            # exit(status).
-                            batch.flush(kernel, task)
-                            code = (stop.value if isinstance(stop.value, int)
-                                    else 0)
-                            kernel.do_exit(task, code)
-                        continue
-            elif frame.gen is None:
-                # A syscall frame between phases: advance it below.
-                op_cls = None
-            else:
-                # A syscall continuation; it may read the clock/TSC.
-                if batch.prov is not None or batch.more is not None:
-                    batch.flush(kernel, task)
-                value, st.send_value = st.send_value, None
-                try:
-                    op = frame.gen.send(value)
-                    op_cls = op.__class__
-                except StopIteration as stop:
-                    frame.gen = None  # finish(), inlined
-                    frame.result = stop.value
-                    frame.phase = _EXIT
-                    op_cls = None
-                except KernelError as err:
-                    frame.finish(self._syscall_failed(task, frame, err))
-                    op_cls = None
+                        frame.gen = None  # finish(), inlined
+                        frame.result = stop.value
+                        frame.phase = _EXIT
+                        op_cls = None
+                    except KernelError as err:
+                        frame.finish(self._syscall_failed(task, frame, err))
+                        op_cls = None
 
-            # -- dispatch: hot ops inline, everything else via _dispatch ---
-            if op_cls is Compute:
-                # Fully inlined: run the first slice now, materialising a
-                # Segment only for the part that does not fit in the
-                # remaining budget.  The send that produced the op may have
-                # run kernel code (handlers post signals, wake tasks, queue
-                # work), so the loop-top checks must be re-established
-                # first — if any fail, queue the whole op and let the loop
-                # top decide, exactly as the cold dispatch path would.
-                state = task.state
-                if (kernel.need_resched or segments
-                        or (state is not running and state is not ready)):
-                    segments.append(Segment(
-                        op.cycles, frame.user_mode, frame.provenance,
-                        _KIND_USER if frame.user_mode else _KIND_SYSCALL))
-                    continue
-                user_mode = frame.user_mode
-                cpu.mode = mode_user if user_mode else mode_kernel
-                cycles_left = op.cycles
-                if cycles_left:
+                # -- what the op charges -----------------------------------
+                if op_cls is Compute:
+                    cycles = op.cycles
+                    user_mode = frame.user_mode
                     prov = frame.provenance
                     kind = _KIND_USER if user_mode else _KIND_SYSCALL
+                elif op_cls is Mem:
+                    if not frame.user_mode:
+                        raise SimulationError(
+                            "kernel frames may not yield Mem ops")
+                    # A present page with debug registers disarmed and no
+                    # queued work, signal or resched: every repeat is one
+                    # plain charge.  Anything else parks the access for
+                    # _continue_mem, which delivers pending signals first
+                    # and then faults, traps or charges it.
+                    state = task.state
+                    space = task.mm
+                    if (space is None or task.debug.armed
+                            or kernel.need_resched or segments
+                            or task.pending_signals
+                            or (state is not running and state is not ready)
+                            or mm.classify(space, op.vaddr) is not _FAULT_HIT):
+                        st.pending_mem = PendingMem(op)
+                        continue
+                    mm.note_access(space, op.vaddr, op.write)
+                    st.send_value = None
+                    cycles = mem_cost * op.repeat
+                    user_mode = True
+                    prov = frame.provenance
+                    kind = _KIND_USER
+                elif op_cls is CallLib or op_cls is CallNext:
+                    # Resolve, then charge the PLT overhead to the caller;
+                    # the callee is entered once that charge completes.
+                    if op_cls is CallLib:
+                        ctx = task.guest_ctx
+                        link_map = (ctx.shared.get("_link_map")
+                                    if ctx is not None else None)
+                        found = (link_map.lookup(op.symbol)
+                                 if link_map is not None else None)
+                        if found is None:
+                            found = self._resolve(task, op.symbol, None,
+                                                  batch)
+                    elif frame.lib is None:
+                        raise SimulationError(
+                            "CallNext outside a library function frame")
+                    else:
+                        found = self._resolve(task, op.symbol, frame.lib,
+                                              batch)
+                    if found is None:
+                        continue  # an undefined symbol killed the process
+                    lib, fn = found
+                    then = op
+                    cycles = plt_cost
+                    user_mode = True
+                    prov = frame.provenance
+                    kind = _KIND_USER
+                elif op_cls is Invoke:
+                    fn = op.fn
+                    frames.append(Frame(
+                        fn.instantiate(task.guest_ctx, *op.args),
+                        fn.provenance, fn.name, user_mode=frame.user_mode))
+                    continue
+                elif op_cls is Repeat:
+                    if not frame.user_mode:
+                        raise SimulationError(
+                            "kernel frames may not yield Repeat ops")
+                    frames.append(RepeatFrame(op, frame.provenance))
+                    continue
+                else:
+                    if op_cls is Syscall:
+                        frame = SyscallFrame(op.name, op.args,
+                                             handlers.get(op.name),
+                                             frame.provenance)
+                        frames.append(frame)
+                    elif op_cls is not None:
+                        batch.flush(kernel, task)
+                        self._dispatch(task, st, frame, op)
+                        continue
+                    # -- the syscall frame's next phase --------------------
+                    # A step that charges nothing (a failed call, a body
+                    # that returns its result) goes straight on to the
+                    # next phase; each phase that charges stops here and
+                    # is charged below like any op, so a tick can split a
+                    # phase, and preemption or a signal can come between
+                    # phases, at the same nanosecond as if every phase
+                    # were its own op.
+                    while True:
+                        phase = frame.phase
+                        if phase == _ENTER:
+                            frame.phase = _START
+                            cycles = entry_cycles
+                        elif phase == _START:
+                            handler = frame.handler
+                            if handler is None:
+                                batch.flush(kernel, task)
+                                kernel.trace("syscall",
+                                             f"ENOSYS {frame.name}", task.pid)
+                                frame.finish(-38)  # ENOSYS
+                                continue
+                            name = frame.name
+                            invocations[name] = invocations.get(name, 0) + 1
+                            cycles = handler.cost
+                            if cycles.__class__ is not int:
+                                try:
+                                    cycles = cycles(kernel, task, *frame.args)
+                                except KernelError as err:
+                                    batch.flush(kernel, task)
+                                    frame.finish(self._syscall_failed(
+                                        task, frame, err))
+                                    continue
+                            frame.phase = _BODY
+                        elif phase == _BODY:
+                            # The body runs at the instant its cost
+                            # completed and may read the clock, the TSC or
+                            # the accounts.
+                            if batch.prov is not None or batch.more is not None:
+                                batch.flush(kernel, task)
+                            try:
+                                result = frame.handler.body(kernel, task,
+                                                            *frame.args)
+                                if result.__class__ is not GeneratorType:
+                                    frame.result = result  # finish(), inlined
+                                    frame.phase = _EXIT
+                                    continue
+                                frame.gen = result
+                                op = result.send(None)
+                            except StopIteration as stop:
+                                frame.finish(stop.value)
+                                continue
+                            except KernelError as err:
+                                frame.finish(self._syscall_failed(task, frame,
+                                                                  err))
+                                continue
+                            if op.__class__ is not Compute:
+                                self._dispatch(task, st, frame, op)
+                                cycles = None
+                            else:
+                                cycles = op.cycles
+                        elif phase == _EXIT:
+                            frame.phase = _RETURN
+                            cycles = exit_cycles
+                        else:  # _RETURN
+                            frames.pop()
+                            st.send_value = frame.result
+                            cycles = None
+                        break
+                    if cycles is None:
+                        continue
+                    user_mode = False
+                    prov = frame.provenance
+                    kind = _KIND_SYSCALL
+
+                # The send that produced the op, or a syscall body, may have
+                # run kernel code (handlers post signals, wake tasks, queue
+                # work).  If a loop-top check no longer holds, or nothing of
+                # the budget is left, queue the whole charge, activating no
+                # key, and let the loop top decide.
+                state = task.state
+                if (kernel.need_resched or segments or consumed >= budget_ns
+                        or (state is not running and state is not ready)):
+                    segments.append(Segment(
+                        cycles, user_mode, prov, kind,
+                        None if then is None
+                        else self._enter_later(task, then, lib, fn), True))
+                    continue
+
+            # -- the charge step ---------------------------------------------
+            cpu.mode = mode_user if user_mode else mode_kernel
+            while True:
+                if cycles:
                     if batch.prov is None:
                         batch.user = user_mode
                         batch.prov = prov
@@ -640,262 +765,63 @@ class ExecutionEngine:
                     elif (batch.prov is not prov or batch.user is not user_mode
                             or batch.kind is not kind):
                         batch.switch(user_mode, prov, kind)
-                    avail = (budget_ns - consumed) * freq // NS_PER_SEC
-                    if avail <= 0:
-                        # Sub-cycle remainder (see the segment loop above).
-                        batch.ns += budget_ns - consumed
-                        consumed = budget_ns
-                        segments.append(Segment(cycles_left, user_mode,
-                                                prov, kind))
-                        continue
-                    if cycles_left > avail:
-                        segments.append(Segment(cycles_left - avail,
-                                                user_mode, prov, kind))
-                        run = avail
-                    else:
-                        run = cycles_left
-                    ns = (run * NS_PER_SEC + freq - 1) // freq
-                    batch.ns += ns
-                    batch.cycles += run
-                    consumed += ns
-                continue
-            if op_cls is Mem:
-                if not frame.user_mode:
-                    raise SimulationError(
-                        "kernel frames may not yield Mem ops")
-                # Fast path: a present page with debug registers disarmed
-                # and no queued work, signal or resched — charge every
-                # repeat straight into the batch, exactly what the slow
-                # path's single plain segment would do.  (The slow path
-                # delivers pending signals *before* the access, so any
-                # pending signal forces it.)
-                state = task.state
-                space = task.mm
-                if (space is not None and not task.debug.armed
-                        and not kernel.need_resched and not segments
-                        and not task.pending_signals
-                        and (state is running or state is ready)
-                        and mm.classify(space, op.vaddr) is _FAULT_HIT):
-                    cycles_left = mem_cost * op.repeat
-                    avail = (budget_ns - consumed) * freq // NS_PER_SEC
-                    if cycles_left <= avail:
-                        mm.note_access(space, op.vaddr, op.write)
-                        cpu.mode = mode_user
-                        if cycles_left:
-                            prov = frame.provenance
-                            if batch.prov is None:
-                                batch.user = True
-                                batch.prov = prov
-                                batch.kind = _KIND_USER
-                            elif (batch.prov is not prov or batch.user is not True
-                                    or batch.kind is not _KIND_USER):
-                                batch.switch(True, prov, _KIND_USER)
-                            ns = (cycles_left * NS_PER_SEC + freq - 1) // freq
-                            batch.ns += ns
-                            batch.cycles += cycles_left
-                            consumed += ns
-                        st.send_value = None
-                        continue
-                st.pending_mem = PendingMem(op)
-                continue
-            if op_cls is Invoke:
-                fn = op.fn
-                frames.append(Frame(
-                    fn.instantiate(task.guest_ctx, *op.args),
-                    fn.provenance, fn.name, user_mode=frame.user_mode))
-                continue
-            if op_cls is CallLib:
-                # Fast path: resolve, charge the whole PLT overhead into
-                # the batch and enter the callee — what the slow path's
-                # PLT segment plus benign push on_done would do, provided
-                # that segment could not be preempted or split.  A leaf
-                # callee whose cycles fit too is charged on the spot, with
-                # no frame; one that straddles the budget's end runs as a
-                # frame, so the split lands where it always did.
-                state = task.state
-                if (not kernel.need_resched and not segments
-                        and (state is running or state is ready)):
-                    ctx = task.guest_ctx
-                    link_map = (ctx.shared.get("_link_map")
-                                if ctx is not None else None)
-                    found = (link_map.lookup(op.symbol)
-                             if link_map is not None else None)
-                    if (found is not None and plt_cost
-                            <= (budget_ns - consumed) * freq // NS_PER_SEC):
-                        lib, fn = found
-                        cpu.mode = mode_user
-                        if plt_cost:
-                            prov = frame.provenance
-                            if batch.prov is None:
-                                batch.user = True
-                                batch.prov = prov
-                                batch.kind = _KIND_USER
-                            elif (batch.prov is not prov or batch.user is not True
-                                    or batch.kind is not _KIND_USER):
-                                batch.switch(True, prov, _KIND_USER)
-                            ns = (plt_cost * NS_PER_SEC + freq - 1) // freq
-                            batch.ns += ns
-                            batch.cycles += plt_cost
-                            consumed += ns
-                        if fn.__class__ is LeafFunction:
-                            cycles = fn.cycles
-                            if cycles.__class__ is not int:
-                                cycles = cycles(*op.args)
-                            ns = (cycles * NS_PER_SEC + freq - 1) // freq
-                            if ns <= budget_ns - consumed:
-                                if cycles:
-                                    prov = fn.provenance
-                                    if batch.prov is None:
-                                        batch.user = True
-                                        batch.prov = prov
-                                        batch.kind = _KIND_USER
-                                    elif (batch.prov is not prov or batch.user is not True
-                                            or batch.kind is not _KIND_USER):
-                                        batch.switch(True, prov, _KIND_USER)
-                                    batch.ns += ns
-                                    batch.cycles += cycles
-                                    consumed += ns
-                                st.send_value = fn.result(*op.args)
-                                continue
-                        frames.append(Frame(
-                            fn.instantiate(ctx, *op.args), fn.provenance,
-                            f"{lib.name}:{op.symbol}", lib=lib))
-                        continue
-                self._call_lib(task, st, frame, op.symbol, op.args,
-                               after=None, batch=batch)
-                continue
-            if op_cls is CallNext:
-                if frame.lib is None:
-                    raise SimulationError(
-                        "CallNext outside a library function frame")
-                self._call_lib(task, st, frame, op.symbol, op.args,
-                               after=frame.lib, batch=batch)
-                continue
-            if op_cls is Syscall:
-                frame = SyscallFrame(op.name, op.args, handlers.get(op.name),
-                                     frame.provenance)
-                frames.append(frame)
-            elif op_cls is Repeat:
-                if not frame.user_mode:
-                    raise SimulationError(
-                        "kernel frames may not yield Repeat ops")
-                frames.append(RepeatFrame(op, frame.provenance))
-                continue
-            elif op_cls is not None:
-                batch.flush(kernel, task)
-                self._dispatch(task, st, frame, op)
-                continue
-
-            # -- advance the syscall frame on top of the stack -------------
-            # Each pass runs one phase's step, then starts the next cost
-            # exactly as the Compute path above would.  While every
-            # loop-top check still holds once that cost is charged (no
-            # resched, nothing queued, no pending signal, task runnable,
-            # budget left) the next phase runs in the same pass; at the
-            # first check that could fail the frame stays on the stack and
-            # the loop top takes over, so preemption, signal delivery and
-            # every charge land at the same simulated nanosecond.
-            while True:
-                phase = frame.phase
-                if phase == _ENTER:
-                    frame.phase = _START
-                    cycles = entry_cycles
-                    ns = entry_ns
-                elif phase == _START:
-                    handler = frame.handler
-                    if handler is None:
-                        batch.flush(kernel, task)
-                        kernel.trace("syscall", f"ENOSYS {frame.name}",
-                                     task.pid)
-                        frame.finish(-38)  # ENOSYS
-                        continue
-                    name = frame.name
-                    invocations[name] = invocations.get(name, 0) + 1
-                    cycles = handler.cost
-                    if cycles.__class__ is not int:
-                        try:
-                            cycles = cycles(kernel, task, *frame.args)
-                        except KernelError as err:
-                            batch.flush(kernel, task)
-                            frame.finish(self._syscall_failed(task, frame,
-                                                              err))
-                            continue
+                    left = budget_ns - consumed
                     ns = (cycles * NS_PER_SEC + freq - 1) // freq
-                    frame.phase = _BODY
-                elif phase == _BODY:
-                    # The body runs at the instant its cost completed and
-                    # may read the clock, the TSC or the accounts.
-                    if batch.prov is not None or batch.more is not None:
-                        batch.flush(kernel, task)
-                    try:
-                        result = frame.handler.body(kernel, task, *frame.args)
-                        if result.__class__ is not GeneratorType:
-                            frame.result = result  # finish(), inlined
-                            frame.phase = _EXIT
-                            continue
-                        frame.gen = result
-                        op = result.send(None)
-                    except StopIteration as stop:
-                        frame.finish(stop.value)
-                        continue
-                    except KernelError as err:
-                        frame.finish(self._syscall_failed(task, frame, err))
-                        continue
-                    if op.__class__ is not Compute:
-                        self._dispatch(task, st, frame, op)
-                        break
-                    cycles = op.cycles
-                    ns = (cycles * NS_PER_SEC + freq - 1) // freq
-                elif phase == _EXIT:
-                    frame.phase = _RETURN
-                    cycles = exit_cycles
-                    ns = exit_ns
-                else:  # _RETURN
-                    frames.pop()
-                    st.send_value = frame.result
-                    break
-
-                state = task.state
-                if (kernel.need_resched or segments
-                        or (state is not running and state is not ready)):
-                    segments.append(Segment(cycles, False, frame.provenance,
-                                            _KIND_SYSCALL))
-                    break
-                cpu.mode = mode_kernel
-                if cycles:
-                    prov = frame.provenance
-                    if batch.prov is None:
-                        batch.user = False
-                        batch.prov = prov
-                        batch.kind = _KIND_SYSCALL
-                    elif (batch.prov is not prov or batch.user is not False
-                            or batch.kind is not _KIND_SYSCALL):
-                        batch.switch(False, prov, _KIND_SYSCALL)
-                    # ``ns`` fits the budget exactly when ``cycles`` fits
-                    # the ``avail`` the Compute path computes.
-                    if budget_ns - consumed < ns:
-                        avail = (budget_ns - consumed) * freq // NS_PER_SEC
-                        if avail <= 0:
-                            # Sub-cycle remainder (see the segment loop).
-                            batch.ns += budget_ns - consumed
-                            consumed = budget_ns
-                            segments.append(Segment(cycles, False, prov,
-                                                    _KIND_SYSCALL))
+                    if ns > left:
+                        # Split at the budget's end: charge the whole cycles
+                        # that fit, each slice its own ceil(cycles·1e9/freq)
+                        # ns.  A sub-cycle remainder is burnt as zero-work
+                        # time, so the clock reaches the next event and the
+                        # machine can make progress.  The rest is queued.
+                        run = left * freq // NS_PER_SEC
+                        if run:
+                            ns = (run * NS_PER_SEC + freq - 1) // freq
+                            batch.cycles += run
                         else:
-                            segments.append(Segment(cycles - avail, False,
-                                                    prov, _KIND_SYSCALL))
-                            ns = (avail * NS_PER_SEC + freq - 1) // freq
-                            batch.ns += ns
-                            batch.cycles += avail
-                            consumed += ns
+                            ns = left
+                        batch.ns += ns
+                        consumed += ns
+                        if seg is None:
+                            segments.append(Segment(
+                                cycles - run, user_mode, prov, kind,
+                                None if then is None
+                                else self._enter_later(task, then, lib, fn),
+                                True))
+                        else:
+                            seg.cycles_left = cycles - run
                         break
                     batch.ns += ns
                     batch.cycles += cycles
                     consumed += ns
-                if (consumed >= budget_ns or task.pending_signals
-                        or frame.gen is not None):
-                    # A continuation resumes through the generator path.
-                    break
+                # The charge completed in place.
+                if seg is not None:
+                    segments.popleft()
+                    if seg.on_done is not None:
+                        if not seg.benign_done and (batch.prov is not None
+                                                    or batch.more is not None):
+                            batch.flush(kernel, task)
+                        seg.on_done()
+                elif then is not None:
+                    # Enter the callee.  A leaf whose cycles fit what is
+                    # left of the budget is charged here, with no frame, and
+                    # its result sent back; any other callee runs as a
+                    # frame (a leaf's generic generator splits where its
+                    # Compute meets the budget's end).
+                    args = then.args
+                    if fn.__class__ is LeafFunction:
+                        cycles = fn.cycles
+                        if cycles.__class__ is not int:
+                            cycles = cycles(*args)
+                        if ((cycles * NS_PER_SEC + freq - 1) // freq
+                                <= budget_ns - consumed):
+                            st.send_value = fn.result(*args)
+                            prov = fn.provenance
+                            then = None
+                            continue
+                    frames.append(Frame(
+                        fn.instantiate(task.guest_ctx, *args), fn.provenance,
+                        f"{lib.name}:{then.symbol}", lib=lib))
+                break
 
         if batch.prov is not None or batch.more is not None:
             batch.flush(kernel, task)
@@ -928,8 +854,13 @@ class ExecutionEngine:
             return
         raise SimulationError(f"unknown op {op!r}")
 
-    def _call_lib(self, task: "Task", st: ExecState, frame: Frame,
-                  symbol: str, args, after, batch: "ChargeBatch") -> None:
+    def _resolve(self, task: "Task", symbol: str, after,
+                 batch: "ChargeBatch"):
+        """The (library, function) a call binds to, for the calls the run
+        loop's cached lookup does not bind: ``CallNext`` (RTLD_NEXT, the
+        next definition after library ``after``) and an undefined symbol,
+        which kills the process like a lazy-binding failure (returns None).
+        """
         kernel = self.kernel
         link_map = task.guest_ctx.shared.get("_link_map") if task.guest_ctx else None
         if link_map is None:
@@ -937,23 +868,20 @@ class ExecutionEngine:
                 f"task {task.pid} has no link map (not exec'd?)")
         try:
             if after is None:
-                lib, fn = link_map.resolve(symbol)
-            else:
-                lib, fn = link_map.resolve_after(symbol, after)
+                return link_map.resolve(symbol)
+            return link_map.resolve_after(symbol, after)
         except FileNotFound:
-            # Undefined symbol at call time: the process dies like a
-            # lazy-binding failure would.
             batch.flush(kernel, task)
             kernel.trace("link", f"undefined symbol {symbol}", task.pid)
             kernel.do_exit(task, 127)
-            return
-        gen = fn.instantiate(task.guest_ctx, *args)
-        callee = Frame(gen, fn.provenance, f"{lib.name}:{symbol}", lib=lib)
-        # Small PLT-call overhead charged to the caller, then enter callee.
-        st.segments.append(Segment(
-            kernel.costs.lib_call_cycles, True, frame.provenance,
-            ChargeKind.USER, on_done=lambda: st.frames.append(callee),
-            benign_done=True))
+            return None
+
+    def _enter_later(self, task: "Task", op, lib, fn) -> Callable[[], None]:
+        """The on_done of a PLT charge that does not complete in place:
+        push the callee's frame when it does."""
+        callee = Frame(fn.instantiate(task.guest_ctx, *op.args),
+                       fn.provenance, f"{lib.name}:{op.symbol}", lib=lib)
+        return partial(task.exec_state.frames.append, callee)
 
     # -- repeat loops ---------------------------------------------------------------
 
@@ -1083,7 +1011,10 @@ class ExecutionEngine:
     # -- memory ---------------------------------------------------------------------
 
     def _continue_mem(self, task: "Task", st: ExecState,
-                      batch: "ChargeBatch") -> None:
+                      batch: "ChargeBatch") -> Optional[int]:
+        """Resume the pending access.  A fault, a trap or SIGSEGV queues its
+        own work and returns None; a plain access to a present page returns
+        the cycles of its remaining repeats, which the run loop charges."""
         kernel = self.kernel
         pending = st.pending_mem
         op = pending.op
@@ -1098,35 +1029,24 @@ class ExecutionEngine:
             batch.flush(kernel, task)
             kernel.trace("fault", f"SIGSEGV at 0x{op.vaddr:x}", task.pid)
             kernel.post_signal(task, SIGSEGV)
-            return
-        if kind is FaultKind.MINOR:
-            self._start_minor_fault(task, st, op)
-            return
-        if kind is FaultKind.MAJOR:
-            self._start_major_fault(task, st, op)
-            return
+            return None
+        if kind is not _FAULT_HIT:
+            self._start_fault(task, st, op, kind is FaultKind.MAJOR)
+            return None
 
         # Present page.
-        frame_prov = st.frames[-1].provenance if st.frames else Provenance.USER
         watched = task.debug.armed and task.debug.hit(op.vaddr, op.write) is not None
         mm.note_access(space, op.vaddr, op.write)
         cost = kernel.costs.mem_access_cycles
         if not watched:
-            # Fast path: all remaining repeats as one divisible segment.
-            repeats = pending.remaining
             st.pending_mem = None
-
-            def done_plain() -> None:
-                st.send_value = None
-
-            st.segments.append(Segment(cost * repeats, True, frame_prov,
-                                       ChargeKind.USER, on_done=done_plain,
-                                       benign_done=True))
-            return
+            st.send_value = None
+            return cost * pending.remaining
 
         # Watched access: one access, then the debug exception fires.
         pending.remaining -= 1
         last = pending.remaining == 0
+        frame_prov = st.frames[-1].provenance if st.frames else Provenance.USER
 
         def done_watched() -> None:
             if last:
@@ -1136,6 +1056,7 @@ class ExecutionEngine:
 
         st.segments.append(Segment(cost, True, frame_prov, ChargeKind.USER,
                                    on_done=done_watched))
+        return None
 
     def _debug_exception(self, task: "Task", st: ExecState) -> None:
         """A hardware watchpoint fired: exception, then SIGTRAP."""
@@ -1147,51 +1068,44 @@ class ExecutionEngine:
             ChargeKind.SYSCALL, on_done=partial(kernel.post_signal, task,
                                                 SIGTRAP)))
 
-    def _start_minor_fault(self, task: "Task", st: ExecState, op: Mem) -> None:
+    def _start_fault(self, task: "Task", st: ExecState, op: Mem,
+                     major: bool) -> None:
+        """Queue a fault's kernel work.  When it completes, a minor fault
+        maps a zeroed frame and a major one starts the swap-in; either
+        retries once after an OOM kill that leaves the task alive."""
         kernel = self.kernel
-        task.minor_faults += 1
+        costs = kernel.costs
         frame_prov = st.frames[-1].provenance if st.frames else Provenance.USER
+        if major:
+            task.major_faults += 1
+            cycles = costs.major_fault_cycles
+        else:
+            task.minor_faults += 1
+            cycles = costs.minor_fault_cycles + costs.page_zero_cycles
 
         def done() -> None:
+            mm = kernel.mm
+            complete = mm.begin_major_fault if major else mm.complete_minor_fault
             try:
-                wrote_back = kernel.mm.complete_minor_fault(task.mm, op.vaddr)
+                outcome = complete(task.mm, op.vaddr)
             except OutOfMemory:
                 if not kernel.oom_kill(requester=task):
                     raise
                 if not task.alive:
                     return
-                wrote_back = kernel.mm.complete_minor_fault(task.mm, op.vaddr)
+                outcome = complete(task.mm, op.vaddr)
             self._charge_reclaim(task, st, frame_prov)
+            if major:
+                frame, wrote_back = outcome
+            else:
+                wrote_back = outcome
             if wrote_back:
                 kernel.swap_writeback(task)
+            if major:
+                kernel.begin_swap_in(task, op.vaddr, frame)
 
-        st.segments.append(Segment(
-            kernel.costs.minor_fault_cycles +
-            kernel.costs.page_zero_cycles, False, frame_prov,
-            ChargeKind.SYSCALL, on_done=done))
-
-    def _start_major_fault(self, task: "Task", st: ExecState, op: Mem) -> None:
-        kernel = self.kernel
-        task.major_faults += 1
-        frame_prov = st.frames[-1].provenance if st.frames else Provenance.USER
-
-        def done() -> None:
-            try:
-                frame, wrote_back = kernel.mm.begin_major_fault(task.mm, op.vaddr)
-            except OutOfMemory:
-                if not kernel.oom_kill(requester=task):
-                    raise
-                if not task.alive:
-                    return
-                frame, wrote_back = kernel.mm.begin_major_fault(task.mm, op.vaddr)
-            self._charge_reclaim(task, st, frame_prov)
-            if wrote_back:
-                kernel.swap_writeback(task)
-            kernel.begin_swap_in(task, op.vaddr, frame)
-
-        st.segments.append(Segment(
-            kernel.costs.major_fault_cycles, False, frame_prov,
-            ChargeKind.SYSCALL, on_done=done))
+        st.segments.append(Segment(cycles, False, frame_prov,
+                                   ChargeKind.SYSCALL, on_done=done))
 
     def _charge_reclaim(self, task: "Task", st: ExecState,
                         provenance: Provenance) -> None:
