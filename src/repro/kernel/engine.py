@@ -492,9 +492,13 @@ class ExecutionEngine:
             # user or kernel mode, to (``prov``, ``kind``), and what
             # follows once the charge completes: the head segment ``seg``
             # is popped and its on_done run; a call ``then`` enters its
-            # callee ``fn``.  A branch with nothing to charge continues.
-            # The charge step at the end of the loop does the charging.
+            # callee ``fn``; a syscall frame (``advance``) goes on to its
+            # next phase, which the charge step works out.  A branch with
+            # nothing to charge continues.  The charge step at the end of
+            # the loop does the charging.
             seg = then = None
+            advance = False
+            recheck = True
             if segments:
                 # The loop top has just made every check.
                 seg = segments[0]
@@ -502,6 +506,7 @@ class ExecutionEngine:
                 user_mode = seg.user_mode
                 prov = seg.provenance
                 kind = seg.kind
+                recheck = False
             elif task.pending_signals:
                 # Return-to-user boundary: deliver pending signals first (the
                 # delivery segment is kernel-mode, so a key-change flush
@@ -656,24 +661,29 @@ class ExecutionEngine:
                             "kernel frames may not yield Repeat ops")
                     frames.append(RepeatFrame(op, frame.provenance))
                     continue
+                elif op_cls is Syscall:
+                    frame = SyscallFrame(op.name, op.args,
+                                         handlers.get(op.name),
+                                         frame.provenance)
+                    frames.append(frame)
+                    advance = True
+                elif op_cls is None:
+                    advance = True
                 else:
-                    if op_cls is Syscall:
-                        frame = SyscallFrame(op.name, op.args,
-                                             handlers.get(op.name),
-                                             frame.provenance)
-                        frames.append(frame)
-                    elif op_cls is not None:
-                        batch.flush(kernel, task)
-                        self._dispatch(task, st, frame, op)
-                        continue
-                    # -- the syscall frame's next phase --------------------
-                    # A step that charges nothing (a failed call, a body
-                    # that returns its result) goes straight on to the
-                    # next phase; each phase that charges stops here and
-                    # is charged below like any op, so a tick can split a
-                    # phase, and preemption or a signal can come between
-                    # phases, at the same nanosecond as if every phase
-                    # were its own op.
+                    batch.flush(kernel, task)
+                    self._dispatch(task, st, frame, op)
+                    continue
+
+            # -- the charge step ---------------------------------------------
+            while True:
+                if advance:
+                    # The syscall frame's next phase.  A step that charges
+                    # nothing (a failed call, a body that returns its
+                    # result) goes straight on to the next phase; each phase
+                    # that charges is charged below like any op, so a tick
+                    # can split a phase, and preemption or a signal can come
+                    # between phases, at the same nanosecond as if every
+                    # phase were its own op.
                     while True:
                         phase = frame.phase
                         if phase == _ENTER:
@@ -735,28 +745,27 @@ class ExecutionEngine:
                             cycles = None
                         break
                     if cycles is None:
-                        continue
+                        break
                     user_mode = False
                     prov = frame.provenance
                     kind = _KIND_SYSCALL
-
-                # The send that produced the op, or a syscall body, may have
-                # run kernel code (handlers post signals, wake tasks, queue
-                # work).  If a loop-top check no longer holds, or nothing of
-                # the budget is left, queue the whole charge, activating no
-                # key, and let the loop top decide.
-                state = task.state
-                if (kernel.need_resched or segments or consumed >= budget_ns
-                        or (state is not running and state is not ready)):
-                    segments.append(Segment(
-                        cycles, user_mode, prov, kind,
-                        None if then is None
-                        else self._enter_later(task, then, lib, fn), True))
-                    continue
-
-            # -- the charge step ---------------------------------------------
-            cpu.mode = mode_user if user_mode else mode_kernel
-            while True:
+                if recheck:
+                    # The send that produced the op, or a syscall body, may
+                    # have run kernel code (handlers post signals, wake
+                    # tasks, queue work).  If a loop-top check no longer
+                    # holds, or nothing of the budget is left, queue the
+                    # whole charge, activating no key, and let the loop top
+                    # decide.
+                    state = task.state
+                    if (kernel.need_resched or segments
+                            or consumed >= budget_ns
+                            or (state is not running and state is not ready)):
+                        segments.append(Segment(
+                            cycles, user_mode, prov, kind,
+                            None if then is None
+                            else self._enter_later(task, then, lib, fn), True))
+                        break
+                cpu.mode = mode_user if user_mode else mode_kernel
                 if cycles:
                     if batch.prov is None:
                         batch.user = user_mode
@@ -806,7 +815,8 @@ class ExecutionEngine:
                     # left of the budget is charged here, with no frame, and
                     # its result sent back; any other callee runs as a
                     # frame (a leaf's generic generator splits where its
-                    # Compute meets the budget's end).
+                    # Compute meets the budget's end).  Nothing can have
+                    # changed since the PLT charge's check.
                     args = then.args
                     if fn.__class__ is LeafFunction:
                         cycles = fn.cycles
@@ -817,10 +827,17 @@ class ExecutionEngine:
                             st.send_value = fn.result(*args)
                             prov = fn.provenance
                             then = None
+                            recheck = False
                             continue
                     frames.append(Frame(
                         fn.instantiate(task.guest_ctx, *args), fn.provenance,
                         f"{lib.name}:{then.symbol}", lib=lib))
+                elif (advance and consumed < budget_ns and frame.gen is None
+                        and not task.pending_signals):
+                    # Every loop-top check still holds (the next phase's
+                    # check makes the rest), so the frame goes on to its
+                    # next phase in this pass.
+                    continue
                 break
 
         if batch.prov is not None or batch.more is not None:
