@@ -749,59 +749,62 @@ class ExecutionEngine:
                     user_mode = False
                     prov = frame.provenance
                     kind = _KIND_SYSCALL
-                if recheck:
+                # ``rest``: the cycles left to queue, or None once the charge
+                # completes in place.
+                state = task.state
+                if recheck and (kernel.need_resched or segments
+                                or consumed >= budget_ns
+                                or (state is not running
+                                    and state is not ready)):
                     # The send that produced the op, or a syscall body, may
                     # have run kernel code (handlers post signals, wake
                     # tasks, queue work).  If a loop-top check no longer
                     # holds, or nothing of the budget is left, queue the
                     # whole charge, activating no key, and let the loop top
                     # decide.
-                    state = task.state
-                    if (kernel.need_resched or segments
-                            or consumed >= budget_ns
-                            or (state is not running and state is not ready)):
-                        segments.append(Segment(
-                            cycles, user_mode, prov, kind,
-                            None if then is None
-                            else self._enter_later(task, then, lib, fn), True))
-                        break
-                cpu.mode = mode_user if user_mode else mode_kernel
-                if cycles:
-                    if batch.prov is None:
-                        batch.user = user_mode
-                        batch.prov = prov
-                        batch.kind = kind
-                    elif (batch.prov is not prov or batch.user is not user_mode
-                            or batch.kind is not kind):
-                        batch.switch(user_mode, prov, kind)
-                    left = budget_ns - consumed
-                    ns = (cycles * NS_PER_SEC + freq - 1) // freq
-                    if ns > left:
-                        # Split at the budget's end: charge the whole cycles
-                        # that fit, each slice its own ceil(cycles·1e9/freq)
-                        # ns.  A sub-cycle remainder is burnt as zero-work
-                        # time, so the clock reaches the next event and the
-                        # machine can make progress.  The rest is queued.
-                        run = left * freq // NS_PER_SEC
-                        if run:
-                            ns = (run * NS_PER_SEC + freq - 1) // freq
-                            batch.cycles += run
+                    rest = cycles
+                else:
+                    cpu.mode = mode_user if user_mode else mode_kernel
+                    rest = None
+                    if cycles:
+                        if batch.prov is None:
+                            batch.user = user_mode
+                            batch.prov = prov
+                            batch.kind = kind
+                        elif (batch.prov is not prov
+                                or batch.user is not user_mode
+                                or batch.kind is not kind):
+                            batch.switch(user_mode, prov, kind)
+                        left = budget_ns - consumed
+                        ns = (cycles * NS_PER_SEC + freq - 1) // freq
+                        if ns > left:
+                            # Split at the budget's end: charge the whole
+                            # cycles that fit, each slice its own
+                            # ceil(cycles·1e9/freq) ns.  A sub-cycle
+                            # remainder is burnt as zero-work time, so the
+                            # clock reaches the next event and the machine
+                            # can make progress.  The rest is queued.
+                            run = left * freq // NS_PER_SEC
+                            if run:
+                                ns = (run * NS_PER_SEC + freq - 1) // freq
+                                batch.cycles += run
+                            else:
+                                ns = left
+                            rest = cycles - run
                         else:
-                            ns = left
+                            batch.cycles += cycles
                         batch.ns += ns
                         consumed += ns
-                        if seg is None:
-                            segments.append(Segment(
-                                cycles - run, user_mode, prov, kind,
-                                None if then is None
-                                else self._enter_later(task, then, lib, fn),
-                                True))
-                        else:
-                            seg.cycles_left = cycles - run
-                        break
-                    batch.ns += ns
-                    batch.cycles += cycles
-                    consumed += ns
+                if rest is not None:
+                    if seg is None:
+                        segments.append(Segment(
+                            rest, user_mode, prov, kind,
+                            None if then is None else partial(
+                                frames.append,
+                                self._callee(task, then, lib, fn)), True))
+                    else:
+                        seg.cycles_left = rest
+                    break
                 # The charge completed in place.
                 if seg is not None:
                     segments.popleft()
@@ -829,9 +832,7 @@ class ExecutionEngine:
                             then = None
                             recheck = False
                             continue
-                    frames.append(Frame(
-                        fn.instantiate(task.guest_ctx, *args), fn.provenance,
-                        f"{lib.name}:{then.symbol}", lib=lib))
+                    frames.append(self._callee(task, then, lib, fn))
                 elif (advance and consumed < budget_ns and frame.gen is None
                         and not task.pending_signals):
                     # Every loop-top check still holds (the next phase's
@@ -893,12 +894,11 @@ class ExecutionEngine:
             kernel.do_exit(task, 127)
             return None
 
-    def _enter_later(self, task: "Task", op, lib, fn) -> Callable[[], None]:
-        """The on_done of a PLT charge that does not complete in place:
-        push the callee's frame when it does."""
-        callee = Frame(fn.instantiate(task.guest_ctx, *op.args),
-                       fn.provenance, f"{lib.name}:{op.symbol}", lib=lib)
-        return partial(task.exec_state.frames.append, callee)
+    def _callee(self, task: "Task", op, lib, fn) -> Frame:
+        """The frame a call ``op`` to ``fn`` in ``lib`` runs as; a PLT
+        charge that does not complete in place pushes it on completion."""
+        return Frame(fn.instantiate(task.guest_ctx, *op.args), fn.provenance,
+                     f"{lib.name}:{op.symbol}", lib=lib)
 
     # -- repeat loops ---------------------------------------------------------------
 
