@@ -661,14 +661,17 @@ class ExecutionEngine:
                             "kernel frames may not yield Repeat ops")
                     frames.append(RepeatFrame(op, frame.provenance))
                     continue
-                elif op_cls is Syscall:
-                    frame = SyscallFrame(op.name, op.args,
-                                         handlers.get(op.name),
-                                         frame.provenance)
-                    frames.append(frame)
+                elif op_cls is Syscall or op_cls is None:
+                    if op_cls is Syscall:
+                        frame = SyscallFrame(op.name, op.args,
+                                             handlers.get(op.name),
+                                             frame.provenance)
+                        frames.append(frame)
+                    # Every phase charges kernel time to the caller.
                     advance = True
-                elif op_cls is None:
-                    advance = True
+                    user_mode = False
+                    prov = frame.provenance
+                    kind = _KIND_SYSCALL
                 else:
                     batch.flush(kernel, task)
                     self._dispatch(task, st, frame, op)
@@ -746,16 +749,12 @@ class ExecutionEngine:
                         break
                     if cycles is None:
                         break
-                    user_mode = False
-                    prov = frame.provenance
-                    kind = _KIND_SYSCALL
                 # ``rest``: the cycles left to queue, or None once the charge
                 # completes in place.
-                state = task.state
                 if recheck and (kernel.need_resched or segments
                                 or consumed >= budget_ns
-                                or (state is not running
-                                    and state is not ready)):
+                                or (task.state is not running
+                                    and task.state is not ready)):
                     # The send that produced the op, or a syscall body, may
                     # have run kernel code (handlers post signals, wake
                     # tasks, queue work).  If a loop-top check no longer
@@ -775,21 +774,19 @@ class ExecutionEngine:
                                 or batch.user is not user_mode
                                 or batch.kind is not kind):
                             batch.switch(user_mode, prov, kind)
-                        left = budget_ns - consumed
                         ns = (cycles * NS_PER_SEC + freq - 1) // freq
-                        if ns > left:
+                        if ns > budget_ns - consumed:
                             # Split at the budget's end: charge the whole
                             # cycles that fit, each slice its own
                             # ceil(cycles·1e9/freq) ns.  A sub-cycle
                             # remainder is burnt as zero-work time, so the
                             # clock reaches the next event and the machine
                             # can make progress.  The rest is queued.
-                            run = left * freq // NS_PER_SEC
+                            ns = budget_ns - consumed
+                            run = ns * freq // NS_PER_SEC
                             if run:
                                 ns = (run * NS_PER_SEC + freq - 1) // freq
                                 batch.cycles += run
-                            else:
-                                ns = left
                             rest = cycles - run
                         else:
                             batch.cycles += cycles
@@ -806,7 +803,14 @@ class ExecutionEngine:
                         seg.cycles_left = rest
                     break
                 # The charge completed in place.
-                if seg is not None:
+                if advance:
+                    if (consumed < budget_ns and frame.gen is None
+                            and not task.pending_signals):
+                        # Every loop-top check still holds (the next
+                        # phase's check makes the rest), so the frame goes
+                        # on to its next phase in this pass.
+                        continue
+                elif seg is not None:
                     segments.popleft()
                     if seg.on_done is not None:
                         if not seg.benign_done and (batch.prov is not None
@@ -833,12 +837,6 @@ class ExecutionEngine:
                             recheck = False
                             continue
                     frames.append(self._callee(task, then, lib, fn))
-                elif (advance and consumed < budget_ns and frame.gen is None
-                        and not task.pending_signals):
-                    # Every loop-top check still holds (the next phase's
-                    # check makes the rest), so the frame goes on to its
-                    # next phase in this pass.
-                    continue
                 break
 
         if batch.prov is not None or batch.more is not None:
