@@ -101,25 +101,19 @@ def _apply_invariants_flag(args: argparse.Namespace) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from .analysis.figures import FIGURES, run_figure
+    from .analysis.figures import FIGURES, run_figures
     from .analysis.report import figure_report
-    from .runner import SweepTelemetry
 
     _apply_invariants_flag(args)
     runner = _make_runner(args, quiet=True)
-    telemetry = SweepTelemetry()
     fig_ids = sorted(FIGURES) if args.fig_id == "all" else [args.fig_id]
-    ok = True
-    for fig_id in fig_ids:
-        fig = run_figure(fig_id, scale=args.scale, runner=runner)
-        if runner is not None:
-            telemetry.merge(runner.telemetry)
+    figures = run_figures(fig_ids, scale=args.scale, runner=runner)
+    for fig in figures.values():
         print(figure_report(fig))
         print()
-        ok = ok and fig.passed
     if runner is not None:
-        print(telemetry.summary())
-    return 0 if ok else 1
+        print(runner.telemetry.summary())
+    return 0 if all(fig.passed for fig in figures.values()) else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -284,10 +278,9 @@ def _run_scenario(args: argparse.Namespace, command: str,
     checks and returns the command's extra report keys; ``spec(tag,
     **fields)`` builds a leg spec for identity checks.
     """
-    from .analysis.figures import paper_workload_params
+    from .analysis.figures import paper_workload_params, run_points
     from .checks import CheckList, write_report
     from .runner import ExperimentSpec
-    from .runner import specs as specs_mod
 
     _apply_invariants_flag(args)
     program_kwargs = paper_workload_params(args.scale)[args.program]
@@ -298,15 +291,10 @@ def _run_scenario(args: argparse.Namespace, command: str,
             check_invariants=True if args.check_invariants else None,
             label=f"{command}:{args.program}:{tag}", **fields)
 
-    specs = [spec(tag, **fields) for tag, fields in legs.items()]
-    runner = _make_runner(args, quiet=True)
-    if runner is None:
-        # Looked up at call time, so a patched run_spec takes effect.
-        results = [specs_mod.run_spec(s) for s in specs]
-    else:
-        results = runner.run_results(specs)
+    points = {tag: spec(tag, **fields) for tag, fields in legs.items()}
+    results = run_points(points, _make_runner(args, quiet=True))
     checks = CheckList()
-    extra = evaluate(dict(zip(legs, results)), checks, spec)
+    extra = evaluate(results, checks, spec)
     print()
     print(checks.render())
     if args.json:
@@ -317,8 +305,8 @@ def _run_scenario(args: argparse.Namespace, command: str,
             "check_invariants": bool(args.check_invariants),
             "passed": checks.passed,
             "checks": checks.to_dicts(),
-            "results": {s.name: res.to_dict()
-                        for s, res in zip(specs, results)},
+            "results": {points[tag].name: res.to_dict()
+                        for tag, res in results.items()},
             **extra,
         })
     return 0 if checks.passed else 1
@@ -404,6 +392,7 @@ def _run_defense_scenario(args: argparse.Namespace, command: str,
     plus ``leg_details(stats)``; the defended leg's trust report annotates
     the invoice, and ``add_checks(checks, spec, errors, trust, results)``
     adds the command's checks."""
+    from .analysis.figures import billed_s, billing_error_s
     from .metering.billing import TrustReport, invoice_for
 
     clean, on, off = tags
@@ -415,12 +404,10 @@ def _run_defense_scenario(args: argparse.Namespace, command: str,
         print(header)
         errors = {}
         for tag, res in results.items():
-            skew_ns = res.stats.get("timesync_billed_skew_ns", 0)
-            billed = res.total_s + skew_ns / 1e9
-            oracle = res.oracle_own_s()
-            errors[tag] = err = abs(billed - oracle)
+            errors[tag] = err = billing_error_s(res)
             print(f"{tag:<{width}} " + leg_format.format(
-                billed=billed, oracle=oracle, err=err, err_ms=err * 1e3))
+                billed=billed_s(res), oracle=res.oracle_own_s(), err=err,
+                err_ms=err * 1e3))
             for line in leg_details(res.stats):
                 print(" " * (width + 1) + line)
         trust = TrustReport.from_stats(results[on].stats)

@@ -6,19 +6,24 @@ across programs, monotonicity in nice, sum conservation — never absolute
 seconds.  ``PAPER_REFERENCE`` records values eyeballed from the published
 figures for side-by-side context in EXPERIMENTS.md; they are approximate by
 nature.
+
+Each figure is declared as data (:class:`Figure`): the grid of points it
+needs and a build from their results to bars and checks.
+:func:`run_figures` runs the union of the grids it is asked for, each
+distinct point once, then builds every figure from the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 from ..checks import Check, CheckList
 from ..config import MachineConfig, default_config
 from ..programs.base import Program
 from ..programs.workloads import make_paper_program, watched_variable
-from ..runner.specs import ExperimentSpec, run_spec
+from ..runner.specs import ExperimentSpec, run_spec, spec_key
 from .experiment import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (serial runs: no pool)
@@ -71,16 +76,6 @@ def paper_workloads(scale: float = 1.0) -> Dict[str, Program]:
             for name, kwargs in paper_workload_params(scale).items()}
 
 
-def _execute(specs: List[ExperimentSpec],
-             runner: Optional[BatchRunner]) -> List[ExperimentResult]:
-    """Run sweep points through ``runner`` (parallel/cached) or, absent
-    one, serially in-process — the two paths are equivalent by
-    construction and by the equivalence test suite."""
-    if runner is None:
-        return [run_spec(spec) for spec in specs]
-    return runner.run_results(specs)
-
-
 @dataclass
 class Bar:
     """One (utime, stime) bar of a figure."""
@@ -116,50 +111,147 @@ class FigureResult:
         return [c for c in self.checks if not c.passed]
 
 
+#: A figure's points: result key → the spec that produces it.
+Grid = Dict[str, ExperimentSpec]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """A figure declared as data.
+
+    ``grid(fig_id, scale, cfg)`` returns the points the figure needs; its
+    keys become :attr:`FigureResult.results`.  ``build(fig, scale, cfg,
+    runner)`` turns those results into bars, checks and meta.  Calling a
+    figure regenerates it alone (:func:`run_figures` with one id).
+    """
+
+    fig_id: str
+    title: str
+    grid: Callable[[str, float, Optional[MachineConfig]], Grid]
+    build: Callable[..., None]
+
+    def __call__(self, scale: float = 1.0,
+                 cfg: Optional[MachineConfig] = None,
+                 runner: Optional[BatchRunner] = None) -> FigureResult:
+        return run_figures([self.fig_id], scale, cfg, runner)[self.fig_id]
+
+
+def run_points(points: Mapping[Hashable, ExperimentSpec],
+               runner: Optional[BatchRunner] = None
+               ) -> Dict[Hashable, ExperimentResult]:
+    """Run ``points`` and return their results under the same names.
+
+    Each distinct :func:`spec_key` runs once; points that share it share
+    its result.  Absent a runner the points run serially in process through
+    this module's ``run_spec`` binding (looked up at call time, so a patched
+    binding takes effect), otherwise through ``runner.run_results``.  The
+    two paths are equivalent (tests/test_runner_equivalence.py).
+    """
+    keys = {name: spec_key(spec) for name, spec in points.items()}
+    distinct: Dict[str, ExperimentSpec] = {}
+    for name, key in keys.items():
+        distinct.setdefault(key, points[name])
+    if runner is None:
+        done = {key: run_spec(spec) for key, spec in distinct.items()}
+    else:
+        done = dict(zip(distinct,
+                        runner.run_results(list(distinct.values()))))
+    return {name: done[key] for name, key in keys.items()}
+
+
+def run_figures(fig_ids: Sequence[str], scale: float = 1.0,
+                cfg: Optional[MachineConfig] = None,
+                runner: Optional[BatchRunner] = None
+                ) -> Dict[str, FigureResult]:
+    """Regenerate ``fig_ids`` from one run of the union of their grids,
+    so a point several figures share runs once."""
+    unknown = [fig_id for fig_id in fig_ids if fig_id not in FIGURES]
+    if unknown:
+        raise KeyError(
+            f"unknown figure {unknown[0]!r}; have {sorted(FIGURES)}")
+    figures = [FIGURES[fig_id] for fig_id in fig_ids]
+    grids = {figure.fig_id: figure.grid(figure.fig_id, scale, cfg)
+             for figure in figures}
+    results = run_points({(fig_id, key): spec
+                          for fig_id, grid in grids.items()
+                          for key, spec in grid.items()}, runner)
+    out: Dict[str, FigureResult] = {}
+    for figure in figures:
+        fig = FigureResult(figure.fig_id, figure.title, results={
+            key: results[figure.fig_id, key]
+            for key in grids[figure.fig_id]})
+        figure.build(fig, scale, cfg, runner)
+        out[figure.fig_id] = fig
+    return out
+
+
+def run_figure(fig_id: str, scale: float = 1.0,
+               cfg: Optional[MachineConfig] = None,
+               runner: Optional[BatchRunner] = None) -> FigureResult:
+    return run_figures([fig_id], scale, cfg, runner)[fig_id]
+
+
 def _bar(label: str, res: ExperimentResult) -> Bar:
     return Bar(label, res.utime_s, res.stime_s)
 
 
-#: (attack registry name, constructor kwargs) for one figure point.
-AttackSpec = Tuple[str, Dict[str, Any]]
+def billed_s(res: ExperimentResult) -> float:
+    """The bill of a meter that stamps job boundaries on the local clock:
+    it absorbs the run's terminal sync skew (zero without a sync plane;
+    already corrected by the estimator when the defense was on)."""
+    return res.total_s + res.stats.get("timesync_billed_skew_ns", 0) / 1e9
 
 
-def _run_pairs(fig_id: str, title: str,
-               attack_for: Callable[[str], AttackSpec],
-               scale: float, cfg: Optional[MachineConfig],
-               programs: Optional[List[str]] = None,
-               runner: Optional[BatchRunner] = None) -> FigureResult:
-    """Run normal + attacked for each paper program; no checks yet."""
-    params = paper_workload_params(scale)
-    names = programs or list(params)
-    specs: List[ExperimentSpec] = []
-    for name in names:
-        attack_name, attack_kwargs = attack_for(name)
-        specs.append(ExperimentSpec(
-            program=name, program_kwargs=params[name], cfg=cfg,
-            label=f"{fig_id}:{name}:normal"))
-        specs.append(ExperimentSpec(
-            program=name, program_kwargs=params[name],
-            attack=attack_name, attack_kwargs=attack_kwargs, cfg=cfg,
-            label=f"{fig_id}:{name}:attacked"))
-    results = _execute(specs, runner)
-    fig = FigureResult(fig_id=fig_id, title=title)
-    for name, (normal, attacked) in zip(names, zip(results[::2],
-                                                   results[1::2])):
-        fig.pairs[name] = (_bar("normal", normal), _bar("attacked", attacked))
-        fig.results[f"{name}:normal"] = normal
-        fig.results[f"{name}:attacked"] = attacked
-    return fig
+def billing_error_s(res: ExperimentResult) -> float:
+    """How far :func:`billed_s` is from the run's ground truth."""
+    return abs(billed_s(res) - res.oracle_own_s())
+
+
+def _pair_grid(attack_for: Callable[[str], Tuple[str, Dict[str, Any]]],
+               default_cfg: Optional[Callable[[], MachineConfig]] = None
+               ) -> Callable[..., Grid]:
+    """The per-program figures' grid: each paper program normal and under
+    ``attack_for(program)``, an (attack name, kwargs) pair, on
+    ``default_cfg()`` when no machine is given."""
+
+    def grid(fig_id: str, scale: float,
+             cfg: Optional[MachineConfig]) -> Grid:
+        if cfg is None and default_cfg is not None:
+            cfg = default_cfg()
+        points: Grid = {}
+        for name, kwargs in paper_workload_params(scale).items():
+            attack_name, attack_kwargs = attack_for(name)
+            points[f"{name}:normal"] = ExperimentSpec(
+                program=name, program_kwargs=kwargs, cfg=cfg,
+                label=f"{fig_id}:{name}:normal")
+            points[f"{name}:attacked"] = ExperimentSpec(
+                program=name, program_kwargs=kwargs,
+                attack=attack_name, attack_kwargs=attack_kwargs, cfg=cfg,
+                label=f"{fig_id}:{name}:attacked")
+        return points
+
+    return grid
+
+
+def _pair_bars(fig: FigureResult) -> None:
+    """Fill ``fig.pairs`` from a pair grid's results."""
+    for key, normal in fig.results.items():
+        name, _, kind = key.partition(":")
+        if kind == "normal":
+            fig.pairs[name] = (_bar("normal", normal), _bar(
+                "attacked", fig.results[f"{name}:attacked"]))
 
 
 # ---------------------------------------------------------------------------
-# shape checks
+# the figures: each build adds its shape checks
 # ---------------------------------------------------------------------------
 
-def _check_launch_attack_shape(fig: FigureResult,
-                               payload_s: float) -> None:
-    """Figs. 4/5: utime grows by ~the payload for every program; stime
-    unaffected."""
+def _build_launch(fig: FigureResult, scale: float,
+                  cfg: Optional[MachineConfig], runner) -> None:
+    """Figs. 4/5, the launch-time attacks: utime grows by ~the payload for
+    every program; stime unaffected."""
+    _pair_bars(fig)
+    payload_s = LAUNCH_PAYLOAD_CYCLES / (cfg or default_config()).cpu_freq_hz
     deltas = []
     for name, (normal, attacked) in fig.pairs.items():
         du = attacked.utime_s - normal.utime_s
@@ -173,78 +265,28 @@ def _check_launch_attack_shape(fig: FigureResult,
             f"{name}: stime unaffected",
             abs(ds) <= max(0.1 * normal.total_s, 0.02),
             f"delta_stime={ds:.3f}s"))
-    if deltas:
-        spread = max(deltas) - min(deltas)
-        fig.checks.append(Check(
-            "equal growth across programs",
-            spread <= 0.35 * max(deltas),
-            f"deltas={['%.3f' % d for d in deltas]}"))
-
-
-def _check_all_inflated(fig: FigureResult, min_rel: float,
-                        component: str) -> None:
-    for name, (normal, attacked) in fig.pairs.items():
-        if component == "total":
-            before, after = normal.total_s, attacked.total_s
-        elif component == "utime":
-            before, after = normal.utime_s, attacked.utime_s
-        else:
-            before, after = normal.stime_s, attacked.stime_s
-        grew = after - before
-        fig.checks.append(Check(
-            f"{name}: {component} inflated",
-            grew >= min_rel * max(normal.total_s, 1e-9),
-            f"{component}: {before:.3f} -> {after:.3f} (+{grew:.3f})"))
-
-
-# ---------------------------------------------------------------------------
-# the figures
-# ---------------------------------------------------------------------------
-
-def figure4(scale: float = 1.0,
-            cfg: Optional[MachineConfig] = None,
-            runner: Optional[BatchRunner] = None) -> FigureResult:
-    """Fig. 4: the shell attack on O, P, W, B."""
-    fig = _run_pairs(
-        "fig4", "Shell attack",
-        lambda name: ("shell", {"payload_cycles": LAUNCH_PAYLOAD_CYCLES}),
-        scale, cfg, runner=runner)
-    payload_s = LAUNCH_PAYLOAD_CYCLES / (cfg or default_config()).cpu_freq_hz
-    _check_launch_attack_shape(fig, payload_s)
+    spread = max(deltas) - min(deltas)
+    fig.checks.append(Check(
+        "equal growth across programs",
+        spread <= 0.35 * max(deltas),
+        f"deltas={['%.3f' % d for d in deltas]}"))
     fig.meta["payload_seconds"] = payload_s
-    return fig
 
 
-def figure5(scale: float = 1.0,
-            cfg: Optional[MachineConfig] = None,
-            runner: Optional[BatchRunner] = None) -> FigureResult:
-    """Fig. 5: the shared-library constructor attack."""
-    fig = _run_pairs(
-        "fig5", "Shared-library constructor attack",
-        lambda name: ("library-ctor",
-                      {"payload_cycles": LAUNCH_PAYLOAD_CYCLES}),
-        scale, cfg, runner=runner)
-    payload_s = LAUNCH_PAYLOAD_CYCLES / (cfg or default_config()).cpu_freq_hz
-    _check_launch_attack_shape(fig, payload_s)
-    fig.meta["payload_seconds"] = payload_s
-    return fig
-
-
-def figure6(scale: float = 1.0,
-            cfg: Optional[MachineConfig] = None,
-            runner: Optional[BatchRunner] = None) -> FigureResult:
+def _build_fig6(fig: FigureResult, *_) -> None:
     """Fig. 6: the function-substitution attack (fake malloc/sqrt).
 
     Inflation is proportional to each program's call count into the
     interposed functions — the amplification the paper highlights.
     """
-    fig = _run_pairs(
-        "fig6", "Library function-substitution attack",
-        lambda name: ("library-subst",
-                      {"symbols": ("malloc", "sqrt"),
-                       "cycles_per_call": SUBST_CYCLES_PER_CALL}),
-        scale, cfg, runner=runner)
-    _check_all_inflated(fig, min_rel=0.03, component="utime")
+    _pair_bars(fig)
+    for name, (normal, attacked) in fig.pairs.items():
+        grew = attacked.utime_s - normal.utime_s
+        fig.checks.append(Check(
+            f"{name}: utime inflated",
+            grew >= 0.03 * max(normal.total_s, 1e-9),
+            f"utime: {normal.utime_s:.3f} -> {attacked.utime_s:.3f} "
+            f"(+{grew:.3f})"))
     for name, (normal, attacked) in fig.pairs.items():
         ds = attacked.stime_s - normal.stime_s
         fig.checks.append(Check(
@@ -260,62 +302,59 @@ def figure6(scale: float = 1.0,
         gains.get("W", 0.0) >= max(g for n, g in gains.items() if n != "W"),
         f"gains={ {n: round(g, 3) for n, g in gains.items()} }"))
     fig.meta["cycles_per_call"] = SUBST_CYCLES_PER_CALL
-    return fig
 
 
-def _sched_figure(fig_id: str, title: str, victim_name: str,
-                  scale: float, cfg: Optional[MachineConfig],
-                  runner: Optional[BatchRunner] = None) -> FigureResult:
-    fig = FigureResult(fig_id=fig_id, title=title)
-    forks = max(1, int(SCHED_FORKS * scale))
-    victim_kwargs = paper_workload_params(scale)[victim_name]
-    # "No attack": victim and Fork each run alone (the leftmost bar pair),
-    # then the nice sweep.
-    specs = [
-        ExperimentSpec(program=victim_name, program_kwargs=victim_kwargs,
-                       cfg=cfg, label=f"{fig_id}:baseline"),
-        ExperimentSpec(program="fork", program_kwargs={"forks": forks},
-                       cfg=cfg, label=f"{fig_id}:fork-alone"),
-    ]
-    for nice in NICE_SWEEP:
-        specs.append(ExperimentSpec(
-            program=victim_name, program_kwargs=victim_kwargs,
-            attack="scheduling", attack_kwargs={"nice": nice, "forks": forks},
-            cfg=cfg, label=f"{fig_id}:nice {nice}"))
-    results = _execute(specs, runner)
+def _sched_grid(victim: str) -> Callable[..., Grid]:
+    """Figs. 7/8: "no attack" — victim and Fork each run alone (the
+    leftmost bar pair) — then the nice sweep."""
 
-    baseline, alone = results[0], results[1]
+    def grid(fig_id: str, scale: float,
+             cfg: Optional[MachineConfig]) -> Grid:
+        forks = max(1, int(SCHED_FORKS * scale))
+        victim_kwargs = paper_workload_params(scale)[victim]
+        points = {
+            "baseline": ExperimentSpec(
+                program=victim, program_kwargs=victim_kwargs, cfg=cfg,
+                label=f"{fig_id}:baseline"),
+            "fork-alone": ExperimentSpec(
+                program="fork", program_kwargs={"forks": forks}, cfg=cfg,
+                label=f"{fig_id}:fork-alone"),
+        }
+        for nice in NICE_SWEEP:
+            points[f"nice {nice}"] = ExperimentSpec(
+                program=victim, program_kwargs=victim_kwargs,
+                attack="scheduling",
+                attack_kwargs={"nice": nice, "forks": forks},
+                cfg=cfg, label=f"{fig_id}:nice {nice}")
+        return points
+
+    return grid
+
+
+def _sched_series(fig: FigureResult, victim: str) -> None:
+    alone = fig.results["fork-alone"]
     # Fork's bar includes its reaped children, as time(1) would report.
     cutime = (alone.rusage or {}).get("cutime_ns", 0) / 1e9
     cstime = (alone.rusage or {}).get("cstime_ns", 0) / 1e9
     fig.series.append(("no attack",
-                       _bar(victim_name, baseline),
+                       _bar(victim, fig.results["baseline"]),
                        Bar("Fork", alone.utime_s + cutime,
                            alone.stime_s + cstime)))
-    fig.results["baseline"] = baseline
-    fig.results["fork-alone"] = alone
-
-    for nice, res in zip(NICE_SWEEP, results[2:]):
-        label = f"nice {nice}"
+    for label, res in list(fig.results.items())[2:]:
         atk = res.attacker_usage
         fig.series.append((label,
-                           _bar(victim_name, res),
+                           _bar(victim, res),
                            Bar("Fork", atk.utime_seconds, atk.stime_seconds)))
-        fig.results[label] = res
-    return fig
 
 
-def figure7(scale: float = 1.0,
-            cfg: Optional[MachineConfig] = None,
-            runner: Optional[BatchRunner] = None) -> FigureResult:
+def _build_fig7(fig: FigureResult, *_) -> None:
     """Fig. 7: the process-scheduling attack on Whetstone.
 
     Expected shape: W's billed time rises monotonically as the attacker's
     priority rises, the Fork program's falls, and W+Fork stays roughly
     constant (the miscounted time moves between accounts).
     """
-    fig = _sched_figure("fig7", "Process scheduling attack on Whetstone",
-                        "W", scale, cfg, runner=runner)
+    _sched_series(fig, "W")
     baseline = fig.series[0][1].total_s
     victim_totals = [v.total_s for _label, v, _f in fig.series[1:]]
     fork_totals = [f.total_s for _label, _v, f in fig.series[1:]]
@@ -336,16 +375,12 @@ def figure7(scale: float = 1.0,
         "victim+attacker sum roughly conserved",
         max(sums) <= 1.25 * min(sums),
         f"sums={['%.3f' % s for s in sums]}"))
-    return fig
 
 
-def figure8(scale: float = 1.0,
-            cfg: Optional[MachineConfig] = None,
-            runner: Optional[BatchRunner] = None) -> FigureResult:
+def _build_fig8(fig: FigureResult, *_) -> None:
     """Fig. 8: the scheduling attack on Brute — ineffective on the
     multi-threaded victim."""
-    fig = _sched_figure("fig8", "Process scheduling attack on Brute",
-                        "B", scale, cfg, runner=runner)
+    _sched_series(fig, "B")
     baseline = fig.series[0][1].total_s
     victim_totals = [v.total_s for _label, v, _f in fig.series[1:]]
     worst_rel = max(victim_totals) / baseline if baseline else 1.0
@@ -355,17 +390,11 @@ def figure8(scale: float = 1.0,
         f"baseline={baseline:.3f} worst={max(victim_totals):.3f} "
         f"(x{worst_rel:.2f})"))
     fig.meta["worst_relative_inflation"] = worst_rel
-    return fig
 
 
-def figure9(scale: float = 1.0,
-            cfg: Optional[MachineConfig] = None,
-            runner: Optional[BatchRunner] = None) -> FigureResult:
+def _build_fig9(fig: FigureResult, *_) -> None:
     """Fig. 9: the execution-thrashing attack — mostly stime growth."""
-    fig = _run_pairs(
-        "fig9", "Execution thrashing attack",
-        lambda name: ("thrashing", {"watch_symbol": watched_variable(name)}),
-        scale, cfg, runner=runner)
+    _pair_bars(fig)
     for name, (normal, attacked) in fig.pairs.items():
         du = attacked.utime_s - normal.utime_s
         ds = attacked.stime_s - normal.stime_s
@@ -378,17 +407,11 @@ def figure9(scale: float = 1.0,
             f"{name}: watchpoint fired per hot-variable access",
             hits > 0,
             f"debug_exceptions={hits}"))
-    return fig
 
 
-def figure10(scale: float = 1.0,
-             cfg: Optional[MachineConfig] = None,
-             runner: Optional[BatchRunner] = None) -> FigureResult:
+def _build_fig10(fig: FigureResult, *_) -> None:
     """Fig. 10: the interrupt-flooding attack — slight stime increase."""
-    fig = _run_pairs(
-        "fig10", "Interrupt flooding attack",
-        lambda name: ("irq-flood", {"rate_pps": FLOOD_RATE_PPS}),
-        scale, cfg, runner=runner)
+    _pair_bars(fig)
     for name, (normal, attacked) in fig.pairs.items():
         ds = attacked.stime_s - normal.stime_s
         du = attacked.utime_s - normal.utime_s
@@ -400,7 +423,6 @@ def figure10(scale: float = 1.0,
             f"{name}: weak attack (bounded effect)",
             ds + max(du, 0.0) <= 0.35 * normal.total_s,
             f"relative={100 * (ds + max(du, 0)) / max(normal.total_s, 1e-9):.1f}%"))
-    return fig
 
 
 def fig11_config() -> MachineConfig:
@@ -413,15 +435,10 @@ def fig11_config() -> MachineConfig:
         ram_bytes=16 * 1024 * 1024, swap_bytes=128 * 1024 * 1024))
 
 
-def figure11(scale: float = 1.0,
-             cfg: Optional[MachineConfig] = None,
-             runner: Optional[BatchRunner] = None) -> FigureResult:
+def _build_fig11(fig: FigureResult, *_) -> None:
     """Fig. 11: the exception-flooding attack — stime up from direct
     reclaim, fault handling and swap-I/O completions."""
-    fig = _run_pairs(
-        "fig11", "Exception flooding attack",
-        lambda name: ("fault-flood", {}),
-        scale, cfg or fig11_config(), runner=runner)
+    _pair_bars(fig)
     for name, (normal, attacked) in fig.pairs.items():
         ds = attacked.stime_s - normal.stime_s
         res = fig.results[f"{name}:attacked"]
@@ -440,16 +457,27 @@ def figure11(scale: float = 1.0,
             for key, r in fig.results.items() if key.endswith(":attacked")),
         "exit codes: " + str({k: r.stats["exit_code"]
                               for k, r in fig.results.items()})))
-    return fig
 
 
 #: Burn fractions swept by the VM scheduling figure.
 VM_BURN_FRACTIONS: Tuple[float, ...] = (0.25, 0.5, 0.75, 0.9)
 
 
-def figure_vm_sched(scale: float = 1.0,
-                    cfg: Optional[MachineConfig] = None,
-                    runner: Optional[BatchRunner] = None) -> FigureResult:
+def _vmsched_grid(fig_id: str, scale: float,
+                  cfg: Optional[MachineConfig]) -> Grid:
+    wkw = paper_workload_params(scale)["W"]
+    points = {"baseline": ExperimentSpec(
+        program="W", program_kwargs=wkw, attack=None, vm={}, cfg=cfg,
+        label="vm:W:none")}
+    for fraction in VM_BURN_FRACTIONS:
+        points[f"burn={fraction}"] = ExperimentSpec(
+            program="W", program_kwargs=wkw, attack="vm-sched",
+            attack_kwargs={"burn_fraction": fraction}, vm={}, cfg=cfg,
+            label=f"vm:W:burn={fraction}")
+    return points
+
+
+def _build_vmsched(fig: FigureResult, *_) -> None:
     """VM-level analogue of Fig. 7: the hypervisor scheduling attack.
 
     A victim VM runs Whetstone while a co-resident attacker VM burns a
@@ -460,26 +488,15 @@ def figure_vm_sched(scale: float = 1.0,
     stays pinned near zero however much it burns, and the victim's
     guest-side steal estimator measures the loss the host reports.
     """
-    wkw = paper_workload_params(scale)["W"]
-    specs = [ExperimentSpec(program="W", program_kwargs=wkw, attack=None,
-                            vm={}, cfg=cfg, label="vm:W:none")]
-    for fraction in VM_BURN_FRACTIONS:
-        specs.append(ExperimentSpec(
-            program="W", program_kwargs=wkw, attack="vm-sched",
-            attack_kwargs={"burn_fraction": fraction}, vm={}, cfg=cfg,
-            label=f"vm:W:burn={fraction}"))
-    results = _execute(specs, runner)
+    from ..metering.steal import StealVerdict, audit_vm_result
+    from ..virt.hypervisor import HypervisorConfig
 
-    fig = FigureResult(
-        "vmsched", "VM scheduling attack: co-resident billing inflation")
-    tick_ns = 10_000_000  # HypervisorConfig default; vm={} keeps it
+    tick_ns = HypervisorConfig().tick_ns  # vm={} keeps the default
+    results = list(fig.results.values())
     baseline = results[0]
-    fig.results["baseline"] = baseline
     fig.series.append(("no attack", _bar("victim", baseline),
                        Bar("attacker", 0.0, 0.0)))
-    for fraction, res in zip(VM_BURN_FRACTIONS, results[1:]):
-        label = f"burn={fraction}"
-        fig.results[label] = res
+    for label, res in list(fig.results.items())[1:]:
         attacker = res.attacker_usage
         fig.series.append((
             label, _bar("victim billed", res),
@@ -535,8 +552,6 @@ def figure_vm_sched(scale: float = 1.0,
         all(est_ok),
         f"est={[round(r.stats['est_steal_ns'] / 1e9, 3) for r in results[1:]]}s "
         f"reported={[round(r.stats['reported_steal_ns'] / 1e9, 3) for r in results[1:]]}s"))
-    from ..metering.steal import StealVerdict, audit_vm_result
-
     audits = [audit_vm_result(r) for r in results[1:]]
     fig.checks.append(Check(
         "tenant audit flags overbilling at the top fraction, never a "
@@ -544,7 +559,6 @@ def figure_vm_sched(scale: float = 1.0,
         audits[-1].verdict is StealVerdict.OVERBILLED
         and all(a.verdict is not StealVerdict.MISREPORTED for a in audits),
         f"verdicts={[a.verdict.value for a in audits]}"))
-    return fig
 
 
 #: CPU counts swept by the SMP figure.
@@ -554,9 +568,18 @@ SMP_NPROCS: Tuple[int, ...] = (1, 2, 4)
 SMP_DODGE_CYCLES = 506_000_000
 
 
-def figure_smp(scale: float = 1.0,
-               cfg: Optional[MachineConfig] = None,
-               runner: Optional[BatchRunner] = None) -> FigureResult:
+def _smp_grid(fig_id: str, scale: float,
+              cfg: Optional[MachineConfig]) -> Grid:
+    wkw = paper_workload_params(scale)["O"]
+    return {f"nproc={nproc}": ExperimentSpec(
+        program="O", program_kwargs=wkw, attack="smp-dodge",
+        attack_kwargs={"total_cycles": SMP_DODGE_CYCLES},
+        cfg=cfg, nproc=nproc, label=f"smp:O:nproc={nproc}")
+        for nproc in SMP_NPROCS}
+
+
+def _build_smp(fig: FigureResult, scale: float,
+               cfg: Optional[MachineConfig], runner) -> None:
     """Billing error vs CPU count for the cross-CPU tick dodger.
 
     The same dodger program runs next to an O victim on 1-, 2- and 4-CPU
@@ -568,22 +591,11 @@ def figure_smp(scale: float = 1.0,
     ``1 - billed/nominal`` jumps from ~0 to ~1 the moment a second CPU
     exists.
     """
-    base_cfg = cfg or default_config()
-    nominal_ns = SMP_DODGE_CYCLES * 1_000_000_000 // base_cfg.cpu_freq_hz
-    wkw = paper_workload_params(scale)["O"]
-    specs = [ExperimentSpec(
-        program="O", program_kwargs=wkw, attack="smp-dodge",
-        attack_kwargs={"total_cycles": SMP_DODGE_CYCLES},
-        cfg=cfg, nproc=nproc, label=f"smp:O:nproc={nproc}")
-        for nproc in SMP_NPROCS]
-    results = _execute(specs, runner)
-
-    fig = FigureResult(
-        "smp", "Cross-CPU tick dodging: billing error vs CPU count")
+    nominal_ns = (SMP_DODGE_CYCLES * 1_000_000_000
+                  // (cfg or default_config()).cpu_freq_hz)
+    results = list(fig.results.values())
     errors: List[float] = []
-    for nproc, res in zip(SMP_NPROCS, results):
-        label = f"nproc={nproc}"
-        fig.results[label] = res
+    for label, res in fig.results.items():
         billed_ns = res.attacker_usage.total_ns
         errors.append(1.0 - billed_ns / nominal_ns)
         fig.series.append((
@@ -630,16 +642,29 @@ def figure_smp(scale: float = 1.0,
         "victim's ground-truth work independent of CPU count",
         max(victim_own) - min(victim_own) <= 0.01 * max(victim_own) + 1e-4,
         f"victim oracle={victim_own}s"))
-    return fig
 
 
 #: Fault intensities swept by the faultsweep figure.
 FAULT_INTENSITIES: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
 
 
-def figure_faultsweep(scale: float = 1.0,
-                      cfg: Optional[MachineConfig] = None,
-                      runner: Optional[BatchRunner] = None) -> FigureResult:
+def _faultsweep_grid(fig_id: str, scale: float,
+                     cfg: Optional[MachineConfig]) -> Grid:
+    from ..faults import sweep_plan
+
+    wkw = paper_workload_params(scale)["W"]
+    points: Grid = {}
+    for intensity in FAULT_INTENSITIES:
+        for watchdog in ("on", "off"):
+            plan = sweep_plan(intensity, watchdog=watchdog == "on")
+            points[f"intensity={intensity}:wd-{watchdog}"] = ExperimentSpec(
+                program="W", program_kwargs=wkw, cfg=cfg,
+                faults=plan.to_dict(),
+                label=f"faultsweep:i={intensity}:wd={watchdog}")
+    return points
+
+
+def _build_faultsweep(fig: FigureResult, *_) -> None:
     """Metering error vs hardware-fault intensity, watchdog on vs off.
 
     Robustness analogue of the attack figures: here the *hardware*
@@ -652,33 +677,12 @@ def figure_faultsweep(scale: float = 1.0,
     unstable and the run's trust degrades to UNTRUSTED with an explicit
     uncertainty bound — graceful degradation instead of a silent lie.
     """
-    from ..faults import sweep_plan
-
-    wkw = paper_workload_params(scale)["W"]
-    specs: List[ExperimentSpec] = []
-    for intensity in FAULT_INTENSITIES:
-        for watchdog in (True, False):
-            plan = sweep_plan(intensity, watchdog=watchdog)
-            specs.append(ExperimentSpec(
-                program="W", program_kwargs=wkw, cfg=cfg,
-                faults=plan.to_dict(),
-                label=f"faultsweep:i={intensity}:"
-                      f"wd={'on' if watchdog else 'off'}"))
-    results = _execute(specs, runner)
-
-    fig = FigureResult(
-        "faultsweep",
-        "Hardware fault injection: metering error vs intensity")
-    errors_on: List[float] = []
-    errors_off: List[float] = []
+    results = list(fig.results.values())
     pairs = list(zip(results[::2], results[1::2]))
+    errors_on = [billing_error_s(on) for on, _off in pairs]
+    errors_off = [billing_error_s(off) for _on, off in pairs]
     for intensity, (on, off) in zip(FAULT_INTENSITIES, pairs):
-        label = f"intensity={intensity}"
-        fig.results[f"{label}:wd-on"] = on
-        fig.results[f"{label}:wd-off"] = off
-        errors_on.append(abs(on.total_s - on.oracle_own_s()))
-        errors_off.append(abs(off.total_s - off.oracle_own_s()))
-        fig.series.append((label, _bar("watchdog on", on),
+        fig.series.append((f"intensity={intensity}", _bar("watchdog on", on),
                            _bar("watchdog off", off)))
 
     top = pairs[-1][0]
@@ -726,24 +730,31 @@ def figure_faultsweep(scale: float = 1.0,
         "watched meter's error within its declared uncertainty bound",
         errors_on[-1] <= uncertainty_top_s + max(2 * errors_on[0], 0.02),
         f"err={errors_on[-1]:.4f}s bound={uncertainty_top_s:.3f}s"))
-    return fig
 
 
 #: Injected clock offsets (ns) swept by the timesync figure.
 SYNC_OFFSETS: Tuple[int, ...] = (0, 2_000_000, 5_000_000, 10_000_000)
 
 
-def _sync_error_s(res) -> float:
-    """Cross-host billing error: the bill is stamped end-on-local-clock,
-    so it absorbs the run's terminal sync skew (already corrected by the
-    estimator when the defense was on)."""
-    skew_ns = res.stats.get("timesync_billed_skew_ns", 0)
-    return abs(res.total_s + skew_ns / 1e9 - res.oracle_own_s())
+def _timesync_grid(fig_id: str, scale: float,
+                   cfg: Optional[MachineConfig]) -> Grid:
+    from ..timesync import sweep_timesync
+
+    wkw = paper_workload_params(scale)["W"]
+    points: Grid = {}
+    for offset_ns in SYNC_OFFSETS:
+        for defense in ("on", "off"):
+            sync = sweep_timesync(offset_ns, defense=defense == "on",
+                                  scale=scale)
+            points[f"offset={offset_ns / 1e6:g}ms:defense-{defense}"] = \
+                ExperimentSpec(program="W", program_kwargs=wkw, cfg=cfg,
+                               timesync=sync.to_dict(),
+                               label=f"timesync:off={offset_ns}:"
+                                     f"def={defense}")
+    return points
 
 
-def figure_timesync(scale: float = 1.0,
-                    cfg: Optional[MachineConfig] = None,
-                    runner: Optional[BatchRunner] = None) -> FigureResult:
+def _build_timesync(fig: FigureResult, *_) -> None:
     """Cross-host billing error vs injected clock offset, defense on/off.
 
     The network-time analogue of ``faultsweep``: a delay-asymmetry attack
@@ -756,34 +767,13 @@ def figure_timesync(scale: float = 1.0,
     uncertainty; without it the error grows linearly with the injected
     offset — silently, with a TRUSTED invoice.
     """
-    from ..timesync import sweep_timesync
-
-    wkw = paper_workload_params(scale)["W"]
-    specs: List[ExperimentSpec] = []
-    for offset_ns in SYNC_OFFSETS:
-        for defense in (True, False):
-            sync = sweep_timesync(offset_ns, defense=defense, scale=scale)
-            specs.append(ExperimentSpec(
-                program="W", program_kwargs=wkw, cfg=cfg,
-                timesync=sync.to_dict(),
-                label=f"timesync:off={offset_ns}:"
-                      f"def={'on' if defense else 'off'}"))
-    results = _execute(specs, runner)
-
-    fig = FigureResult(
-        "timesync",
-        "Time-plane attack: cross-host billing error vs injected offset")
-    errors_on: List[float] = []
-    errors_off: List[float] = []
+    results = list(fig.results.values())
     pairs = list(zip(results[::2], results[1::2]))
+    errors_on = [billing_error_s(on) for on, _off in pairs]
+    errors_off = [billing_error_s(off) for _on, off in pairs]
     for offset_ns, (on, off) in zip(SYNC_OFFSETS, pairs):
-        label = f"offset={offset_ns / 1e6:g}ms"
-        fig.results[f"{label}:defense-on"] = on
-        fig.results[f"{label}:defense-off"] = off
-        errors_on.append(_sync_error_s(on))
-        errors_off.append(_sync_error_s(off))
-        fig.series.append((label, _bar("defense on", on),
-                           _bar("defense off", off)))
+        fig.series.append((f"offset={offset_ns / 1e6:g}ms",
+                           _bar("defense on", on), _bar("defense off", off)))
 
     top_on = pairs[-1][0]
     uncertainty_top_s = top_on.stats.get("timesync_uncertainty_ns", 0) / 1e9
@@ -802,9 +792,8 @@ def figure_timesync(scale: float = 1.0,
         "zero offset: defense toggle leaves the bill unchanged",
         zero_on.stats.get("timesync_billed_skew_ns")
         == zero_off.stats.get("timesync_billed_skew_ns")
-        and abs(_sync_error_s(zero_on) - _sync_error_s(zero_off)) < 1e-9,
-        f"on={_sync_error_s(zero_on):.6f}s "
-        f"off={_sync_error_s(zero_off):.6f}s"))
+        and abs(errors_on[0] - errors_off[0]) < 1e-9,
+        f"on={errors_on[0]:.6f}s off={errors_off[0]:.6f}s"))
     fig.checks.append(Check(
         "defense strictly reduces billing error at every nonzero offset",
         all(on < off for on, off in zip(errors_on[1:], errors_off[1:])),
@@ -838,7 +827,6 @@ def figure_timesync(scale: float = 1.0,
         "timesync_untrusted" not in silent
         and "timesync_uncertainty_ns" not in silent,
         "defense-off stats expose no estimator grades"))
-    return fig
 
 
 #: Attacker co-residency rates swept by the fleet figure.
@@ -849,9 +837,9 @@ FLEET_PREVALENCES: Tuple[float, ...] = (0.0, 0.2, 0.5)
 FLEET_HOSTS = 12
 
 
-def figure_fleet(scale: float = 1.0,
-                 cfg: Optional[MachineConfig] = None,
-                 runner: Optional[BatchRunner] = None) -> FigureResult:
+def _build_fleet(fig: FigureResult, scale: float,
+                 cfg: Optional[MachineConfig],
+                 runner: Optional[BatchRunner]) -> None:
     """Billing-error distribution vs attacker co-residency, fleet-wide.
 
     Datacenter view of the paper's per-host attacks: the same seeded
@@ -862,14 +850,14 @@ def figure_fleet(scale: float = 1.0,
     quantisation); the attacked population's error tail grows with
     prevalence; the audit flags overbilled co-residents of tick-dodging
     VM attackers and never flags an honest guest.  One point is re-run
-    serially and must reproduce the sharded aggregate bit for bit
+    serially and must reproduce the sharded aggregate bit for bit.  Each
+    prevalence is a fleet sweep of its own, run through ``runner``
     (``cfg`` is ignored — fleet hosts always boot the default machine).
     """
     import json as _json
 
     from ..fleet import FleetSpec, run_fleet
 
-    del cfg
     fleet_scale = max(0.02, 0.25 * scale)
 
     def fleet_at(prevalence: float) -> FleetSpec:
@@ -877,26 +865,18 @@ def figure_fleet(scale: float = 1.0,
                          prevalence=prevalence, seed=2010,
                          scale=fleet_scale)
 
-    reports = []
-    for prevalence in FLEET_PREVALENCES:
-        aggregator = run_fleet(fleet_at(prevalence), runner=runner)
-        reports.append(aggregator.report())
-
-    fig = FigureResult(
-        "fleet",
-        "Fleet sweep: billing error vs attacker co-residency")
+    reports = [run_fleet(fleet_at(prevalence), runner=runner).report()
+               for prevalence in FLEET_PREVALENCES]
     p99s: List[float] = []
     detections: List[Optional[float]] = []
     fps: List[Optional[float]] = []
     for prevalence, report in zip(FLEET_PREVALENCES, reports):
-        label = f"prevalence={prevalence}"
-        errors = report["billing_error"]["all"]
         audit = report["audit"]
-        p99s.append(errors["p99"])
+        p99s.append(report["billing_error"]["all"]["p99"])
         detections.append(audit["detection_rate"])
         fps.append(audit["false_positive_rate"])
         fig.series.append((
-            label,
+            f"prevalence={prevalence}",
             Bar("billed", report["billed_total_ns"] / 1e9, 0.0),
             Bar("honestly ran", report["ran_total_ns"] / 1e9, 0.0)))
     fig.meta = {
@@ -947,35 +927,54 @@ def figure_fleet(scale: float = 1.0,
         _json.dumps(reports[1], sort_keys=True)
         == _json.dumps(serial, sort_keys=True),
         f"fleet_key={serial['fleet_key'][:16]}…"))
-    return fig
 
 
-#: fig id → generator.
-FIGURES: Dict[str, Callable[..., FigureResult]] = {
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9": figure9,
-    "fig10": figure10,
-    "fig11": figure11,
-    "vmsched": figure_vm_sched,
-    "faultsweep": figure_faultsweep,
-    "smp": figure_smp,
-    "fleet": figure_fleet,
-    "timesync": figure_timesync,
-}
+#: fig id → figure.
+FIGURES: Dict[str, Figure] = {figure.fig_id: figure for figure in (
+    # Fig. 4: the shell attack on O, P, W, B.
+    Figure("fig4", "Shell attack", _pair_grid(
+        lambda name: ("shell", {"payload_cycles": LAUNCH_PAYLOAD_CYCLES})),
+        _build_launch),
+    # Fig. 5: the shared-library constructor attack.
+    Figure("fig5", "Shared-library constructor attack", _pair_grid(
+        lambda name: ("library-ctor",
+                      {"payload_cycles": LAUNCH_PAYLOAD_CYCLES})),
+        _build_launch),
+    Figure("fig6", "Library function-substitution attack", _pair_grid(
+        lambda name: ("library-subst",
+                      {"symbols": ("malloc", "sqrt"),
+                       "cycles_per_call": SUBST_CYCLES_PER_CALL})),
+        _build_fig6),
+    Figure("fig7", "Process scheduling attack on Whetstone",
+           _sched_grid("W"), _build_fig7),
+    Figure("fig8", "Process scheduling attack on Brute",
+           _sched_grid("B"), _build_fig8),
+    Figure("fig9", "Execution thrashing attack", _pair_grid(
+        lambda name: ("thrashing", {"watch_symbol": watched_variable(name)})),
+        _build_fig9),
+    Figure("fig10", "Interrupt flooding attack", _pair_grid(
+        lambda name: ("irq-flood", {"rate_pps": FLOOD_RATE_PPS})),
+        _build_fig10),
+    Figure("fig11", "Exception flooding attack", _pair_grid(
+        lambda name: ("fault-flood", {}), default_cfg=fig11_config),
+        _build_fig11),
+    Figure("vmsched", "VM scheduling attack: co-resident billing inflation",
+           _vmsched_grid, _build_vmsched),
+    Figure("faultsweep",
+           "Hardware fault injection: metering error vs intensity",
+           _faultsweep_grid, _build_faultsweep),
+    Figure("smp", "Cross-CPU tick dodging: billing error vs CPU count",
+           _smp_grid, _build_smp),
+    # Not a spec grid: each prevalence is a fleet sweep of its own.
+    Figure("fleet", "Fleet sweep: billing error vs attacker co-residency",
+           lambda fig_id, scale, cfg: {}, _build_fleet),
+    Figure("timesync",
+           "Time-plane attack: cross-host billing error vs injected offset",
+           _timesync_grid, _build_timesync),
+)}
 
-
-def run_figure(fig_id: str, scale: float = 1.0,
-               cfg: Optional[MachineConfig] = None,
-               runner: Optional[BatchRunner] = None) -> FigureResult:
-    try:
-        generator = FIGURES[fig_id]
-    except KeyError:
-        raise KeyError(f"unknown figure {fig_id!r}; have {sorted(FIGURES)}")
-    return generator(scale=scale, cfg=cfg, runner=runner)
+figure4, figure5, figure6, figure7, figure8, figure9, figure10, figure11 = (
+    FIGURES[f"fig{n}"] for n in range(4, 12))
 
 
 #: Values eyeballed from the published figures, for context only (seconds).

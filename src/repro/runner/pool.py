@@ -151,9 +151,9 @@ class BatchRunner:
         Extra attempts after a failed point before recording the failure.
     progress:
         Optional hook (or list of hooks) receiving
-        :class:`~repro.runner.progress.ProgressEvent`s.  A fresh
-        :class:`SweepTelemetry` is attached per ``run`` as
-        ``self.telemetry`` regardless.
+        :class:`~repro.runner.progress.ProgressEvent`s.  One
+        :class:`SweepTelemetry`, ``self.telemetry``, counts every point
+        of every ``run`` regardless.
     """
 
     def __init__(self, jobs: int = 1,
@@ -180,7 +180,6 @@ class BatchRunner:
     def run(self, specs: Sequence[ExperimentSpec]) -> List[RunOutcome]:
         """Run every spec; outcomes come back in input order."""
         specs = list(specs)
-        self.telemetry = SweepTelemetry()
         emit = fanout(self.telemetry, *self._extra_hooks)
         total = len(specs)
         outcomes: List[Optional[RunOutcome]] = [None] * total

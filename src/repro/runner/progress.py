@@ -42,7 +42,7 @@ ProgressHook = Callable[[ProgressEvent], None]
 
 
 class SweepTelemetry:
-    """Counters + per-point wall times for one ``BatchRunner.run`` call."""
+    """Counters + per-point wall times for every point a runner sees."""
 
     def __init__(self) -> None:
         self.total = 0
@@ -62,7 +62,9 @@ class SweepTelemetry:
 
     def __call__(self, event: ProgressEvent) -> None:
         self.events.append(event)
-        self.total = max(self.total, event.total)
+        if event.kind == CACHED or (event.kind == STARTED
+                                    and event.attempt == 1):
+            self.total += 1  # a point's first event
         if event.kind == COMPLETED:
             self.completed += 1
             self.live_wall_s += event.wall_s
@@ -75,18 +77,6 @@ class SweepTelemetry:
             self.failed += 1
             self.live_wall_s += event.wall_s
             self.point_wall_s[event.label] = event.wall_s
-
-    def merge(self, other: "SweepTelemetry") -> None:
-        """Fold another run's counters into this one (multi-figure CLI
-        invocations aggregate one telemetry across all runs)."""
-        self.total += other.total
-        self.completed += other.completed
-        self.cached += other.cached
-        self.failed += other.failed
-        self.retries += other.retries
-        self.live_wall_s += other.live_wall_s
-        self.point_wall_s.update(other.point_wall_s)
-        self.events.extend(other.events)
 
     def summary(self) -> str:
         parts = [f"{self.completed} run", f"{self.cached} cached",

@@ -11,6 +11,7 @@ from repro.analysis.figures import (
     PAPER_REFERENCE,
     paper_workloads,
     run_figure,
+    run_figures,
 )
 from repro.analysis.report import (
     bar_chart,
@@ -89,6 +90,53 @@ class TestFigureRegistry:
         fig = run_figure("fig4", scale=0.1)
         assert fig.passed, fig.failed_checks()
         assert set(fig.pairs) == {"O", "P", "W", "B"}
+
+
+PAPER_FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+                 "fig11")
+
+
+class TestUnionRun:
+    """``run_figures`` runs the union of the figures' grids, each distinct
+    spec key once, and builds every figure from the shared results."""
+
+    SCALE = 0.05
+
+    @pytest.fixture(scope="class")
+    def union(self):
+        import repro.analysis.figures as figures
+        from repro.runner.specs import spec_key
+
+        calls = []
+        real_run_spec = figures.run_spec
+        figures.run_spec = (lambda spec: calls.append(spec_key(spec))
+                            or real_run_spec(spec))
+        try:
+            together = run_figures(PAPER_FIGURES, scale=self.SCALE)
+        finally:
+            figures.run_spec = real_run_spec
+        return together, calls
+
+    def test_each_distinct_point_runs_once(self, union):
+        from repro.runner.specs import spec_key
+
+        grids = [FIGURES[fig_id].grid(fig_id, self.SCALE, None)
+                 for fig_id in PAPER_FIGURES]
+        distinct = {spec_key(spec) for grid in grids
+                    for spec in grid.values()}
+        assert len(distinct) < sum(len(grid) for grid in grids)
+        _together, calls = union
+        assert sorted(calls) == sorted(distinct)
+
+    def test_each_figure_equals_its_run_alone(self, union):
+        together, _calls = union
+        for fig_id in PAPER_FIGURES:
+            alone = FIGURES[fig_id](scale=self.SCALE)
+            shared = together[fig_id]
+            assert ({k: r.to_dict() for k, r in shared.results.items()}
+                    == {k: r.to_dict() for k, r in alone.results.items()})
+            assert list(shared.checks) == list(alone.checks), fig_id
+            assert shared.meta == alone.meta, fig_id
 
 
 class TestReportRendering:

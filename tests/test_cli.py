@@ -19,6 +19,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    def test_figure_choices_are_the_figures(self):
+        """The parser lists the figure ids by hand, so that ``--help``
+        imports no figure; the list must name every figure."""
+        import argparse
+
+        from repro.analysis.figures import FIGURES
+
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        fig_id = next(action for action
+                      in commands.choices["figure"]._actions
+                      if action.dest == "fig_id")
+        assert sorted(fig_id.choices) == sorted(FIGURES)
+
     def test_scale_flag(self):
         args = build_parser().parse_args(["figure", "fig5", "--scale", "0.2"])
         assert args.scale == 0.2
@@ -51,6 +65,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Shell attack" in out
         assert "[FAIL]" not in out
+
+    def test_faults_without_faults_runs_one_point(self, monkeypatch,
+                                                  capsys):
+        """At intensity 0 the clean, watchdog-on and watchdog-off legs are
+        one spec identity, so the command runs one point."""
+        import repro.analysis.figures as figures_mod
+
+        calls = []
+        real_run_spec = figures_mod.run_spec
+        monkeypatch.setattr(figures_mod, "run_spec",
+                            lambda spec: calls.append(spec)
+                            or real_run_spec(spec))
+        assert main(["faults", "--intensity", "0", "--scale", "0.05"]) == 0
+        assert len(calls) == 1
 
     def test_timesync_below_scale_one(self, capsys):
         # The sync interval shrinks with the workload, so the servo still
@@ -203,10 +231,10 @@ class TestExitCodes:
         # and the command must say so with its exit code.
         import dataclasses
 
-        import repro.runner.specs as specs_mod
+        import repro.analysis.figures as figures_mod
         from repro.faults import sweep_plan
 
-        real_run_spec = specs_mod.run_spec
+        real_run_spec = figures_mod.run_spec
 
         def sabotaged(spec):
             if spec.label.endswith("wd-on"):
@@ -215,7 +243,7 @@ class TestExitCodes:
                     faults=sweep_plan(0.2, watchdog=False).to_dict())
             return real_run_spec(spec)
 
-        monkeypatch.setattr(specs_mod, "run_spec", sabotaged)
+        monkeypatch.setattr(figures_mod, "run_spec", sabotaged)
         assert main(["faults", "--intensity", "0.2",
                      "--scale", "0.05"]) == 1
         assert "[FAIL]" in capsys.readouterr().out

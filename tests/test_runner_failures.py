@@ -13,9 +13,8 @@ from repro.runner import (
     ExperimentSpec,
     SpecError,
     SweepError,
-    SweepTelemetry,
 )
-from repro.runner.progress import FAILED, RETRIED
+from repro.runner.progress import CACHED, COMPLETED, FAILED, RETRIED
 
 
 def _good(label="good"):
@@ -109,14 +108,25 @@ class TestTelemetry:
         assert "1 failed" in summary
         assert "1 retried" in summary
 
-    def test_merge_accumulates(self):
-        first = BatchRunner()
-        first.run([_good()])
-        second = BatchRunner()
-        second.run([_doomed()])
-        merged = SweepTelemetry()
-        merged.merge(first.telemetry)
-        merged.merge(second.telemetry)
-        assert merged.total == 2
-        assert merged.completed == 1
-        assert merged.failed == 1
+    def test_counts_every_run(self):
+        runner = BatchRunner(retries=1)
+        runner.run([_good()])
+        runner.run([_doomed()])
+        telemetry = runner.telemetry
+        assert (telemetry.total, telemetry.completed, telemetry.failed,
+                telemetry.retries) == (2, 1, 1, 1)
+        assert "sweep: 2 points" in telemetry.summary()
+
+    def test_fleet_figure_counts_every_point_it_sent(self):
+        """The fleet figure runs three fleet sweeps, chunk by chunk,
+        through one runner: its telemetry counts all of their points,
+        not the last chunk's."""
+        from repro.analysis.figures import run_figure
+
+        finished = []
+        runner = BatchRunner(progress=lambda event: finished.append(event)
+                             if event.kind in (COMPLETED, CACHED, FAILED)
+                             else None)
+        run_figure("fleet", scale=0.05, runner=runner)
+        assert runner.telemetry.total == len(finished) > 0
+        assert runner.telemetry.completed == len(finished)
