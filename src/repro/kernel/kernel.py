@@ -13,7 +13,7 @@ need.  The accounting-relevant paths are deliberately explicit:
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import MachineConfig
@@ -52,11 +52,20 @@ from .timekeeping import TimeKeeper
 #: Sentinel distinguishing "no wake arrived while stopped" from payload None.
 _NO_WAKE = object()
 
-#: Hoisted enum members for the charge path.
+#: Hoisted enum members: reading a member off its Enum class costs about
+#: 0.1 µs on CPython 3.11, and the charge, switch, fork, signal and tick
+#: paths would otherwise pay that on every read.
 _MODE_USER = CPUMode.USER
 _MODE_KERNEL = CPUMode.KERNEL
+_KIND_SWITCH = ChargeKind.SWITCH
+_KIND_SYSCALL = ChargeKind.SYSCALL
+_KIND_IRQ = ChargeKind.IRQ
+_PROV_USER = Provenance.USER
+_PROV_SYSTEM = Provenance.SYSTEM
+_PROV_TRACER = Provenance.TRACER
+_PROV_IRQ = Provenance.IRQ
 #: Oracle key of context-switch overhead (kernel mode, system provenance).
-_KEY_SWITCH = (False, Provenance.SYSTEM)
+_KEY_SWITCH = (False, _PROV_SYSTEM)
 #: Hoisted task states: the switch, wake, signal and exit paths compare
 #: against these instead of reading the ``Task.alive`` property.
 _RUNNING = TaskState.RUNNING
@@ -66,6 +75,14 @@ _STOPPED = TaskState.STOPPED
 _ZOMBIE = TaskState.ZOMBIE
 _DEAD = TaskState.DEAD
 _IGNORE = SignalAction.IGNORE
+_TERMINATE = SignalAction.TERMINATE
+_STOP = SignalAction.STOP
+_TRAP = SignalAction.TRAP
+_CONTINUE = SignalAction.CONTINUE
+
+#: ``default_action`` is pure, and the signal-post and delivery paths of
+#: both attack round trips resolve one: a memo answers without running it.
+_default_action = lru_cache(maxsize=None)(default_action)
 
 
 class CpuContext:
@@ -105,6 +122,20 @@ def _close_frames(frames) -> None:
         if gen is not None and not getattr(gen, "gi_running", False):
             gen.close()
     frames.clear()
+
+
+def _post_message(sig: int) -> str:
+    return f"post {signal_name(sig)}"
+
+
+def _stop_message(sig: int) -> str:
+    return f"stopped by {signal_name(sig)}"
+
+
+def _exit_message(code: int, signal: Optional[int]) -> str:
+    if signal:
+        return f"exit code={code} signal={signal_name(signal)}"
+    return f"exit code={code}"
 
 
 class _GuestRngStreams:
@@ -273,7 +304,7 @@ class Kernel:
             task.cpu = target
             task.migrations += 1
             self.need_resched = True
-            self.trace("sched", lambda: f"migrate -> cpu{target}", task.pid)
+            self.trace("sched", "migrate -> cpu{}".format, task.pid, target)
         return target
 
     def flush_migrations(self) -> int:
@@ -284,7 +315,7 @@ class Kernel:
         self._pending_migrations = []
         moved = 0
         for task, src in pending:
-            if task.state is not TaskState.READY:
+            if task.state is not _READY:
                 continue  # exited/stopped while in flight
             self._migrate_place(task, src, task.cpu)
             moved += 1
@@ -343,10 +374,15 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def trace(self, category: str, message,
-              pid: Optional[int] = None, **data) -> None:
-        """Emit a trace record.  ``message`` may be a zero-argument callable
-        (evaluated only if the record is stored) for hot call sites."""
-        self.trace_log.emit(self.clock._now, category, message, pid, **data)
+              pid: Optional[int] = None, *args, **data) -> None:
+        """Emit a trace record stamped with the current time.
+
+        ``message`` is the text, or a function :meth:`TraceLog.emit
+        <repro.sim.tracing.TraceLog.emit>` calls with ``args`` only if it
+        stores the record.  The fork, exit, signal-post and stop paths call
+        ``trace_log.emit`` themselves, the same way, to skip this call."""
+        self.trace_log.emit(self.clock._now, category, message, pid,
+                            *args, **data)
 
     # ------------------------------------------------------------------
     # time consumption (the single charging point)
@@ -387,14 +423,14 @@ class Kernel:
         self.clock.advance(ns)
         self._irq_window = (start, self.clock.now)
         self.cpu.retire_cycles(cycles)
-        self.accounting.charge(self.current, CPUMode.KERNEL, ns,
-                               ChargeKind.IRQ, self.cpu_index)
+        self.accounting.charge(self.current, _MODE_KERNEL, ns, _KIND_IRQ,
+                               self.cpu_index)
         if self.current is not None:
             self.current.oracle_charge(False, provenance, ns)
         else:
             self.idle_irq_ns += ns
         if self.invariants is not None:
-            self.invariants.on_charge(self.current, ns, False, ChargeKind.IRQ)
+            self.invariants.on_charge(self.current, ns, False, _KIND_IRQ)
 
     # ------------------------------------------------------------------
     # IRQ handlers
@@ -404,7 +440,7 @@ class Kernel:
         # Sample the interrupted context *first* (as account_process_tick
         # does), then pay the handler cost.
         current = self.current
-        mode = self.cpu.mode if current is not None else CPUMode.KERNEL
+        mode = self.cpu.mode if current is not None else _MODE_KERNEL
         # A tick whose nominal (grid) instant fell inside a device-handler
         # window was deferred by that handler: on hardware its saved regs
         # would point into the handler, so it samples as system time.  This
@@ -414,7 +450,7 @@ class Kernel:
             * self.cfg.tick_ns + offset
         window_start, window_end = self._irq_window
         if window_start <= nominal < window_end:
-            mode = CPUMode.KERNEL
+            mode = _MODE_KERNEL
         if self.watchdog is not None and self.cpu_index == 0:
             # Lost-tick compensation: if grid instants passed without a
             # jiffy (tick swallowed by an SMI or masked window), replay
@@ -424,11 +460,11 @@ class Kernel:
             missed = nominal // self.cfg.tick_ns - 1 - self.timekeeper.jiffies
             if missed > 0:
                 self._catch_up_ticks(missed, current, mode)
-        self.timekeeper.tick(current is not None, mode is CPUMode.USER,
+        self.timekeeper.tick(current is not None, mode is _MODE_USER,
                              self.cpu_index)
         self.accounting.on_tick(current, mode, self.cpu_index)
         if self.invariants is not None:
-            self.invariants.on_tick(current, mode is CPUMode.USER)
+            self.invariants.on_tick(current, mode is _MODE_USER)
         if self.watchdog is not None and self.cpu_index == 0:
             # The watchdog cross-checks the *global* jiffy counter, which
             # only the timekeeping CPU advances (see TimeKeeper).
@@ -440,7 +476,7 @@ class Kernel:
         # The periodic tick is benign system overhead, not device traffic:
         # the oracle files it under SYSTEM so only genuinely external
         # interrupts (NIC, disk) count as attack-relevant IRQ time.
-        self.consume_irq(self.costs.timer_handler_cycles, Provenance.SYSTEM)
+        self.consume_irq(self.costs.timer_handler_cycles, _PROV_SYSTEM)
 
     def _catch_up_ticks(self, missed: int, current: Optional[Task],
                         mode: CPUMode) -> None:
@@ -452,7 +488,7 @@ class Kernel:
         decisions only happen on real interrupts.
         """
         running = current is not None
-        user = mode is CPUMode.USER
+        user = mode is _MODE_USER
         for _ in range(missed):
             self.timekeeper.tick(running, user, self.cpu_index)
             self.accounting.on_tick(current, mode, self.cpu_index)
@@ -462,18 +498,18 @@ class Kernel:
         if self.watchdog is not None:
             self.watchdog.note_caught_up(missed)
         self.trace(HW_FAULT_CATEGORY,
-                   lambda: f"tick catch-up: replayed {missed} lost jiffies",
-                   current.pid if current is not None else None)
+                   "tick catch-up: replayed {} lost jiffies".format,
+                   current.pid if current is not None else None, missed)
 
     def _nic_irq(self, line: int) -> None:
         # Device interrupts land on the line's affine CPU: whoever runs
         # there eats the handler time (the IRQ-steering attack surface).
         self.set_active_cpu(self.pic.affinity(line))
-        self.consume_irq(self.costs.nic_handler_cycles, Provenance.IRQ)
+        self.consume_irq(self.costs.nic_handler_cycles, _PROV_IRQ)
 
     def _disk_irq(self, line: int) -> None:
         self.set_active_cpu(self.pic.affinity(line))
-        self.consume_irq(self.costs.disk_handler_cycles, Provenance.IRQ)
+        self.consume_irq(self.costs.disk_handler_cycles, _PROV_IRQ)
         completion = self.disk.take_completion()
         if completion is not None:
             completion()
@@ -538,11 +574,11 @@ class Kernel:
                 target = nxt
             accounting = self.accounting
             if accounting.charges_work:
-                accounting.charge(target, _MODE_KERNEL, ns, ChargeKind.SWITCH)
+                accounting.charge(target, _MODE_KERNEL, ns, _KIND_SWITCH)
             oracle = target.oracle_ns
             oracle[_KEY_SWITCH] = oracle.get(_KEY_SWITCH, 0) + ns
             if self.invariants is not None:
-                self.invariants.on_charge(target, ns, False, ChargeKind.SWITCH)
+                self.invariants.on_charge(target, ns, False, _KIND_SWITCH)
         self.current = nxt
         nxt.state = _RUNNING
         nxt.last_dispatch_ns = clock._now
@@ -652,8 +688,8 @@ class Kernel:
         pending = target.pending_signals
         pending.append((sig, sender_pid))
         target.signals_received += 1
-        self.trace("signal", lambda: f"post {signal_name(sig)}", target.pid,
-                   sender=sender_pid)
+        self.trace_log.emit(self.clock._now, "signal", _post_message,
+                            target.pid, sig, sender=sender_pid)
         if target is not self.current:
             # Off-CPU target: resolve dispositions immediately (the engine
             # only runs for the current task).  Delivery cost for off-CPU
@@ -661,7 +697,7 @@ class Kernel:
             # that kills the target clears its queue.
             while pending:
                 queued, _sender = pending.pop(0)
-                action = default_action(queued, target.tracer is not None)
+                action = _default_action(queued, target.tracer is not None)
                 if action is not _IGNORE:
                     self._apply_signal_action(target, queued, action)
 
@@ -670,30 +706,30 @@ class Kernel:
         if not task.pending_signals:
             return
         sig, sender = task.pending_signals.pop(0)
-        action = default_action(sig, task.tracer is not None)
-        prov = Provenance.TRACER if sig in (SIGTRAP, SIGSTOP, SIGCONT) \
-            else Provenance.SYSTEM
+        action = _default_action(sig, task.tracer is not None)
+        prov = _PROV_TRACER if sig in (SIGTRAP, SIGSTOP, SIGCONT) \
+            else _PROV_SYSTEM
         st = task.exec_state
         cycles = self.costs.signal_deliver_cycles
-        if action is SignalAction.TRAP:
+        if action is _TRAP:
             # ptrace_stop() runs in the tracee: billed to the victim.
             cycles += self.costs.ptrace_stop_cycles
         st.segments.append(Segment(
-            cycles, False, prov, ChargeKind.SYSCALL,
+            cycles, False, prov, _KIND_SYSCALL,
             on_done=partial(self._apply_signal_action, task, sig, action)))
 
     def _apply_signal_action(self, task: Task, sig: int,
                              action: SignalAction) -> None:
-        if action is SignalAction.IGNORE:
+        if action is _IGNORE:
             return
-        if action is SignalAction.TERMINATE:
+        if action is _TERMINATE:
             self.do_exit(task, 128 + sig, signal=sig)
             return
-        if action in (SignalAction.STOP, SignalAction.TRAP):
+        if action is _STOP or action is _TRAP:
             self._stop_task(task, sig)
             return
-        if action is SignalAction.CONTINUE:
-            if task.state is TaskState.STOPPED:
+        if action is _CONTINUE:
+            if task.state is _STOPPED:
                 self.resume_stopped(task)
             return
         raise SimulationError(f"unhandled signal action {action}")
@@ -713,8 +749,8 @@ class Kernel:
         task.state = _STOPPED
         task.stop_signal = sig
         task.stop_pending_report = True
-        self.trace("signal", lambda: f"stopped by {signal_name(sig)}",
-                   task.pid)
+        self.trace_log.emit(self.clock._now, "signal", _stop_message,
+                            task.pid, sig)
         # Wake anyone waiting on this task's stop (tracer and parent).
         if task.tracer is not None:
             self.wake_channel(f"wait:{task.tracer.pid}")
@@ -751,7 +787,7 @@ class Kernel:
         if fn is None:
             return SyscallFrame("exit", (0,),
                                 self.syscalls.handlers.get("exit"),
-                                Provenance.USER)
+                                _PROV_USER)
 
         def body():
             code = yield Invoke(fn, args)
@@ -782,14 +818,22 @@ class Kernel:
 
     def _start_process(self, task: Task, fn: Optional[GuestFunction],
                        args: Tuple) -> None:
-        """Give a new process its own address space, an empty guest view
-        and link map, and a stack whose root frame runs ``fn``."""
+        """Give a new process a stack whose root frame runs ``fn`` and,
+        when there is an ``fn``, its own address space, an empty guest view
+        and link map.
+
+        With no ``fn`` the process is exit-only: its one frame is exit(0),
+        which touches no memory and calls nothing, so it gets no address
+        space, guest view or link map (``mm`` and ``guest_ctx`` stay None).
+        Every Fork child of the scheduling attack is one."""
+        st = task.exec_state = ExecState()
+        st.frames.append(self._root_frame(fn, args))
+        if fn is None:
+            return
         task.mm = self.mm.create_space()
         ctx = task.guest_ctx = GuestContext(
             argv=(), rng_stream_factory=_GuestRngStreams(self.rng, task.pid))
         ctx.shared["_link_map"] = LinkMap([])
-        st = task.exec_state = ExecState()
-        st.frames.append(self._root_frame(fn, args))
 
     def spawn(self, fn: Optional[GuestFunction] = None, args: Tuple = (),
               name: str = "task", uid: Optional[int] = None,
@@ -804,7 +848,7 @@ class Kernel:
         task.vruntime = getattr(self.scheduler, "min_vruntime", 0)
         task.cpu = self.cpu_index
         self.scheduler.enqueue(task)
-        self.trace("task", lambda: f"spawn {name}", task.pid)
+        self.trace("task", "spawn {}".format, task.pid, name)
         return task
 
     def do_fork(self, parent: Task, child_fn: Optional[GuestFunction],
@@ -815,7 +859,8 @@ class Kernel:
         self.scheduler.on_fork(parent, child)
         child.cpu = self.cpu_index
         self.scheduler.enqueue(child)
-        self.trace("task", "fork", parent.pid, child=child.pid)
+        self.trace_log.emit(self.clock._now, "task", "fork", parent.pid,
+                            child=child.pid)
         return child
 
     def do_clone_thread(self, leader: Task, fn: GuestFunction,
@@ -863,7 +908,7 @@ class Kernel:
         st.frames.append(Frame(
             process_body(ctx, program, link_map, self.costs),
             Provenance.LIB, f"crt0:{program.name}", user_mode=True))
-        self.trace("task", lambda: f"execve {program.name}", task.pid,
+        self.trace("task", "execve {}".format, task.pid, program.name,
                    libs=len(link_map))
 
     def _bind_data_symbols(self, task: Task, program: Program) -> None:
@@ -906,11 +951,13 @@ class Kernel:
             self.mm.drop_space(task.mm)
             task.mm = None
         # Detach tracing relations.
-        for tracee_pid in list(task.tracees):
-            tracee = self.tasks.get(tracee_pid)
-            if tracee is not None:
-                tracee.tracer = None
-        task.tracees.clear()
+        tracees = task.tracees
+        if tracees:
+            for tracee_pid in tracees:
+                tracee = self.tasks.get(tracee_pid)
+                if tracee is not None:
+                    tracee.tracer = None
+            tracees.clear()
         if task.tracer is not None:
             # A blocked tracer must learn its tracee is gone.
             tracer = task.tracer
@@ -920,9 +967,8 @@ class Kernel:
         # Reparent children to nobody (init is implicit).
         for child in task.children:
             child.parent = None
-        self.trace("task", lambda: f"exit code={code}"
-                   + (f" signal={signal_name(signal)}" if signal else ""),
-                   task.pid)
+        self.trace_log.emit(self.clock._now, "task", _exit_message,
+                            task.pid, code, signal)
         if task.parent is not None:
             self.post_signal(task.parent, SIGCHLD, sender_pid=task.pid)
             self.wake_channel(f"wait:{task.parent.pid}")
@@ -976,7 +1022,7 @@ class Kernel:
 
     def begin_swap_in(self, task: Task, vaddr: int, frame) -> None:
         channel = f"page:{task.pid}:0x{vaddr:x}"
-        self.trace("fault", lambda: f"major fault 0x{vaddr:x}", task.pid)
+        self.trace("fault", "major fault 0x{:x}".format, task.pid, vaddr)
 
         def complete() -> None:
             if not task.alive or task.mm is None:

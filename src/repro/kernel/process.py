@@ -38,6 +38,14 @@ class TaskState(enum.Enum):
     DEAD = "dead"
 
 
+#: Hoisted members: reading one off the Enum class costs about 0.1 µs on
+#: CPython 3.11, and every PCB and ``alive`` test reads them.
+_RUNNING = TaskState.RUNNING
+_READY = TaskState.READY
+_ZOMBIE = TaskState.ZOMBIE
+_DEAD = TaskState.DEAD
+
+
 class Task:
     """One schedulable entity (process or thread).
 
@@ -72,7 +80,7 @@ class Task:
         self.name = name
         self.uid = uid
         self.nice = nice
-        self.state = TaskState.READY
+        self.state = _READY
 
         # Process tree.
         self.parent: Optional["Task"] = None
@@ -156,12 +164,12 @@ class Task:
         # wake, signal and exit paths compare states themselves rather
         # than pay for a property call.
         state = self.state
-        return state is not TaskState.ZOMBIE and state is not TaskState.DEAD
+        return state is not _ZOMBIE and state is not _DEAD
 
     @property
     def runnable(self) -> bool:
         state = self.state
-        return state is TaskState.RUNNING or state is TaskState.READY
+        return state is _RUNNING or state is _READY
 
     @property
     def static_prio(self) -> int:

@@ -84,7 +84,16 @@ class TraceLog:
         return category in self._enabled or "*" in self._enabled
 
     def emit(self, time_ns: int, category: str, message,
-             pid: Optional[int] = None, **data) -> None:
+             pid: Optional[int] = None, *args, **data) -> None:
+        """Count one record of ``category``; store it if the category is
+        stored and the log has room.
+
+        ``message`` is the record's text, or a function that formats it:
+        that is called with ``args`` only for a record that is stored, so
+        a hot call site passes a module-level function and its arguments,
+        and neither builds a closure nor formats anything while its
+        category is off.  Whether a record is stored is decided here and
+        nowhere else."""
         counters = self._counters
         counters[category] = counters.get(category, 0) + 1
         if not self._store_all and category not in self._stored:
@@ -97,9 +106,7 @@ class TraceLog:
                 self._dropped_by_category.get(category, 0) + 1
             return
         if callable(message):
-            # Lazy message: hot call sites pass a thunk so the format work
-            # only happens for records that are actually stored.
-            message = message()
+            message = message(*args)
         self._records.append(TraceRecord(
             time_ns=time_ns, category=category, message=message, pid=pid,
             data=tuple(sorted(data.items()))))

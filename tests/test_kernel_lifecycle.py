@@ -8,7 +8,7 @@ from repro import Machine, default_config
 from repro.config import MemoryConfig
 from repro.kernel import procfs
 from repro.kernel.process import TaskState
-from repro.kernel.signals import SIGKILL
+from repro.kernel.signals import SIGCONT, SIGKILL, SIGSTOP
 from repro.programs.base import GuestFunction
 from repro.programs.attackers import make_fork_attacker
 from repro.programs.ops import Compute, Mem, Provenance, Syscall
@@ -132,6 +132,133 @@ class TestForkWait:
         child = m.kernel.task_by_pid(seen["pid"])
         assert child.exec_state is None
         assert task.acct_cutime_ns == child.acct_utime_ns
+
+
+class TestExitOnlyChild:
+    """A child forked with no ``child_fn`` only exits: it owns a PCB, its
+    execution state and its exit(0) frame, but no address space or guest
+    view, and signals, waitpid, procfs and the OOM killer treat it as any
+    other child."""
+
+    def test_fork_without_body_builds_no_address_space(self, m):
+        mm = m.kernel.mm
+        seen = {}
+
+        def body(ctx):
+            before = (mm._next_asid, dict(mm._spaces))
+            pid = yield Syscall("fork", (None,))
+            child = m.kernel.task_by_pid(pid)
+            seen["after"] = (mm._next_asid, dict(mm._spaces))
+            seen["before"] = before
+            seen["child"] = (child.mm, child.guest_ctx,
+                             len(child.exec_state.frames))
+            yield Syscall("waitpid", (pid,))
+
+        run_all(m, [spawn_fn(m, body)])
+        assert seen["after"] == seen["before"]
+        assert seen["child"] == (None, None, 1)
+
+    def test_fork_with_body_still_builds_one(self, m):
+        mm = m.kernel.mm
+        seen = {}
+
+        def child(ctx):
+            yield Compute(100)
+
+        def body(ctx):
+            asid = mm._next_asid
+            pid = yield Syscall(
+                "fork", (GuestFunction("c", child, Provenance.USER),))
+            task = m.kernel.task_by_pid(pid)
+            seen["asids"] = mm._next_asid - asid
+            seen["views"] = (task.mm is not None, task.guest_ctx is not None)
+            yield Syscall("waitpid", (pid,))
+
+        run_all(m, [spawn_fn(m, body)])
+        assert seen == {"asids": 1, "views": (True, True)}
+
+    def _signalled(self, m, signals):
+        """Fork an exit-only child, send it ``signals`` while it is still
+        READY, then reap it: a WNOHANG waitpid first, then (continuing a
+        stopped child) a blocking one if that found nothing."""
+        seen = {"steps": []}
+
+        def body(ctx):
+            pid = yield Syscall("fork", (None,))
+            child = m.kernel.task_by_pid(pid)
+            seen["ready"] = child.state is TaskState.READY
+            seen["stat"] = procfs.stat(m.kernel, pid)
+            for sig in signals:
+                rc = yield Syscall("kill", (pid, sig))
+                seen["steps"].append((rc, child.state.value))
+            seen["wait"] = seen["nohang"] = yield Syscall(
+                "waitpid", (pid, True))
+            if not seen["nohang"]:
+                if child.state is TaskState.STOPPED:
+                    yield Syscall("kill", (pid, SIGCONT))
+                seen["wait"] = yield Syscall("waitpid", (pid,))
+            seen["exit"] = (child.exit_code, child.exit_signal)
+            seen["pid"] = pid
+
+        run_all(m, [spawn_fn(m, body)])
+        assert seen["ready"]
+        return seen
+
+    def test_procfs_reads_no_resident_pages(self, m):
+        seen = self._signalled(m, ())
+        row = seen["stat"]
+        assert row["rss_pages"] == 0
+        assert row["state"] == "R" and row["pid"] == seen["pid"]
+
+    def test_sigkill(self, m):
+        seen = self._signalled(m, (SIGKILL,))
+        assert seen["steps"] == [(0, "zombie")]
+        assert seen["nohang"] == (seen["pid"], ("exited", 128 + SIGKILL))
+        assert seen["exit"] == (128 + SIGKILL, SIGKILL)
+
+    def test_sigstop_then_sigcont(self, m):
+        # SIGCONT wakes the child with preemption: it runs its exit(0)
+        # before the kill call returns.
+        seen = self._signalled(m, (SIGSTOP, SIGCONT))
+        assert seen["steps"] == [(0, "stopped"), (0, "zombie")]
+        assert seen["nohang"] == (seen["pid"], ("exited", 0))
+        assert seen["exit"] == (0, None)
+
+    def test_sigstop_reports_nothing_until_continued(self, m):
+        seen = self._signalled(m, (SIGSTOP,))
+        assert seen["steps"] == [(0, "stopped")]
+        assert seen["nohang"] == 0
+        assert seen["wait"] == (seen["pid"], ("exited", 0))
+        assert seen["exit"] == (0, None)
+
+    def test_oom_killer_picks_the_resident_task(self):
+        cfg = default_config(memory=MemoryConfig(
+            ram_bytes=4 * 1024 * 1024, swap_bytes=1 * 1024 * 1024))
+        m = Machine(cfg)
+        seen = {}
+
+        def hog(ctx):
+            addr = yield Syscall("mmap", (8,))
+            for page in range(8):
+                yield Mem(addr + page * 4096, write=True)
+            yield Syscall("nanosleep", (10**9,))
+
+        def body(ctx):
+            yield Syscall("nanosleep", (5_000_000,))
+            pid = yield Syscall("fork", (None,))
+            child = m.kernel.task_by_pid(pid)
+            seen["child_ready"] = child.state is TaskState.READY
+            seen["killed"] = m.kernel.oom_kill(m.kernel.task_by_pid(1))
+            seen["wait"] = yield Syscall("waitpid", (pid,))
+            seen["pid"] = pid
+
+        hog_task = spawn_fn(m, hog, name="hog")
+        parent = spawn_fn(m, body, name="parent")
+        run_all(m, [hog_task, parent])
+        assert seen["child_ready"] and seen["killed"]
+        assert hog_task.exit_signal == SIGKILL
+        assert parent.exit_signal is None
+        assert seen["wait"] == (seen["pid"], ("exited", 0))
 
 
 class TestThreads:

@@ -36,10 +36,12 @@ from repro.sim.events import EventQueue
 
 _SOURCE = os.path.dirname(repro.__file__) + os.sep
 
-#: Python calls one fork → exit → wait round trip may make.
-FORK_BUDGET = 95
-#: Python calls one watchpoint trap → stop → resume round trip may make.
-TRAP_BUDGET = 150
+#: Python calls one fork → exit → wait round trip may make (it makes 76:
+#: an exit-only child builds no address space or guest view).
+FORK_BUDGET = 83
+#: Python calls one watchpoint trap → stop → resume round trip may make
+#: (it makes 144).
+TRAP_BUDGET = 147
 
 
 def fork_point(forks):
