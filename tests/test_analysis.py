@@ -88,12 +88,9 @@ class TestFigureRegistry:
 
     def test_faultsweep_checks_the_zero_intensity_spec_key(self):
         fig = run_figure("faultsweep", scale=0.05)
-        names = [check.name for check in fig.checks]
-        assert "zero intensity: watchdog toggle changes nothing" not in names
         check, = [c for c in fig.checks if c.name == (
             "zero intensity: watchdog on and off hash to one spec key")]
         assert check.passed, check.detail
-        assert len(fig.results) == 8
 
     def test_fig4_small_scale_passes(self):
         fig = run_figure("fig4", scale=0.1)

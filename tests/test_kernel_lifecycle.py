@@ -177,22 +177,34 @@ class TestExitOnlyChild:
         run_all(m, [spawn_fn(m, body)])
         assert seen == {"asids": 1, "views": (True, True)}
 
-    def _signalled(self, m, signals):
-        """Fork an exit-only child, send it ``signals`` while it is still
-        READY, then reap it: a WNOHANG waitpid first, then (continuing a
-        stopped child) a blocking one if that found nothing."""
-        seen = {"steps": []}
+    @pytest.mark.parametrize("signals, states, nohang, exit", [
+        ((), [], 0, (0, None)),
+        ((SIGKILL,), ["zombie"], ("exited", 128 + SIGKILL),
+         (128 + SIGKILL, SIGKILL)),
+        # A stopped child reports nothing to a parent that does not
+        # trace it; SIGCONT lets it exit.
+        ((SIGSTOP,), ["stopped"], 0, (0, None)),
+        # SIGCONT wakes the child with preemption: it runs its exit(0)
+        # before the kill call returns.
+        ((SIGSTOP, SIGCONT), ["stopped", "zombie"], ("exited", 0),
+         (0, None)),
+    ])
+    def test_signals_waitpid_and_procfs(self, m, signals, states, nohang,
+                                        exit):
+        """Signals sent to a READY exit-only child, then a WNOHANG waitpid
+        and, if that found nothing, SIGCONT and a blocking one."""
+        seen = {}
 
         def body(ctx):
             pid = yield Syscall("fork", (None,))
             child = m.kernel.task_by_pid(pid)
             seen["ready"] = child.state is TaskState.READY
             seen["stat"] = procfs.stat(m.kernel, pid)
+            seen["states"] = []
             for sig in signals:
                 rc = yield Syscall("kill", (pid, sig))
-                seen["steps"].append((rc, child.state.value))
-            seen["wait"] = seen["nohang"] = yield Syscall(
-                "waitpid", (pid, True))
+                seen["states"].append((rc, child.state.value))
+            seen["nohang"] = yield Syscall("waitpid", (pid, True))
             if not seen["nohang"]:
                 if child.state is TaskState.STOPPED:
                     yield Syscall("kill", (pid, SIGCONT))
@@ -201,35 +213,17 @@ class TestExitOnlyChild:
             seen["pid"] = pid
 
         run_all(m, [spawn_fn(m, body)])
+        pid = seen["pid"]
         assert seen["ready"]
-        return seen
-
-    def test_procfs_reads_no_resident_pages(self, m):
-        seen = self._signalled(m, ())
-        row = seen["stat"]
-        assert row["rss_pages"] == 0
-        assert row["state"] == "R" and row["pid"] == seen["pid"]
-
-    def test_sigkill(self, m):
-        seen = self._signalled(m, (SIGKILL,))
-        assert seen["steps"] == [(0, "zombie")]
-        assert seen["nohang"] == (seen["pid"], ("exited", 128 + SIGKILL))
-        assert seen["exit"] == (128 + SIGKILL, SIGKILL)
-
-    def test_sigstop_then_sigcont(self, m):
-        # SIGCONT wakes the child with preemption: it runs its exit(0)
-        # before the kill call returns.
-        seen = self._signalled(m, (SIGSTOP, SIGCONT))
-        assert seen["steps"] == [(0, "stopped"), (0, "zombie")]
-        assert seen["nohang"] == (seen["pid"], ("exited", 0))
-        assert seen["exit"] == (0, None)
-
-    def test_sigstop_reports_nothing_until_continued(self, m):
-        seen = self._signalled(m, (SIGSTOP,))
-        assert seen["steps"] == [(0, "stopped")]
-        assert seen["nohang"] == 0
-        assert seen["wait"] == (seen["pid"], ("exited", 0))
-        assert seen["exit"] == (0, None)
+        assert seen["stat"]["rss_pages"] == 0
+        assert seen["stat"]["state"] == "R"
+        assert seen["states"] == [(0, state) for state in states]
+        if nohang:
+            assert seen["nohang"] == (pid, nohang)
+        else:
+            assert seen["nohang"] == 0
+            assert seen["wait"] == (pid, ("exited", 0))
+        assert seen["exit"] == exit
 
     def test_oom_killer_picks_the_resident_task(self):
         cfg = default_config(memory=MemoryConfig(
